@@ -96,7 +96,13 @@ Status Agent::remove_element(const ElementId& id) {
   if (sources_.erase(id) == 0) {
     return Status::not_found("agent " + name_ + ": no element " + id.name);
   }
+  // Forget every per-element record of the departed element: a source
+  // re-added under the same id must not inherit its cached or last-good
+  // record, nor the crash offset that made its counters restart from zero.
   cache_.erase(id);
+  last_good_.erase(id);
+  reset_offset_.erase(id);
+  pending_reset_.erase(id);
   return Status::ok();
 }
 
@@ -116,11 +122,6 @@ Duration Agent::channel_delay_locked(ChannelKind kind) {
                               ? latency_override_[static_cast<size_t>(kind)]
                               : default_latency(kind);
   return m.base + m.jitter * rng_.next_double();
-}
-
-void Agent::observe_channel(ChannelKind kind, Duration delay) {
-  std::lock_guard<std::mutex> lock(mu_);
-  channel_hist_[static_cast<size_t>(kind)].observe(delay.sec());
 }
 
 void Agent::emit_pending(const std::vector<PendingTrace>& traces) {
@@ -364,78 +365,221 @@ void Agent::apply_fault_bookkeeping(const ElementId& id, StatsRecord& record,
   if (track_last_good) last_good_[id] = record;
 }
 
-Result<QueryResponse> Agent::query(const ElementId& id, SimTime now) {
-  PlannedQuery q;
+BatchResponse Agent::collect(const std::vector<ElementId>* ids, SimTime now,
+                             ThreadPool* pool, Billing billing) {
+  const bool shared = billing == Billing::kSharedTripPerKind;
+  BatchResponse batch;
+  std::vector<PlannedQuery> plan;
+  std::array<bool, kNumChannelKinds> kind_used = {};
+  std::array<Duration, kNumChannelKinds> kind_delay = {};
   bool fault_mode = false;
+  bool down = false;
   bool track_last_good = false, bookkeep = false;
   std::vector<PendingTrace> pending;
   {
     std::lock_guard<std::mutex> lock(mu_);
     absorb_crashes_locked(now, &pending);
-    auto it = sources_.find(id);
-    if (it == sources_.end()) {
-      return Status::not_found("agent " + name_ + ": no element " + id.name);
-    }
-    q.id = id;
-    q.source = it->second;
-    q.kind = it->second->channel_kind();
     fault_mode = plan_ != nullptr;
     if (fault_mode) {
       track_last_good = plan_->serves_stale();
       bookkeep = track_last_good || !pending_reset_.empty() ||
                  !reset_offset_.empty();
+      down = plan_->has_campaign() && plan_->agent_down(name_, now);
     }
-    const bool down = fault_mode && plan_->has_campaign() &&
-                      plan_->agent_down(name_, now);
-    plan_outcome_locked(q, now, /*shared_first=*/false, Duration{}, down,
-                        &pending);
+    const auto add = [&](const ElementId& id, const StatsSource* src) {
+      PlannedQuery& q = plan.emplace_back();
+      q.id = id;
+      q.source = src;
+      q.kind = src->channel_kind();
+    };
+    if (ids == nullptr) {
+      plan.reserve(sources_.size());
+      for (const auto& [id, src] : sources_) add(id, src);
+    } else {
+      plan.reserve(ids->size());
+      for (const ElementId& id : *ids) {
+        auto it = sources_.find(id);
+        if (it == sources_.end()) {
+          ++batch.unknown_ids;
+        } else {
+          add(id, it->second);
+        }
+      }
+    }
+  }
+  std::sort(plan.begin(), plan.end(),
+            [](const PlannedQuery& a, const PlannedQuery& b) {
+              return a.id < b.id;
+            });
+  {
+    // Every RNG draw, fault decision and retry chain happens here, under the
+    // lock and in element-id order, before the fan-out — which is what makes
+    // the output byte-identical at any pool size.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shared) {
+      // One round trip per channel kind present, drawn in kind order so the
+      // RNG stream is independent of the requested id order.  A kind whose
+      // breaker is open (and still cooling down) gets no round trip at all;
+      // its elements fast-fail in planning below.
+      for (const PlannedQuery& q : plan) {
+        const Breaker& br = breakers_[static_cast<size_t>(q.kind)];
+        if (br.state != BreakerState::kOpen ||
+            now - br.opened_at >= breaker_cfg_.cooldown) {
+          kind_used[static_cast<size_t>(q.kind)] = true;
+        }
+      }
+      for (size_t k = 0; k < kNumChannelKinds; ++k) {
+        if (!kind_used[k]) continue;
+        kind_delay[k] = channel_delay_locked(static_cast<ChannelKind>(k));
+        batch.channel_time += kind_delay[k];
+      }
+    }
+    for (PlannedQuery& q : plan) {
+      const size_t k = static_cast<size_t>(q.kind);
+      // Shared billing: the first attempt rides the kind's round trip and
+      // only retries pay trips of their own on top.
+      plan_outcome_locked(q, now, kind_used[k], kind_delay[k], down, &pending);
+      if (!shared) {
+        batch.channel_time += q.delay;
+      } else if (fault_mode && q.delay > kind_delay[k]) {
+        batch.channel_time += q.delay - kind_delay[k];
+      }
+    }
   }
   emit_pending(pending);
 
-  if (q.failed) {
-    if (q.attempts > 0) observe_channel(q.kind, q.delay);
-    if (trace_enabled()) {
-      if (q.attempts > 0) {
-        trace_event(id, now, TraceEventKind::kAgentQueryIssued, 0,
-                    to_string(q.kind));
-      }
-      trace_event(id, now + q.delay, TraceEventKind::kAgentQueryFailed,
-                  static_cast<double>(q.attempts), to_string(q.kind));
+  batch.responses.resize(plan.size());
+  std::vector<QueryResponse>& out = batch.responses;
+  parallel_for_or_inline(pool, plan.size(), [&](size_t i) {
+    PlannedQuery& q = plan[i];
+    QueryResponse& r = out[i];
+    r.response_time = q.delay;
+    r.quality = q.quality;
+    r.attempts = q.attempts;
+    if (q.failed) {
+      r.fail_code = q.fail_code;
+      // Blind spot: keep the element visible with an empty record so the
+      // diagnosis layer sees the hole instead of silently skipping it.
+      r.record.timestamp = now;
+      r.record.element = q.id;
+      return;
     }
-    return query_failure_status(name_, id, q.attempts, q.fail_code);
+    if (q.serve_stale) {
+      r.record = std::move(q.stale_record);  // true (old) timestamp kept
+      return;
+    }
+    r.record = q.source->collect(now);
+    if (bookkeep) apply_fault_bookkeeping(q.id, r.record, track_last_good);
+    if (q.quality == DataQuality::kTorn) {
+      r.record = apply_torn_read(r.record, q.torn_salt);
+    }
+  });
+  for (const QueryResponse& r : batch.responses) {
+    if (r.quality != DataQuality::kFresh) ++batch.degraded;
   }
 
-  QueryResponse resp;
-  if (q.serve_stale) {
-    resp.record = std::move(q.stale_record);  // true (old) timestamp kept
-  } else {
-    resp.record = q.source->collect(now);
-    if (bookkeep) apply_fault_bookkeeping(id, resp.record, track_last_good);
-    if (q.quality == DataQuality::kTorn) {
-      resp.record = apply_torn_read(resp.record, q.torn_salt);
+  // Merge, sequential on the caller: self-profiling and tracing in a
+  // deterministic order — one histogram observe and one trace pair per
+  // channel round trip actually paid.  Breaker fast-fails (attempts == 0)
+  // paid none.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shared) {
+      for (size_t k = 0; k < kNumChannelKinds; ++k) {
+        if (kind_used[k]) channel_hist_[k].observe(kind_delay[k].sec());
+      }
+    } else {
+      for (const PlannedQuery& q : plan) {
+        if (q.attempts == 0) continue;
+        channel_hist_[static_cast<size_t>(q.kind)].observe(q.delay.sec());
+      }
     }
   }
-  resp.response_time = q.delay;
-  resp.quality = q.quality;
-  resp.attempts = q.attempts;
-  observe_channel(q.kind, q.delay);
   if (trace_enabled()) {
-    trace_event(id, now, TraceEventKind::kAgentQueryIssued, 0,
-                to_string(q.kind));
-    trace_event(id, now + resp.response_time,
-                TraceEventKind::kAgentQueryCompleted, resp.response_time.us(),
-                to_string(q.kind));
+    if (shared) {
+      trace_batch(plan, kind_used, kind_delay, batch, now);
+    } else {
+      for (const PlannedQuery& q : plan) {
+        if (q.attempts > 0) {
+          trace_event(q.id, now, TraceEventKind::kAgentQueryIssued, 0,
+                      to_string(q.kind));
+        }
+        if (q.failed) {
+          trace_event(q.id, now + q.delay, TraceEventKind::kAgentQueryFailed,
+                      static_cast<double>(q.attempts), to_string(q.kind));
+        } else {
+          trace_event(q.id, now + q.delay,
+                      TraceEventKind::kAgentQueryCompleted, q.delay.us(),
+                      to_string(q.kind));
+        }
+      }
+    }
   }
-  return resp;
+  return batch;
+}
+
+void Agent::trace_batch(const std::vector<PlannedQuery>& plan,
+                        const std::array<bool, kNumChannelKinds>& kind_used,
+                        const std::array<Duration, kNumChannelKinds>& kind_delay,
+                        const BatchResponse& batch, SimTime now) {
+  const ElementId batch_id{name_ + "/batch"};
+  // With an active trace context (a traced scatter above us — installed by
+  // the controller's fan-out worker or a remote server's serve loop), the
+  // batch also records its span subtree: one kSpanAgentBatch covering the
+  // slowest channel trip, one kSpanChannelTrip child per kind paid.
+  const TraceContext ctx = current_trace_context();
+  const uint64_t batch_span = ctx.active() ? next_span_id() : 0;
+  Duration slowest;
+  for (size_t k = 0; k < kNumChannelKinds; ++k) {
+    if (!kind_used[k]) continue;
+    size_t group = 0;
+    for (const PlannedQuery& q : plan) {
+      if (static_cast<size_t>(q.kind) == k) ++group;
+    }
+    const char* kind = to_string(static_cast<ChannelKind>(k));
+    trace_event(batch_id, now, TraceEventKind::kAgentQueryIssued,
+                static_cast<double>(group), kind);
+    trace_event(batch_id, now + kind_delay[k],
+                TraceEventKind::kAgentQueryCompleted, kind_delay[k].us(), kind);
+    if (ctx.active()) {
+      trace_span(batch_id, now, TraceEventKind::kSpanChannelTrip,
+                 kind_delay[k], next_span_id(), batch_span,
+                 static_cast<double>(group), kind);
+      if (kind_delay[k] > slowest) slowest = kind_delay[k];
+    }
+  }
+  if (ctx.active()) {
+    trace_span(batch_id, now, TraceEventKind::kSpanAgentBatch, slowest,
+               batch_span, ctx.span_id, static_cast<double>(plan.size()),
+               name_);
+  }
+  // Blind spots must be visible in the flight recorder: unknown ids and
+  // non-fresh responses degrade the batch.
+  if (batch.unknown_ids > 0 || batch.degraded > 0) {
+    trace_event(batch_id, now, TraceEventKind::kAgentBatchDegraded,
+                static_cast<double>(batch.unknown_ids + batch.degraded),
+                "unknown or degraded elements");
+  }
+}
+
+Result<QueryResponse> Agent::query(const ElementId& id, SimTime now) {
+  const std::vector<ElementId> one{id};
+  BatchResponse b = collect(&one, now, nullptr, Billing::kTripPerElement);
+  if (b.unknown_ids > 0) {
+    return Status::not_found("agent " + name_ + ": no element " + id.name);
+  }
+  QueryResponse& r = b.responses.front();
+  if (r.quality == DataQuality::kMissing) {
+    return query_failure_status(name_, id, r.attempts, r.fail_code);
+  }
+  return std::move(r);
 }
 
 Result<QueryResponse> Agent::query_attrs(const ElementId& id,
                                          const std::vector<std::string>& attrs,
                                          SimTime now) {
-  Result<QueryResponse> full = query(id, now);
-  if (!full.ok()) return full.status();
-  QueryResponse resp = full.value();
-  resp.record = project(resp.record, attrs);
+  Result<QueryResponse> resp = query(id, now);
+  if (resp.ok()) resp.value().record = project(resp.value().record, attrs);
   return resp;
 }
 
@@ -465,249 +609,11 @@ Result<QueryResponse> Agent::query_cached(const ElementId& id, SimTime now,
 
 BatchResponse Agent::query_batch(const std::vector<ElementId>& ids,
                                  SimTime now, ThreadPool* pool) {
-  BatchResponse batch;
-  std::vector<PlannedQuery> plan;
-  std::array<bool, kNumChannelKinds> kind_used = {};
-  std::array<Duration, kNumChannelKinds> kind_delay = {};
-  bool fault_mode = false;
-  bool down = false;
-  bool track_last_good = false, bookkeep = false;
-  std::vector<PendingTrace> pending;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    absorb_crashes_locked(now, &pending);
-    fault_mode = plan_ != nullptr;
-    if (fault_mode) {
-      track_last_good = plan_->serves_stale();
-      bookkeep = track_last_good || !pending_reset_.empty() ||
-                 !reset_offset_.empty();
-      down = plan_->has_campaign() && plan_->agent_down(name_, now);
-    }
-    plan.reserve(ids.size());
-    for (const ElementId& id : ids) {
-      auto it = sources_.find(id);
-      if (it == sources_.end()) {
-        ++batch.unknown_ids;
-        continue;
-      }
-      PlannedQuery q;
-      q.id = id;
-      q.source = it->second;
-      q.kind = it->second->channel_kind();
-      // A kind whose breaker is open (and still cooling down) gets no round
-      // trip at all; its elements fast-fail cheaply in planning below.
-      const Breaker& br = breakers_[static_cast<size_t>(q.kind)];
-      const bool fast_fail = br.state == BreakerState::kOpen &&
-                             now - br.opened_at < breaker_cfg_.cooldown;
-      if (!fast_fail) kind_used[static_cast<size_t>(q.kind)] = true;
-      plan.push_back(std::move(q));
-    }
-    // One round trip per channel kind present, drawn in kind order so the
-    // RNG stream is independent of the requested id order and pool size.
-    for (size_t k = 0; k < kNumChannelKinds; ++k) {
-      if (!kind_used[k]) continue;
-      kind_delay[k] = channel_delay_locked(static_cast<ChannelKind>(k));
-      batch.channel_time += kind_delay[k];
-    }
-  }
-  std::sort(plan.begin(), plan.end(),
-            [](const PlannedQuery& a, const PlannedQuery& b) {
-              return a.id < b.id;
-            });
-  {
-    // Fault decisions and retry chains, planned in element-id order before
-    // the fan-out.  The first attempt of each element rides its kind's
-    // shared round trip; retries pay their own trips on top.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (PlannedQuery& q : plan) {
-      const size_t k = static_cast<size_t>(q.kind);
-      plan_outcome_locked(q, now, kind_used[k], kind_delay[k], down, &pending);
-      if (fault_mode && q.delay > kind_delay[k]) {
-        batch.channel_time += q.delay - kind_delay[k];
-      }
-    }
-  }
-  emit_pending(pending);
-
-  batch.responses.resize(plan.size());
-  std::vector<QueryResponse>& out = batch.responses;
-  parallel_for_or_inline(pool, plan.size(), [&](size_t i) {
-    PlannedQuery& q = plan[i];
-    QueryResponse& r = out[i];
-    r.response_time = q.delay;
-    r.quality = q.quality;
-    r.attempts = q.attempts;
-    if (q.failed) {
-      r.fail_code = q.fail_code;
-      // Blind spot: keep the element visible with an empty record.
-      r.record.timestamp = now;
-      r.record.element = q.id;
-      return;
-    }
-    if (q.serve_stale) {
-      r.record = std::move(q.stale_record);
-      return;
-    }
-    r.record = q.source->collect(now);
-    if (bookkeep) apply_fault_bookkeeping(q.id, r.record, track_last_good);
-    if (q.quality == DataQuality::kTorn) {
-      r.record = apply_torn_read(r.record, q.torn_salt);
-    }
-  });
-  for (const QueryResponse& r : batch.responses) {
-    if (r.quality != DataQuality::kFresh) ++batch.degraded;
-  }
-
-  // Merge step, sequential on the caller: self-profiling and tracing in
-  // deterministic (kind, then id) order — one histogram observe and one
-  // trace pair per channel round trip actually paid.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t k = 0; k < kNumChannelKinds; ++k) {
-      if (kind_used[k]) channel_hist_[k].observe(kind_delay[k].sec());
-    }
-  }
-  if (trace_enabled()) {
-    const ElementId batch_id{name_ + "/batch"};
-    // With an active trace context (a traced scatter above us — installed by
-    // the controller's fan-out worker or a remote server's serve loop), the
-    // batch also records its span subtree: one kSpanAgentBatch covering the
-    // slowest channel trip, one kSpanChannelTrip child per kind paid.
-    const TraceContext ctx = current_trace_context();
-    const uint64_t batch_span = ctx.active() ? next_span_id() : 0;
-    Duration slowest;
-    for (size_t k = 0; k < kNumChannelKinds; ++k) {
-      if (!kind_used[k]) continue;
-      size_t group = 0;
-      for (const PlannedQuery& q : plan) {
-        if (static_cast<size_t>(q.kind) == k) ++group;
-      }
-      trace_event(batch_id, now, TraceEventKind::kAgentQueryIssued,
-                  static_cast<double>(group),
-                  to_string(static_cast<ChannelKind>(k)));
-      trace_event(batch_id, now + kind_delay[k],
-                  TraceEventKind::kAgentQueryCompleted, kind_delay[k].us(),
-                  to_string(static_cast<ChannelKind>(k)));
-      if (ctx.active()) {
-        trace_span(batch_id, now, TraceEventKind::kSpanChannelTrip,
-                   kind_delay[k], next_span_id(), batch_span,
-                   static_cast<double>(group),
-                   to_string(static_cast<ChannelKind>(k)));
-        if (kind_delay[k] > slowest) slowest = kind_delay[k];
-      }
-    }
-    if (ctx.active()) {
-      trace_span(batch_id, now, TraceEventKind::kSpanAgentBatch, slowest,
-                 batch_span, ctx.span_id, static_cast<double>(plan.size()),
-                 name_);
-    }
-    // Blind spots must be visible in the flight recorder: unknown ids and
-    // non-fresh responses degrade the batch.
-    if (batch.unknown_ids > 0 || batch.degraded > 0) {
-      trace_event(batch_id, now, TraceEventKind::kAgentBatchDegraded,
-                  static_cast<double>(batch.unknown_ids + batch.degraded),
-                  "unknown or degraded elements");
-    }
-  }
-  return batch;
+  return collect(&ids, now, pool, Billing::kSharedTripPerKind);
 }
 
 std::vector<QueryResponse> Agent::poll_all(SimTime now, ThreadPool* pool) {
-  std::vector<PlannedQuery> plan;
-  bool fault_mode = false;
-  bool down = false;
-  bool track_last_good = false, bookkeep = false;
-  std::vector<PendingTrace> pending;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    absorb_crashes_locked(now, &pending);
-    fault_mode = plan_ != nullptr;
-    if (fault_mode) {
-      track_last_good = plan_->serves_stale();
-      bookkeep = track_last_good || !pending_reset_.empty() ||
-                 !reset_offset_.empty();
-      down = plan_->has_campaign() && plan_->agent_down(name_, now);
-    }
-    plan.reserve(sources_.size());
-    for (const auto& [id, src] : sources_) {
-      PlannedQuery q;
-      q.id = id;
-      q.source = src;
-      q.kind = src->channel_kind();
-      plan.push_back(std::move(q));
-    }
-  }
-  std::sort(plan.begin(), plan.end(),
-            [](const PlannedQuery& a, const PlannedQuery& b) {
-              return a.id < b.id;
-            });
-  {
-    // Jitter (and, under a fault plan, fault decisions and backoff draws)
-    // consumed in element-id order, exactly as the sequential sweep consumed
-    // the RNG, so any pool size yields identical outcomes.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (PlannedQuery& q : plan) {
-      plan_outcome_locked(q, now, /*shared_first=*/false, Duration{}, down,
-                          &pending);
-    }
-  }
-  emit_pending(pending);
-
-  std::vector<QueryResponse> out(plan.size());
-  parallel_for_or_inline(pool, plan.size(), [&](size_t i) {
-    PlannedQuery& q = plan[i];
-    QueryResponse& r = out[i];
-    r.response_time = q.delay;
-    r.quality = q.quality;
-    r.attempts = q.attempts;
-    if (q.failed) {
-      r.fail_code = q.fail_code;
-      // Blind spot: keep the element visible with an empty record so the
-      // diagnosis layer sees the hole instead of silently skipping it.
-      r.record.timestamp = now;
-      r.record.element = q.id;
-      return;
-    }
-    if (q.serve_stale) {
-      r.record = std::move(q.stale_record);
-      return;
-    }
-    r.record = q.source->collect(now);
-    if (bookkeep) apply_fault_bookkeeping(q.id, r.record, track_last_good);
-    if (q.quality == DataQuality::kTorn) {
-      r.record = apply_torn_read(r.record, q.torn_salt);
-    }
-  });
-
-  // Deterministic merge: per-element self-profiling and trace events in
-  // element-id order, matching the sequential sweep event for event.
-  // Breaker fast-fails (attempts == 0) paid no channel time and are not
-  // observed.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const PlannedQuery& q : plan) {
-      if (q.attempts == 0) continue;
-      channel_hist_[static_cast<size_t>(q.kind)].observe(q.delay.sec());
-    }
-  }
-  if (trace_enabled()) {
-    for (const PlannedQuery& q : plan) {
-      if (q.failed) {
-        if (q.attempts > 0) {
-          trace_event(q.id, now, TraceEventKind::kAgentQueryIssued, 0,
-                      to_string(q.kind));
-        }
-        trace_event(q.id, now + q.delay, TraceEventKind::kAgentQueryFailed,
-                    static_cast<double>(q.attempts), to_string(q.kind));
-        continue;
-      }
-      trace_event(q.id, now, TraceEventKind::kAgentQueryIssued, 0,
-                  to_string(q.kind));
-      trace_event(q.id, now + q.delay, TraceEventKind::kAgentQueryCompleted,
-                  q.delay.us(), to_string(q.kind));
-    }
-  }
-  return out;
+  return collect(nullptr, now, pool, Billing::kTripPerElement).responses;
 }
 
 }  // namespace perfsight

@@ -12,11 +12,16 @@
 //
 // Collection runtime (this layer's concurrency contract): the agent is
 // safe to use from multiple threads — registry/cache/RNG/histogram state is
-// guarded by one internal mutex, cache_hits_ is a relaxed atomic.  poll_all
-// and query_batch accept an optional ThreadPool and fan the element
-// collect() calls out across it; channel jitter is drawn *before* the
-// fan-out, in element-id order, and results are merged back by element id,
-// so their output is byte-identical at any pool size.  Element objects are
+// guarded by one internal mutex, cache_hits_ is a relaxed atomic.  Every
+// query surface (query, query_attrs, query_cached, query_batch, poll_all)
+// runs through one collection core: plan in element-id order under the lock
+// (crash absorption, channel jitter, fault decisions, retry chains), fan the
+// element collect() calls out over an optional ThreadPool, then merge
+// self-profiling and trace events sequentially.  The surfaces differ only in
+// which elements they name and how channel time is billed — one shared
+// round trip per channel kind (query_batch) or one trip per element (the
+// single query and the poll sweep) — so their output is byte-identical at
+// any pool size and the paths cannot drift apart.  Element objects are
 // not owned: a remove_element racing an in-flight poll only deregisters the
 // element — the poll may still observe it once, and the caller must keep
 // the StatsSource alive until in-flight polls drain.
@@ -193,8 +198,9 @@ class Agent : public AgentClient {
   // Registers an element; not owned.  Fails if the id is already taken.
   Status add_element(const StatsSource* source);
 
-  // Deregisters an element (VM teardown / element migration).  Fails if the
-  // id is unknown; the Monitor simply stops producing points for it.
+  // Deregisters an element (VM teardown / element migration) and drops all
+  // per-element state the agent kept for it.  Fails if the id is unknown;
+  // the Monitor simply stops producing points for it.
   Status remove_element(const ElementId& id);
 
   bool has_element(const ElementId& id) const override {
@@ -283,6 +289,12 @@ class Agent : public AgentClient {
   }
 
  private:
+  // How a collection bills channel time: every element pays its own round
+  // trip (a single query, a poll sweep), or one round trip per channel kind
+  // present is shared by all the kind's elements (a batch — a real agent
+  // reads one /proc file and parses many counters out of it).
+  enum class Billing { kTripPerElement, kSharedTripPerKind };
+
   struct PlannedQuery {
     ElementId id;
     const StatsSource* source = nullptr;
@@ -314,7 +326,6 @@ class Agent : public AgentClient {
   };
 
   Duration channel_delay_locked(ChannelKind kind);
-  void observe_channel(ChannelKind kind, Duration delay);
   // Consumes crashes the plan scheduled since the last query: caches are
   // lost, every element's counters restart from zero on its next collect.
   void absorb_crashes_locked(SimTime now, std::vector<PendingTrace>* traces);
@@ -336,6 +347,18 @@ class Agent : public AgentClient {
   void apply_fault_bookkeeping(const ElementId& id, StatsRecord& record,
                                bool track_last_good);
   void emit_pending(const std::vector<PendingTrace>& traces);
+  // The collection core every query surface runs through: `ids` (null =
+  // every registered element; unknown ids are counted, duplicates kept) are
+  // planned in element-id order, collected over `pool`, and merged.
+  BatchResponse collect(const std::vector<ElementId>* ids, SimTime now,
+                        ThreadPool* pool, Billing billing);
+  // A shared-billing collection's flight-recorder events: one issued /
+  // completed pair (and, under an active trace context, one channel-trip
+  // span) per kind paid, plus the degraded-batch marker.
+  void trace_batch(const std::vector<PlannedQuery>& plan,
+                   const std::array<bool, kNumChannelKinds>& kind_used,
+                   const std::array<Duration, kNumChannelKinds>& kind_delay,
+                   const BatchResponse& batch, SimTime now);
 
   std::string name_;
   mutable std::mutex mu_;  // guards rng_, sources_, cache_, overrides, hists

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "perfsight/trace.h"
-#include "perfsight/wire.h"
 
 namespace perfsight {
 
@@ -146,7 +145,7 @@ void Controller::account(uint64_t queries, Duration channel_time,
   }
 }
 
-Result<Controller::QualifiedRecord> Controller::get_attr_q(
+Result<Controller::QualifiedRecord> Controller::query_one(
     TenantId tenant, const ElementId& id,
     const std::vector<std::string>& attrs) const {
   AgentClient* agent = locate(tenant, id);
@@ -178,6 +177,12 @@ Result<Controller::QualifiedRecord> Controller::get_attr_q(
   return QualifiedRecord{resp.value().record, resp.value().quality};
 }
 
+Result<Controller::QualifiedRecord> Controller::get_attr_q(
+    TenantId tenant, const ElementId& id,
+    const std::vector<std::string>& attrs) const {
+  return std::move(get_attr_many(tenant, {id}, attrs).front());
+}
+
 Result<StatsRecord> Controller::get_attr(
     TenantId tenant, const ElementId& id,
     const std::vector<std::string>& attrs) const {
@@ -186,66 +191,39 @@ Result<StatsRecord> Controller::get_attr(
   return std::move(q).take().record;
 }
 
+namespace {
+// The single-element Fig. 6 utilities are batches of one: the element's
+// result, and its quality only when the result is a value (a failed
+// single-element call leaves `*quality` untouched).
+template <typename T>
+Result<T> only(std::vector<Result<T>> out, const std::vector<DataQuality>& q,
+               DataQuality* quality) {
+  if (quality != nullptr && out.front().ok()) *quality = q.front();
+  return std::move(out.front());
+}
+}  // namespace
+
 Result<DataRate> Controller::get_throughput(TenantId tenant,
                                             const ElementId& id,
                                             Duration window,
                                             DataQuality* quality) const {
-  std::vector<std::string> attrs{attr::kTxBytes};
-  Result<QualifiedRecord> s1 = get_attr_q(tenant, id, attrs);
-  if (!s1.ok()) return s1.status();
-  advance_(window);
-  Result<QualifiedRecord> s2 = get_attr_q(tenant, id, attrs);
-  if (!s2.ok()) return s2.status();
-  if (quality != nullptr) *quality = worse(s1.value().quality,
-                                           s2.value().quality);
-  double b1 = s1.value().record.get_or(attr::kTxBytes, 0);
-  double b2 = s2.value().record.get_or(attr::kTxBytes, 0);
-  Duration dt = s2.value().record.timestamp - s1.value().record.timestamp;
-  return rate_of(static_cast<uint64_t>(std::max(0.0, b2 - b1)), dt);
+  std::vector<DataQuality> q;
+  return only(get_throughput_many(tenant, {id}, window, &q), q, quality);
 }
 
 Result<int64_t> Controller::get_pkt_loss(TenantId tenant, const ElementId& id,
                                          Duration window,
                                          DataQuality* quality) const {
-  std::vector<std::string> attrs{attr::kRxPkts, attr::kTxPkts,
-                                 attr::kDropPkts};
-  Result<QualifiedRecord> s1 = get_attr_q(tenant, id, attrs);
-  if (!s1.ok()) return s1.status();
-  advance_(window);
-  Result<QualifiedRecord> s2 = get_attr_q(tenant, id, attrs);
-  if (!s2.ok()) return s2.status();
-  if (quality != nullptr) *quality = worse(s1.value().quality,
-                                           s2.value().quality);
-
-  const StatsRecord& r1 = s1.value().record;
-  const StatsRecord& r2 = s2.value().record;
-  if (r1.get(attr::kDropPkts) && r2.get(attr::kDropPkts)) {
-    return static_cast<int64_t>(*r2.get(attr::kDropPkts) -
-                                *r1.get(attr::kDropPkts));
-  }
-  double d1 = r1.get_or(attr::kRxPkts, 0) - r1.get_or(attr::kTxPkts, 0);
-  double d2 = r2.get_or(attr::kRxPkts, 0) - r2.get_or(attr::kTxPkts, 0);
-  return static_cast<int64_t>(d2 - d1);
+  std::vector<DataQuality> q;
+  return only(get_pkt_loss_many(tenant, {id}, window, &q), q, quality);
 }
 
 Result<double> Controller::get_avg_pkt_size(TenantId tenant,
                                             const ElementId& id,
                                             Duration window,
                                             DataQuality* quality) const {
-  std::vector<std::string> attrs{attr::kTxBytes, attr::kTxPkts};
-  Result<QualifiedRecord> s1 = get_attr_q(tenant, id, attrs);
-  if (!s1.ok()) return s1.status();
-  advance_(window);
-  Result<QualifiedRecord> s2 = get_attr_q(tenant, id, attrs);
-  if (!s2.ok()) return s2.status();
-  if (quality != nullptr) *quality = worse(s1.value().quality,
-                                           s2.value().quality);
-  double db = s2.value().record.get_or(attr::kTxBytes, 0) -
-              s1.value().record.get_or(attr::kTxBytes, 0);
-  double dp = s2.value().record.get_or(attr::kTxPkts, 0) -
-              s1.value().record.get_or(attr::kTxPkts, 0);
-  if (dp <= 0) return 0.0;
-  return db / dp;
+  std::vector<DataQuality> q;
+  return only(get_avg_pkt_size_many(tenant, {id}, window, &q), q, quality);
 }
 
 // --- scatter-gather ---------------------------------------------------------
@@ -310,21 +288,6 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
     ScopedTraceContext span_ctx(scatter_ctx);
     br[gi] = groups[gi].agent->query_batch(groups[gi].sorted_ids, now);
   });
-
-  // Optionally round-trip each batch through the wire codec, exactly as a
-  // remote controller would receive it.  The loopback is lossless (no
-  // damage model here — that is wire_test's job), so decode must succeed
-  // and the merge below is unchanged.
-  if (wire_loopback_) {
-    for (BatchResponse& b : br) {
-      Result<std::string> bytes = wire::encode_batch(b);
-      PS_CHECK(bytes.ok());
-      wire::DecodeStats st;
-      Result<BatchResponse> decoded = wire::decode_batch(bytes.value(), &st);
-      PS_CHECK(decoded.ok() && st.complete());
-      b = std::move(decoded).take();
-    }
-  }
 
   // Gather: merge per-agent responses back into input slots, sequentially,
   // in group order.  Response lists are ascending by element id; ids absent
@@ -443,13 +406,14 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
 std::vector<Result<Controller::QualifiedRecord>> Controller::get_attr_many(
     TenantId tenant, const std::vector<ElementId>& ids,
     const std::vector<std::string>& attrs, ThreadPool* pool_override) const {
-  // The sequential per-element loop is the oracle the differential suite
-  // holds the scatter-gather path to; batching off selects it explicitly.
+  // A batch of one takes the element's own trip; the sequential
+  // per-element loop is also the oracle the differential suite holds the
+  // scatter-gather path to, and batching off selects it explicitly.
   if (!batching_ || ids.size() <= 1) {
     std::vector<Result<QualifiedRecord>> out;
     out.reserve(ids.size());
     for (const ElementId& id : ids) {
-      out.push_back(get_attr_q(tenant, id, attrs));
+      out.push_back(query_one(tenant, id, attrs));
     }
     return out;
   }
@@ -457,18 +421,26 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::get_attr_many(
                         pool_override != nullptr ? pool_override : pool_);
 }
 
-std::vector<Result<DataRate>> Controller::get_throughput_many(
+template <typename T, typename Delta>
+std::vector<Result<T>> Controller::interval_many(
     TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-    std::vector<DataQuality>* quality, ThreadPool* pool_override) const {
-  std::vector<std::string> attrs{attr::kTxBytes};
-  auto s1 = get_attr_many(tenant, ids, attrs, pool_override);
-  advance_(window);
-  auto s2 = get_attr_many(tenant, ids, attrs, pool_override);
-  if (quality != nullptr) {
-    quality->assign(ids.size(), DataQuality::kMissing);
-  }
-  std::vector<Result<DataRate>> out;
+    const std::vector<std::string>& attrs, std::vector<DataQuality>* quality,
+    ThreadPool* pool_override, Delta delta) const {
+  std::vector<Result<QualifiedRecord>> s1 =
+      get_attr_many(tenant, ids, attrs, pool_override);
+  if (quality != nullptr) quality->assign(ids.size(), DataQuality::kMissing);
+  std::vector<Result<T>> out;
   out.reserve(ids.size());
+  // Nothing to measure: no window is waited out and no second sweep is
+  // issued when every first sample failed.
+  if (std::none_of(s1.begin(), s1.end(),
+                   [](const Result<QualifiedRecord>& r) { return r.ok(); })) {
+    for (const Result<QualifiedRecord>& r : s1) out.push_back(r.status());
+    return out;
+  }
+  advance_(window);
+  std::vector<Result<QualifiedRecord>> s2 =
+      get_attr_many(tenant, ids, attrs, pool_override);
   for (size_t i = 0; i < ids.size(); ++i) {
     if (!s1[i].ok()) {
       out.push_back(s1[i].status());
@@ -481,85 +453,50 @@ std::vector<Result<DataRate>> Controller::get_throughput_many(
     if (quality != nullptr) {
       (*quality)[i] = worse(s1[i].value().quality, s2[i].value().quality);
     }
-    double b1 = s1[i].value().record.get_or(attr::kTxBytes, 0);
-    double b2 = s2[i].value().record.get_or(attr::kTxBytes, 0);
-    Duration dt =
-        s2[i].value().record.timestamp - s1[i].value().record.timestamp;
-    out.push_back(rate_of(static_cast<uint64_t>(std::max(0.0, b2 - b1)), dt));
+    out.push_back(delta(s1[i].value().record, s2[i].value().record));
   }
   return out;
+}
+
+std::vector<Result<DataRate>> Controller::get_throughput_many(
+    TenantId tenant, const std::vector<ElementId>& ids, Duration window,
+    std::vector<DataQuality>* quality, ThreadPool* pool_override) const {
+  return interval_many<DataRate>(
+      tenant, ids, window, {attr::kTxBytes}, quality, pool_override,
+      [](const StatsRecord& r1, const StatsRecord& r2) {
+        double b1 = r1.get_or(attr::kTxBytes, 0);
+        double b2 = r2.get_or(attr::kTxBytes, 0);
+        return rate_of(static_cast<uint64_t>(std::max(0.0, b2 - b1)),
+                       r2.timestamp - r1.timestamp);
+      });
 }
 
 std::vector<Result<int64_t>> Controller::get_pkt_loss_many(
     TenantId tenant, const std::vector<ElementId>& ids, Duration window,
     std::vector<DataQuality>* quality, ThreadPool* pool_override) const {
-  std::vector<std::string> attrs{attr::kRxPkts, attr::kTxPkts,
-                                 attr::kDropPkts};
-  auto s1 = get_attr_many(tenant, ids, attrs, pool_override);
-  advance_(window);
-  auto s2 = get_attr_many(tenant, ids, attrs, pool_override);
-  if (quality != nullptr) {
-    quality->assign(ids.size(), DataQuality::kMissing);
-  }
-  std::vector<Result<int64_t>> out;
-  out.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (!s1[i].ok()) {
-      out.push_back(s1[i].status());
-      continue;
-    }
-    if (!s2[i].ok()) {
-      out.push_back(s2[i].status());
-      continue;
-    }
-    if (quality != nullptr) {
-      (*quality)[i] = worse(s1[i].value().quality, s2[i].value().quality);
-    }
-    const StatsRecord& r1 = s1[i].value().record;
-    const StatsRecord& r2 = s2[i].value().record;
-    if (r1.get(attr::kDropPkts) && r2.get(attr::kDropPkts)) {
-      out.push_back(static_cast<int64_t>(*r2.get(attr::kDropPkts) -
-                                         *r1.get(attr::kDropPkts)));
-      continue;
-    }
-    double d1 = r1.get_or(attr::kRxPkts, 0) - r1.get_or(attr::kTxPkts, 0);
-    double d2 = r2.get_or(attr::kRxPkts, 0) - r2.get_or(attr::kTxPkts, 0);
-    out.push_back(static_cast<int64_t>(d2 - d1));
-  }
-  return out;
+  return interval_many<int64_t>(
+      tenant, ids, window, {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts},
+      quality, pool_override, [](const StatsRecord& r1, const StatsRecord& r2) {
+        if (r1.get(attr::kDropPkts) && r2.get(attr::kDropPkts)) {
+          return static_cast<int64_t>(*r2.get(attr::kDropPkts) -
+                                      *r1.get(attr::kDropPkts));
+        }
+        double d1 = r1.get_or(attr::kRxPkts, 0) - r1.get_or(attr::kTxPkts, 0);
+        double d2 = r2.get_or(attr::kRxPkts, 0) - r2.get_or(attr::kTxPkts, 0);
+        return static_cast<int64_t>(d2 - d1);
+      });
 }
 
 std::vector<Result<double>> Controller::get_avg_pkt_size_many(
     TenantId tenant, const std::vector<ElementId>& ids, Duration window,
     std::vector<DataQuality>* quality, ThreadPool* pool_override) const {
-  std::vector<std::string> attrs{attr::kTxBytes, attr::kTxPkts};
-  auto s1 = get_attr_many(tenant, ids, attrs, pool_override);
-  advance_(window);
-  auto s2 = get_attr_many(tenant, ids, attrs, pool_override);
-  if (quality != nullptr) {
-    quality->assign(ids.size(), DataQuality::kMissing);
-  }
-  std::vector<Result<double>> out;
-  out.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (!s1[i].ok()) {
-      out.push_back(s1[i].status());
-      continue;
-    }
-    if (!s2[i].ok()) {
-      out.push_back(s2[i].status());
-      continue;
-    }
-    if (quality != nullptr) {
-      (*quality)[i] = worse(s1[i].value().quality, s2[i].value().quality);
-    }
-    double db = s2[i].value().record.get_or(attr::kTxBytes, 0) -
-                s1[i].value().record.get_or(attr::kTxBytes, 0);
-    double dp = s2[i].value().record.get_or(attr::kTxPkts, 0) -
-                s1[i].value().record.get_or(attr::kTxPkts, 0);
-    out.push_back(dp <= 0 ? 0.0 : db / dp);
-  }
-  return out;
+  return interval_many<double>(
+      tenant, ids, window, {attr::kTxBytes, attr::kTxPkts}, quality,
+      pool_override, [](const StatsRecord& r1, const StatsRecord& r2) {
+        double db = r2.get_or(attr::kTxBytes, 0) - r1.get_or(attr::kTxBytes, 0);
+        double dp = r2.get_or(attr::kTxPkts, 0) - r1.get_or(attr::kTxPkts, 0);
+        return dp <= 0 ? 0.0 : db / dp;
+      });
 }
 
 }  // namespace perfsight

@@ -102,13 +102,6 @@ class Controller {
   void set_batching(bool on) { batching_ = on; }
   bool batching() const { return batching_; }
 
-  // Round-trips every per-agent BatchResponse through the length-prefixed
-  // wire codec (wire.h) before merging, exactly as a remote controller
-  // would receive it.  The codec is lossless, so output is unchanged —
-  // which is the point: tests prove the socket-ready framing preserves the
-  // byte-identical contract.
-  void set_wire_loopback(bool on) { wire_loopback_ = on; }
-
   // --- self-profiling --------------------------------------------------------
   // Cumulative cost of the queries this controller has issued: how many,
   // and how much modelled channel time they spent (the per-query latencies
@@ -137,6 +130,9 @@ class Controller {
     DataQuality quality = DataQuality::kFresh;
   };
 
+  // Every single-element utility below is a batch of one over its `_many`
+  // counterpart, so the two can never disagree.
+
   // GETATTR(tenantID, elementID, attributes)
   Result<StatsRecord> get_attr(TenantId tenant, const ElementId& id,
                                const std::vector<std::string>& attrs) const;
@@ -148,7 +144,8 @@ class Controller {
 
   // The interval utilities take two samples; when `quality` is non-null it
   // receives the worse of the two samples' qualities (worst-case honesty:
-  // a rate computed from one stale endpoint is itself stale).
+  // a rate computed from one stale endpoint is itself stale).  A failed
+  // call returns the failing sample's Status and leaves `quality` alone.
 
   // GETTHROUGHPUT: output rate of the element over window T.
   Result<DataRate> get_throughput(TenantId tenant, const ElementId& id,
@@ -181,9 +178,11 @@ class Controller {
       ThreadPool* pool_override = nullptr) const;
 
   // Interval utilities over many elements: two batched sweeps around one
-  // shared window advance.  Per-element math and failure text match the
-  // single-element versions exactly; `quality`, when non-null, receives one
-  // entry per id (worse of the two samples; kMissing for failed elements).
+  // shared window advance.  A failed element carries the Status of its
+  // first failed sample; when every first sample failed, the window is not
+  // waited out and no second sweep is issued.  `quality`, when non-null,
+  // receives one entry per id (worse of the two samples; kMissing for
+  // failed elements).
   std::vector<Result<DataRate>> get_throughput_many(
       TenantId tenant, const std::vector<ElementId>& ids, Duration window,
       std::vector<DataQuality>* quality = nullptr,
@@ -201,6 +200,21 @@ class Controller {
   AgentClient* locate(TenantId tenant, const ElementId& id) const;
   // The registered read replica, or null.
   AgentClient* mirror_of(TenantId tenant, const ElementId& id) const;
+  // One element over the agent's single-query path, with the quorum
+  // fallback: what a batch of one (or batching off) resolves to.
+  Result<QualifiedRecord> query_one(TenantId tenant, const ElementId& id,
+                                    const std::vector<std::string>& attrs)
+      const;
+  // The interval core behind the three `_many` utilities: sweep, window,
+  // sweep, then `delta(first, second)` per element that sampled twice.
+  template <typename T, typename Delta>
+  std::vector<Result<T>> interval_many(TenantId tenant,
+                                       const std::vector<ElementId>& ids,
+                                       Duration window,
+                                       const std::vector<std::string>& attrs,
+                                       std::vector<DataQuality>* quality,
+                                       ThreadPool* pool_override,
+                                       Delta delta) const;
   // The scatter-gather core: one Result per id, in input order.
   std::vector<Result<QualifiedRecord>> scatter_gather(
       TenantId tenant, const std::vector<ElementId>& ids,
@@ -217,7 +231,6 @@ class Controller {
   mutable int64_t channel_time_ns_ = 0;
   ThreadPool* pool_ = nullptr;
   bool batching_ = true;
-  bool wire_loopback_ = false;
   MetricsRegistry* metrics_ = nullptr;
   // Instruments cached at set_metrics time: creation mutates the registry's
   // family vectors (not thread-safe), but the instruments themselves have

@@ -229,6 +229,36 @@ TEST_F(ControllerTest, GetAvgPktSize) {
   EXPECT_NEAR(r.value(), 1500.0, 1e-9);
 }
 
+TEST_F(ControllerTest, IntervalWaitsOutWindowOnlyWhenSomethingIsMeasurable) {
+  const SimTime start = now_;
+  std::vector<DataQuality> q;
+  auto dark = controller_.get_pkt_loss_many(TenantId{1}, {ElementId{"ghost"}},
+                                            Duration::millis(10), &q);
+  ASSERT_EQ(dark.size(), 1u);
+  EXPECT_FALSE(dark[0].ok());
+  EXPECT_EQ(q[0], DataQuality::kMissing);
+  EXPECT_EQ(now_, start);  // no first sample succeeded: no window, no sweep
+
+  // The single-element utility is the same batch of one.
+  DataQuality single_q = DataQuality::kStale;
+  EXPECT_FALSE(controller_
+                   .get_pkt_loss(TenantId{1}, ElementId{"ghost"},
+                                 Duration::millis(10), &single_q)
+                   .ok());
+  EXPECT_EQ(single_q, DataQuality::kStale);  // untouched on failure
+  EXPECT_EQ(now_, start);
+
+  // One measurable element is enough to wait the window out.
+  on_advance_ = [this] { src_.attrs[3].value += 5; };
+  auto mixed = controller_.get_pkt_loss_many(
+      TenantId{1}, {ElementId{"ghost"}, src_.id()}, Duration::millis(10), &q);
+  EXPECT_EQ(now_, start + Duration::millis(10));
+  EXPECT_FALSE(mixed[0].ok());
+  ASSERT_TRUE(mixed[1].ok());
+  EXPECT_EQ(mixed[1].value(), 5);
+  EXPECT_EQ(q[1], DataQuality::kFresh);
+}
+
 TEST_F(ControllerTest, ChainRegistrationAndLookup) {
   ElementId lb{"lb"}, cf{"cf"}, server{"server"};
   controller_.register_middlebox(TenantId{1}, lb);

@@ -1,8 +1,8 @@
 // Controller scatter-gather: every multi-element query path must produce
 // byte-identical output whether it runs as the sequential per-element loop
 // (the oracle), as per-agent batches merged inline, or fanned out over a
-// thread pool of any size — with or without the wire-codec loopback, and
-// under a seeded fault plan.  Plus the cost-bookkeeping fix (mutex instead
+// thread pool of any size — with or without every batch round-tripped
+// through the wire codec, and under a seeded fault plan.  Plus the cost-bookkeeping fix (mutex instead
 // of torn atomics) and a TSan churn target for the shared pool.
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "perfsight/monitor.h"
 #include "perfsight/rootcause.h"
 #include "perfsight/trace.h"
+#include "perfsight/wire.h"
 
 namespace perfsight {
 namespace {
@@ -48,12 +49,49 @@ class ScriptedSource : public StatsSource {
   ChannelKind kind_;
 };
 
+// Round-trips every batch through the length-prefixed wire codec (wire.h)
+// before the controller merges it, exactly as a remote controller would
+// receive it.  The codec is lossless, so output must be unchanged: the
+// socket-ready framing preserves the byte-identical contract.
+class WireLoopback : public AgentClient {
+ public:
+  explicit WireLoopback(AgentClient* inner) : inner_(inner) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  bool has_element(const ElementId& id) const override {
+    return inner_->has_element(id);
+  }
+  std::vector<ElementId> element_ids() const override {
+    return inner_->element_ids();
+  }
+  Result<QueryResponse> query_attrs(const ElementId& id,
+                                    const std::vector<std::string>& attrs,
+                                    SimTime now) override {
+    return inner_->query_attrs(id, attrs, now);
+  }
+  BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
+                            ThreadPool* pool) override {
+    Result<std::string> bytes =
+        wire::encode_batch(inner_->query_batch(ids, now, pool));
+    EXPECT_TRUE(bytes.ok());
+    wire::DecodeStats st;
+    Result<BatchResponse> decoded = wire::decode_batch(bytes.value(), &st);
+    EXPECT_TRUE(decoded.ok() && st.complete());
+    return std::move(decoded).take();
+  }
+
+ private:
+  AgentClient* inner_;
+};
+
 // A multi-agent cluster driven by a manual clock: `agents` machines, each
 // hosting `per_agent` packet-path elements (Algorithm 1 food) plus one
 // middlebox, the middleboxes chained across machines (Algorithm 2 food).
+// With `wire_loopback` the controller reaches every agent through a
+// WireLoopback.
 class ScatterRig {
  public:
-  ScatterRig(size_t agents, size_t per_agent)
+  ScatterRig(size_t agents, size_t per_agent, bool wire_loopback = false)
       : controller_([this](Duration d) { return advance(d); },
                     [this] { return now_; }) {
     const ChannelKind kinds[] = {ChannelKind::kProcFs, ChannelKind::kMbSocket,
@@ -62,7 +100,11 @@ class ScatterRig {
     for (size_t a = 0; a < agents; ++a) {
       agents_.push_back(
           std::make_unique<Agent>("agent-" + std::to_string(a), a + 1));
-      Agent* agent = agents_.back().get();
+      AgentClient* agent = agents_.back().get();
+      if (wire_loopback) {
+        loopbacks_.push_back(std::make_unique<WireLoopback>(agent));
+        agent = loopbacks_.back().get();
+      }
       controller_.register_agent(agent);
       for (size_t e = 0; e < per_agent; ++e) {
         const size_t i = a * per_agent + e;
@@ -76,7 +118,7 @@ class ScatterRig {
                     {attr::kType,
                      static_cast<double>(static_cast<int>(ElementKind::kTun))},
                     {attr::kVm, static_cast<double>(i % 3)}};
-        EXPECT_TRUE(agent->add_element(s.get()).is_ok());
+        EXPECT_TRUE(agents_.back()->add_element(s.get()).is_ok());
         EXPECT_TRUE(
             controller_.register_element(tenant_, s->id(), agent).is_ok());
         controller_.register_stack_element(agent, s->id());
@@ -90,7 +132,7 @@ class ScatterRig {
                    {attr::kOutBytes, 0},
                    {attr::kOutTimeNs, 0},
                    {attr::kCapacityMbps, 1000}};
-      EXPECT_TRUE(agent->add_element(mb.get()).is_ok());
+      EXPECT_TRUE(agents_.back()->add_element(mb.get()).is_ok());
       EXPECT_TRUE(
           controller_.register_element(tenant_, mb->id(), agent).is_ok());
       controller_.register_middlebox(tenant_, mb->id());
@@ -141,6 +183,7 @@ class ScatterRig {
   SimTime now_;
   Controller controller_;
   std::vector<std::unique_ptr<Agent>> agents_;
+  std::vector<std::unique_ptr<WireLoopback>> loopbacks_;
   std::vector<std::unique_ptr<ScriptedSource>> sources_;
   std::vector<ScriptedSource*> mbs_;
   std::vector<ElementId> elements_;  // packet-path elements, creation order
@@ -174,12 +217,10 @@ std::string fmt_val(const Result<T>& r, DataQuality q) {
 // Runs the full diagnosis workload once and folds every output into one
 // string: the sequential run of this script is the oracle the pooled /
 // wire-looped runs must reproduce byte-for-byte.
-std::string run_script(ScatterRig& rig, ThreadPool* pool, bool batching,
-                       bool wire_loopback) {
+std::string run_script(ScatterRig& rig, ThreadPool* pool, bool batching) {
   Controller& c = rig.controller_;
   c.set_pool(pool);
   c.set_batching(batching);
-  c.set_wire_loopback(wire_loopback);
 
   std::string out;
 
@@ -244,7 +285,7 @@ std::string run_script(ScatterRig& rig, ThreadPool* pool, bool batching,
 TEST(ScatterDifferentialTest, PooledPathsMatchSequentialOracle) {
   ScatterRig oracle_rig(4, 4);
   const std::string oracle =
-      run_script(oracle_rig, nullptr, /*batching=*/false, false);
+      run_script(oracle_rig, nullptr, /*batching=*/false);
   ASSERT_NE(oracle.find("=== Algorithm 1"), std::string::npos);
   ASSERT_NE(oracle.find("=== Algorithm 2"), std::string::npos);
   ASSERT_NE(oracle.find("ALERT ["), std::string::npos);
@@ -254,13 +295,13 @@ TEST(ScatterDifferentialTest, PooledPathsMatchSequentialOracle) {
   // Batched but inline (no pool).
   {
     ScatterRig rig(4, 4);
-    EXPECT_EQ(run_script(rig, nullptr, true, false), oracle);
+    EXPECT_EQ(run_script(rig, nullptr, true), oracle);
   }
   // Batched over pools of 1, 2 and 8 workers.
   for (size_t workers : {1u, 2u, 8u}) {
     ScatterRig rig(4, 4);
     ThreadPool pool(workers);
-    EXPECT_EQ(run_script(rig, &pool, true, false), oracle)
+    EXPECT_EQ(run_script(rig, &pool, true), oracle)
         << "divergence at pool size " << workers;
   }
 }
@@ -268,11 +309,11 @@ TEST(ScatterDifferentialTest, PooledPathsMatchSequentialOracle) {
 TEST(ScatterDifferentialTest, WireLoopbackIsTransparent) {
   ScatterRig plain_rig(3, 3);
   ThreadPool plain_pool(4);
-  const std::string plain = run_script(plain_rig, &plain_pool, true, false);
+  const std::string plain = run_script(plain_rig, &plain_pool, true);
 
-  ScatterRig looped_rig(3, 3);
+  ScatterRig looped_rig(3, 3, /*wire_loopback=*/true);
   ThreadPool looped_pool(4);
-  EXPECT_EQ(run_script(looped_rig, &looped_pool, true, true), plain);
+  EXPECT_EQ(run_script(looped_rig, &looped_pool, true), plain);
 }
 
 TEST(ScatterDifferentialTest, FaultPlanPreservesDifferential) {
@@ -302,7 +343,7 @@ TEST(ScatterDifferentialTest, FaultPlanPreservesDifferential) {
   ScatterRig oracle_rig(4, 4);
   FaultPlan oracle_plan = make_plan();
   oracle_rig.install_faults(&oracle_plan, retry);
-  const std::string oracle = run_script(oracle_rig, nullptr, false, false);
+  const std::string oracle = run_script(oracle_rig, nullptr, false);
   // The plan must actually bite for the differential to mean anything.
   ASSERT_TRUE(oracle.find("q=stale") != std::string::npos ||
               oracle.find("q=torn") != std::string::npos ||
@@ -315,16 +356,16 @@ TEST(ScatterDifferentialTest, FaultPlanPreservesDifferential) {
     FaultPlan plan = make_plan();
     rig.install_faults(&plan, retry);
     ThreadPool pool(workers);
-    EXPECT_EQ(run_script(rig, &pool, true, false), oracle)
+    EXPECT_EQ(run_script(rig, &pool, true), oracle)
         << "fault differential divergence at pool size " << workers;
   }
   // And with the wire loopback on top.
   {
-    ScatterRig rig(4, 4);
+    ScatterRig rig(4, 4, /*wire_loopback=*/true);
     FaultPlan plan = make_plan();
     rig.install_faults(&plan, retry);
     ThreadPool pool(4);
-    EXPECT_EQ(run_script(rig, &pool, true, true), oracle);
+    EXPECT_EQ(run_script(rig, &pool, true), oracle);
   }
 }
 

@@ -452,6 +452,45 @@ TEST(CrashTest, CrashResetsMonotoneCountersOnly) {
   EXPECT_EQ(later.value().record.get_or(attr::kRxPkts, -1), 300);
 }
 
+TEST(CrashTest, ReAddedElementInheritsNoFaultState) {
+  FaultPlan plan(3);
+  plan.schedule_crash("a0", SimTime::millis(5));
+  // Stale serving configured elsewhere, so the agent keeps last-good records.
+  ChannelFaultSpec stale;
+  stale.stale_p = 1.0;
+  plan.set_element_faults(ElementId{"warm"}, stale);
+
+  Agent agent("a0");
+  FakeSource old_src("e", ChannelKind::kProcFs);
+  old_src.attrs = {{attr::kRxPkts, 1e6}};
+  ASSERT_TRUE(agent.add_element(&old_src).is_ok());
+  agent.set_fault_plan(&plan);
+  ASSERT_TRUE(agent.query(ElementId{"e"}, SimTime::millis(1)).ok());
+  // After the crash the departing element reads from a 1e6 offset.
+  Result<QueryResponse> reset = agent.query(ElementId{"e"}, SimTime::millis(6));
+  ASSERT_TRUE(reset.ok());
+  EXPECT_EQ(reset.value().record.get_or(attr::kRxPkts, -1), 0);
+
+  // A fresh source under the same id starts from its own raw counters, not
+  // from the departed element's crash offset (which would clamp it to 0).
+  ASSERT_TRUE(agent.remove_element(ElementId{"e"}).is_ok());
+  FakeSource new_src("e", ChannelKind::kProcFs);
+  new_src.attrs = {{attr::kRxPkts, 20}};
+  ASSERT_TRUE(agent.add_element(&new_src).is_ok());
+  Result<QueryResponse> fresh = agent.query(ElementId{"e"}, SimTime::millis(7));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh.value().record.get_or(attr::kRxPkts, -1), 20);
+
+  // Nor may a stale read serve the departed element's last-good record: with
+  // nothing of its own cached, the new element's stale read fails.
+  ASSERT_TRUE(agent.remove_element(ElementId{"e"}).is_ok());
+  ASSERT_TRUE(agent.add_element(&old_src).is_ok());
+  plan.set_element_faults(ElementId{"e"}, stale);
+  Result<QueryResponse> r = agent.query(ElementId{"e"}, SimTime::millis(8));
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(agent.fault_stats().stale_served, 0u);
+}
+
 // Small rig: one agent + controller over scripted sources whose counters
 // advance with simulated time.
 class FaultRig {

@@ -124,7 +124,6 @@ std::string run_fleet_script(const Fleet& fleet,
       },
       [&now] { return now; });
   c.set_batching(true);
-  c.set_wire_loopback(false);
   const TenantId tenant{1};
   for (size_t a = 0; a < clients.size(); ++a) {
     c.register_agent(clients[a]);
@@ -334,7 +333,6 @@ TEST(FleetMuxTest, DeploymentBindsWholeRosterFromOneEndpoint) {
         },
         [&now] { return now; });
     c.set_batching(true);
-    c.set_wire_loopback(false);
     for (size_t a = 0; a < fleet.agents.size(); ++a) {
       c.register_agent(fleet.agents[a].get());
       for (const ElementId& id : fleet.ids_of[a]) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "perfsight/agent.h"
 
 namespace perfsight {
@@ -65,12 +67,18 @@ TEST(HotpathTest, InstrumentationDoesNotChangeResults) {
 TEST(HotpathTest, WorkKindsHaveDistinctCosts) {
   // The payload-scanning kinds must be measurably slower than pure
   // forwarding (they are the "high utilization yet healthy" middleboxes).
+  // Wall-clock, so the comparison is made robust to a loaded host: the two
+  // kinds run interleaved and each keeps its best of five trials, so a
+  // stall must hit all five proxy trials to flip the verdict.
   HotpathConfig proxy;
   proxy.kind = MbWorkKind::kProxy;
   HotpathConfig ips;
   ips.kind = MbWorkKind::kIps;
-  double proxy_pps = run_hotpath(proxy, 20000).pkts_per_sec();
-  double ips_pps = run_hotpath(ips, 20000).pkts_per_sec();
+  double proxy_pps = 0, ips_pps = 0;
+  for (int trial = 0; trial < 5; ++trial) {
+    proxy_pps = std::max(proxy_pps, run_hotpath(proxy, 4000).pkts_per_sec());
+    ips_pps = std::max(ips_pps, run_hotpath(ips, 4000).pkts_per_sec());
+  }
   EXPECT_GT(proxy_pps, ips_pps);
 }
 

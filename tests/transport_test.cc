@@ -255,7 +255,6 @@ std::string run_script(TransportRig& rig, ThreadPool* pool, bool batching) {
   Controller& c = rig.controller_;
   c.set_pool(pool);
   c.set_batching(batching);
-  c.set_wire_loopback(false);
 
   std::string out;
 
@@ -762,7 +761,6 @@ TEST(FleetTracingTest, RemoteSpansResolveToScatterAcrossSkewedClocks) {
       },
       [&now] { return now; });
   controller.set_batching(true);
-  controller.set_wire_loopback(false);
   ThreadPool pool(2);
   controller.set_pool(&pool);
   const TenantId tenant{1};

@@ -358,7 +358,9 @@ TEST(WireCodecTest, PrimitiveReadsGuardOffsetPastEnd) {
     }
     size_t consumed = 0;
     Result<QueryResponse> got = wire::decode_frame(junk, &consumed);
-    if (got.ok()) EXPECT_LE(consumed, junk.size());
+    if (got.ok()) {
+      EXPECT_LE(consumed, junk.size());
+    }
   }
 }
 
@@ -366,7 +368,7 @@ TEST(WireCodecTest, PrimitiveReadsGuardOffsetPastEnd) {
 // message the transport speaks.
 TEST(WireMessageTest, ControlMessagesRoundTrip) {
   wire::HelloMsg hello{"agent-7", {ElementId{"a"}, ElementId{"b/c"}},
-                       987654321};
+                       987654321, /*roster=*/{}};
   std::string m = wire::encode_message(wire::MessageKind::kHello,
                                        wire::encode_hello(hello));
   size_t consumed = 0;
@@ -384,7 +386,7 @@ TEST(WireMessageTest, ControlMessagesRoundTrip) {
   wire::BatchRequestMsg req{SimTime::millis(12),
                             {ElementId{"x"}, ElementId{"y"}},
                             /*trace_id=*/0xdeadbeefcafef00dULL,
-                            /*parent_span=*/42};
+                            /*parent_span=*/42, /*agent=*/""};
   Result<wire::BatchRequestMsg> r = wire::decode_batch_request(
       wire::encode_batch_request(req));
   ASSERT_TRUE(r.ok());
@@ -395,7 +397,8 @@ TEST(WireMessageTest, ControlMessagesRoundTrip) {
 
   wire::SingleRequestMsg sr{SimTime::micros(3), ElementId{"z"},
                             {"rxPkts", "txPkts"},
-                            /*trace_id=*/7, /*parent_span=*/8};
+                            /*trace_id=*/7, /*parent_span=*/8,
+                            /*agent=*/""};
   Result<wire::SingleRequestMsg> sd = wire::decode_single_request(
       wire::encode_single_request(sr));
   ASSERT_TRUE(sd.ok());
@@ -668,7 +671,9 @@ TEST(StreamCodecTest, RoundTripIdentitySnapshotAndDeltaChains) {
       snapshot_bytes += canon_stream(cur).size();
       prev = cur;
     }
-    if (!f1.responses.empty()) EXPECT_LE(delta_bytes, snapshot_bytes);
+    if (!f1.responses.empty()) {
+      EXPECT_LE(delta_bytes, snapshot_bytes);
+    }
   }
 }
 
