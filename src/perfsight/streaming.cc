@@ -402,12 +402,7 @@ Status StreamSubscriber::connect(transport::WallDuration deadline,
   if (!s.ok()) return s.status();
   sock_ = std::move(s.value());
 
-  Result<std::string> raw = transport::read_message_bytes(sock_, deadline);
-  if (!raw.ok()) {
-    close();
-    return raw.status();
-  }
-  Result<wire::Message> msg = wire::decode_message(raw.value());
+  Result<wire::Message> msg = transport::read_message(sock_, deadline);
   if (!msg.ok()) {
     close();
     return msg.status();
@@ -442,9 +437,7 @@ Result<std::string> StreamSubscriber::next_body(
   if (!sock_.valid()) {
     return Status::unavailable("stream subscriber: not connected");
   }
-  Result<std::string> raw = transport::read_message_bytes(sock_, deadline);
-  if (!raw.ok()) return raw.status();
-  Result<wire::Message> msg = wire::decode_message(raw.value());
+  Result<wire::Message> msg = transport::read_message(sock_, deadline);
   if (!msg.ok()) return msg.status();
   if (msg.value().kind == wire::MessageKind::kError) {
     Result<wire::ErrorMsg> err = wire::decode_error(msg.value().body);

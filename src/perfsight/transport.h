@@ -19,9 +19,9 @@
 //     wire::decode_batch + wire::reconcile instead of discarding a
 //     half-received sweep.
 //   - Length-chain-aware reads.  read_batch walks the PSB1 structure (header
-//     frame-count, per-frame payload_len) with the bounds-checked wire::get_*
-//     primitives, so a corrupted length prefix caps out at kMaxPayload and
-//     never makes the reader trust a multi-gigabyte allocation.
+//     frame-count, per-frame payload_len) with wire's prefix parsers, so a
+//     corrupted length prefix caps out at kMaxPayload and never makes the
+//     reader trust a multi-gigabyte allocation.
 //
 // Everything here is wall-clock and OS-level; simulated time never enters —
 // it travels *inside* the request messages (BatchRequestMsg::now).
@@ -33,6 +33,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "perfsight/wire.h"
 
 namespace perfsight::transport {
 
@@ -167,12 +168,12 @@ struct BatchReadResult {
 // returned for reconciliation.
 BatchReadResult read_batch(Socket& s, WallDuration deadline);
 
-// Reads one PSM1 control message (17-byte prefix, then body), returning its
-// raw bytes for wire::decode_message.  `deadline` covers prefix + body
-// together (one absolute budget, like read_batch).  kDeadlineExceeded /
-// kUnavailable on transport failure, kInvalidArgument on a malformed
-// envelope.
-Result<std::string> read_message_bytes(Socket& s, WallDuration deadline);
+// Reads and decodes one PSM1 control message (17-byte prefix, then body).
+// `deadline` covers prefix + body together (one absolute budget, like
+// read_batch).  kDeadlineExceeded / kUnavailable on transport failure,
+// kInvalidArgument on a malformed envelope or a body that fails its
+// checksum.
+Result<wire::Message> read_message(Socket& s, WallDuration deadline);
 
 // True when at least one byte (or EOF) is readable within `deadline`.  Serve
 // loops idle on this instead of a short-deadline read, so a slow-trickling
