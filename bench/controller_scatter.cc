@@ -114,7 +114,7 @@ double sweep_seconds(Fleet& fleet, std::string* wire_out) {
     if (s == kSweepsPerConfig - 1 && wire_out != nullptr) {
       for (const auto& r : got) {
         PS_CHECK(r.ok());
-        *wire_out += to_wire(r.value().record);
+        *wire_out += to_text(r.value().record);
         *wire_out += '|';
       }
     }

@@ -109,7 +109,7 @@ double sweep_seconds(Fleet& fleet, std::string* wire_out) {
       std::vector<QueryResponse> out = agent->poll_all(SimTime::millis(s));
       if (s == kSweepsPerTrial - 1 && wire_out != nullptr) {
         for (const QueryResponse& resp : out) {
-          *wire_out += to_wire(resp.record);
+          *wire_out += to_text(resp.record);
           *wire_out += '|';
         }
       }

@@ -50,7 +50,7 @@ double poll_cpu_percent(double hz, double seconds) {
     // One poll sweep: fetch every element and serialize the records, as the
     // agent does before answering the controller.
     for (auto& resp : agent.poll_all(SimTime::nanos(0))) {
-      sink = sink + to_wire(resp.record).size();
+      sink = sink + to_text(resp.record).size();
     }
     busy_ns += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0)

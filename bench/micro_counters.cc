@@ -47,7 +47,7 @@ BENCHMARK(BM_HotpathPacket)
     ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}})
     ->ArgNames({"mbox", "timers"});
 
-void BM_StatsRecordToWire(benchmark::State& state) {
+void BM_StatsRecordToText(benchmark::State& state) {
   StatsRecord r;
   r.timestamp = SimTime::millis(42);
   r.element = ElementId{"m0/vm3/tun"};
@@ -55,26 +55,11 @@ void BM_StatsRecordToWire(benchmark::State& state) {
     r.attrs.push_back({"attr" + std::to_string(i), 1234567.0 * i});
   }
   for (auto _ : state) {
-    std::string wire = to_wire(r);
-    benchmark::DoNotOptimize(wire);
+    std::string text = to_text(r);
+    benchmark::DoNotOptimize(text);
   }
 }
-BENCHMARK(BM_StatsRecordToWire);
-
-void BM_StatsRecordFromWire(benchmark::State& state) {
-  StatsRecord r;
-  r.timestamp = SimTime::millis(42);
-  r.element = ElementId{"m0/vm3/tun"};
-  for (int i = 0; i < 8; ++i) {
-    r.attrs.push_back({"attr" + std::to_string(i), 1234567.0 * i});
-  }
-  std::string wire = to_wire(r);
-  for (auto _ : state) {
-    Result<StatsRecord> back = from_wire(wire);
-    benchmark::DoNotOptimize(back);
-  }
-}
-BENCHMARK(BM_StatsRecordFromWire);
+BENCHMARK(BM_StatsRecordToText);
 
 void BM_AgentPollSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

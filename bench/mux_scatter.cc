@@ -60,7 +60,7 @@ class ConstSource : public StatsSource {
 std::string record_bytes(const BatchResponse& b) {
   std::string out;
   for (const QueryResponse& r : b.responses) {
-    out += to_wire(r.record);
+    out += to_text(r.record);
     out += '|';
   }
   return out;

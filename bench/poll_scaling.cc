@@ -109,7 +109,7 @@ double sweep_seconds(Fleet& fleet, std::string* wire_out) {
     if (s == kSweepsPerConfig - 1 && wire_out != nullptr) {
       for (const auto& group : groups) {
         for (const QueryResponse& resp : group) {
-          *wire_out += to_wire(resp.record);
+          *wire_out += to_text(resp.record);
           *wire_out += '|';
         }
       }

@@ -76,6 +76,6 @@ int main() {
   auto rec = controller->get_attr(
       tenant, machine.tun(web_vm)->id(),
       {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts, attr::kQueuePkts});
-  std::printf("\nraw record: %s\n", to_wire(rec.value()).c_str());
+  std::printf("\nraw record: %s\n", to_text(rec.value()).c_str());
   return 0;
 }

@@ -114,7 +114,7 @@ int main() {
   for (const auto& r : dep.controller()->get_attr_many(
            tenant, all_ids, {attr::kRxPkts, attr::kDropPkts})) {
     if (r.ok()) {
-      std::printf("  %s\n", to_wire(r.value().record).c_str());
+      std::printf("  %s\n", to_text(r.value().record).c_str());
     } else {
       std::printf("  error: %s\n", r.status().message().c_str());
     }
@@ -132,7 +132,7 @@ int main() {
   for (const auto& r : dep.controller()->get_attr_many(
            tenant, all_ids, {attr::kRxPkts, attr::kDropPkts})) {
     if (r.ok()) {
-      std::printf("  %s\n", to_wire(r.value().record).c_str());
+      std::printf("  %s\n", to_text(r.value().record).c_str());
     } else {
       std::printf("  blind spot: %s\n", r.status().message().c_str());
     }

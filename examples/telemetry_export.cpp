@@ -61,7 +61,7 @@ int main() {
   auto rec = dep.controller()->get_attr(
       tenant, machine.tun(0)->id(),
       {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts});
-  std::printf("paper wire format:\n  %s\n", to_wire(rec.value()).c_str());
+  std::printf("paper record format:\n  %s\n", to_text(rec.value()).c_str());
   std::printf("JSON:\n  %s\n\n", json::to_json(rec.value()).c_str());
 
   // 3. Time series -> rates.

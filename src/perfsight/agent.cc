@@ -81,6 +81,15 @@ const char* to_string(BreakerState s) {
 
 Status Agent::add_element(const StatsSource* source) {
   PS_CHECK(source != nullptr);
+  // Ids travel in hellos and PSB1 frames as u16-length strings: refuse one
+  // the wire cannot carry here, where it enters, instead of failing every
+  // later encode that names it.
+  const std::string& name = source->id().name;
+  if (name.size() > 0xffff) {
+    return Status::invalid_argument(
+        "element id of " + std::to_string(name.size()) +
+        " bytes exceeds the 65535-byte wire limit: " + name.substr(0, 64));
+  }
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = sources_.emplace(source->id(), source);
   (void)it;

@@ -195,7 +195,8 @@ class Agent : public AgentClient {
 
   const std::string& name() const override { return name_; }
 
-  // Registers an element; not owned.  Fails if the id is already taken.
+  // Registers an element; not owned.  Fails if the id is already taken or
+  // longer than the wire's 65535-byte string limit.
   Status add_element(const StatsSource* source);
 
   // Deregisters an element (VM teardown / element migration) and drops all

@@ -7,6 +7,7 @@
 
 #include "common/log.h"
 #include "common/rng.h"
+#include "common/status.h"
 
 namespace perfsight {
 

@@ -1,8 +1,6 @@
 #include "perfsight/stats.h"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 
 namespace perfsight {
 
@@ -19,40 +17,9 @@ std::string fmt_value(double v) {
   return buf;
 }
 
-void skip_ws(const std::string& s, size_t& i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-}
-
-bool expect(const std::string& s, size_t& i, char c) {
-  skip_ws(s, i);
-  if (i < s.size() && s[i] == c) {
-    ++i;
-    return true;
-  }
-  return false;
-}
-
-// Reads up to (not including) any of `stops`; trims trailing whitespace.
-std::string read_token(const std::string& s, size_t& i, const char* stops) {
-  skip_ws(s, i);
-  size_t start = i;
-  auto is_stop = [&](char c) {
-    for (const char* p = stops; *p; ++p) {
-      if (*p == c) return true;
-    }
-    return false;
-  };
-  while (i < s.size() && !is_stop(s[i])) ++i;
-  size_t end = i;
-  while (end > start && std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
-  return s.substr(start, end - start);
-}
-
 }  // namespace
 
-std::string to_wire(const StatsRecord& r) {
+std::string to_text(const StatsRecord& r) {
   std::string out = "<";
   out += fmt_value(static_cast<double>(r.timestamp.ns()));
   out += ", ";
@@ -65,79 +32,6 @@ std::string to_wire(const StatsRecord& r) {
     out += ")";
   }
   out += ">";
-  return out;
-}
-
-Result<StatsRecord> from_wire(const std::string& line) {
-  size_t i = 0;
-  if (!expect(line, i, '<')) {
-    return Status::invalid_argument("wire record must start with '<'");
-  }
-  std::string ts = read_token(line, i, ",>");
-  if (!expect(line, i, ',')) {
-    return Status::invalid_argument("missing element id");
-  }
-  std::string elem = read_token(line, i, ",>");
-  if (elem.empty()) return Status::invalid_argument("empty element id");
-
-  StatsRecord r;
-  char* endp = nullptr;
-  r.timestamp = SimTime::nanos(std::strtoll(ts.c_str(), &endp, 10));
-  if (endp == ts.c_str()) return Status::invalid_argument("bad timestamp");
-  r.element = ElementId{elem};
-
-  while (expect(line, i, ',')) {
-    if (!expect(line, i, '(')) {
-      return Status::invalid_argument("expected '(' in attribute list");
-    }
-    std::string name = read_token(line, i, ",)");
-    if (!expect(line, i, ',')) {
-      return Status::invalid_argument("attribute missing value");
-    }
-    std::string val = read_token(line, i, ")");
-    if (!expect(line, i, ')')) {
-      return Status::invalid_argument("unterminated attribute");
-    }
-    char* vend = nullptr;
-    double v = std::strtod(val.c_str(), &vend);
-    if (vend == val.c_str()) {
-      return Status::invalid_argument("bad attribute value: " + val);
-    }
-    r.attrs.push_back(Attr{std::move(name), v});
-  }
-  if (!expect(line, i, '>')) {
-    return Status::invalid_argument("wire record must end with '>'");
-  }
-  return r;
-}
-
-std::string to_wire_batch(const std::vector<StatsRecord>& records) {
-  std::string out;
-  for (const StatsRecord& r : records) {
-    out += to_wire(r);
-    out += '\n';
-  }
-  return out;
-}
-
-Result<std::vector<StatsRecord>> from_wire_batch(const std::string& message) {
-  std::vector<StatsRecord> out;
-  size_t pos = 0;
-  while (pos <= message.size()) {
-    size_t nl = message.find('\n', pos);
-    std::string line = nl == std::string::npos
-                           ? message.substr(pos)
-                           : message.substr(pos, nl - pos);
-    pos = nl == std::string::npos ? message.size() + 1 : nl + 1;
-    bool blank = true;
-    for (char c : line) {
-      if (!std::isspace(static_cast<unsigned char>(c))) blank = false;
-    }
-    if (blank) continue;
-    Result<StatsRecord> r = from_wire(line);
-    if (!r.ok()) return r.status();
-    out.push_back(std::move(r).take());
-  }
   return out;
 }
 

@@ -5,8 +5,9 @@
 // Agents return element statistics in this one format regardless of the
 // element kind; the controller and every diagnostic application consume
 // only records, never element internals — that decoupling is the point of
-// the framework.  A text wire format (parse/serialize round-trip) is
-// provided for the agent↔controller channel.
+// the framework.  Records cross the agent→controller channel as PSB1 frames
+// (wire.h); to_text renders one in the paper's notation for logs and test
+// transcripts.
 #pragma once
 
 #include <initializer_list>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/status.h"
 #include "common/units.h"
 
 namespace perfsight {
@@ -74,17 +74,11 @@ struct StatsRecord {
   }
 };
 
-// Text wire format, e.g.:
+// The paper's record notation, e.g.:
 //   <1234000, m0/vm1/tun, (rxPkts, 42), (rxBytes, 63000)>
-// Timestamps travel as integer nanoseconds.
-std::string to_wire(const StatsRecord& r);
-Result<StatsRecord> from_wire(const std::string& line);
-
-// Agent->controller message framing: one record per line.  Blank lines are
-// tolerated; a malformed line fails the whole batch (a corrupted message
-// must not be half-consumed).
-std::string to_wire_batch(const std::vector<StatsRecord>& records);
-Result<std::vector<StatsRecord>> from_wire_batch(const std::string& message);
+// Timestamps render as integer nanoseconds; integral values print exactly,
+// others to 9 significant digits.
+std::string to_text(const StatsRecord& r);
 
 // Projects `names` out of `r` in order; missing attributes are skipped
 // (the paper's GetAttr returns only attributes the element has).

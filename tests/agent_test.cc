@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "perfsight/controller.h"
 #include "perfsight/rulebook.h"
+#include "perfsight/wire.h"
 
 namespace perfsight {
 namespace {
@@ -65,6 +68,20 @@ TEST(AgentTest, DuplicateRegistrationRejected) {
   EXPECT_FALSE(agent.add_element(&s2).is_ok());
 }
 
+// Ids travel as u16-length strings: one the wire cannot carry is refused
+// where it enters, not discovered when a hello or batch fails to encode.
+TEST(AgentTest, IdTheWireCannotCarryRejected) {
+  Agent agent("a0");
+  FakeSource edge(std::string(0xffff, 'e'), ChannelKind::kProcFs);
+  FakeSource over(std::string(70000, 'o'), ChannelKind::kProcFs);
+  EXPECT_TRUE(agent.add_element(&edge).is_ok());
+  Status st = agent.add_element(&over);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("65535-byte wire limit"), std::string::npos)
+      << st.message();
+  EXPECT_EQ(agent.element_ids(), std::vector<ElementId>{edge.id()});
+}
+
 TEST(AgentTest, UnknownElementNotFound) {
   Agent agent("a0");
   EXPECT_FALSE(agent.query(ElementId{"nope"}, SimTime{}).ok());
@@ -121,32 +138,27 @@ TEST(AgentTest, CachedQueryServesWithinMaxAge) {
   EXPECT_EQ(agent.cache_hits(), 1u);
 }
 
+// An agent's batch crosses the wire as one PSB1 stream and decodes back
+// record for record.
 TEST(WireBatchTest, RoundTripsMultipleRecords) {
-  std::vector<StatsRecord> records(3);
+  Agent agent("a0");
+  std::vector<std::unique_ptr<FakeSource>> sources;
   for (int i = 0; i < 3; ++i) {
-    records[i].timestamp = SimTime::millis(i);
-    records[i].element = ElementId{"el" + std::to_string(i)};
-    records[i].attrs = {{"v", static_cast<double>(i * 10)}};
+    sources.push_back(std::make_unique<FakeSource>(
+        "el" + std::to_string(i), ChannelKind::kProcFs));
+    sources.back()->attrs = {{"v", static_cast<double>(i * 10)}};
+    ASSERT_TRUE(agent.add_element(sources.back().get()).is_ok());
   }
-  std::string msg = to_wire_batch(records);
-  Result<std::vector<StatsRecord>> back = from_wire_batch(msg);
+  BatchResponse b = agent.query_batch(agent.element_ids(), SimTime::millis(2));
+  wire::DecodeStats st;
+  Result<BatchResponse> back =
+      wire::decode_batch(wire::encode_batch(b).value(), &st);
   ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back.value().size(), 3u);
-  EXPECT_EQ(back.value()[2].element.name, "el2");
-  EXPECT_EQ(back.value()[2].get("v"), 20.0);
-}
-
-TEST(WireBatchTest, BlankLinesTolerated) {
-  Result<std::vector<StatsRecord>> r =
-      from_wire_batch("\n<1, a>\n\n<2, b>\n\n");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().size(), 2u);
-}
-
-TEST(WireBatchTest, CorruptLineFailsWholeBatch) {
-  Result<std::vector<StatsRecord>> r =
-      from_wire_batch("<1, a>\ngarbage\n<2, b>\n");
-  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(st.complete());
+  ASSERT_EQ(back.value().responses.size(), 3u);
+  EXPECT_EQ(back.value().responses[2].record.element.name, "el2");
+  EXPECT_EQ(back.value().responses[2].record.get("v"), 20.0);
+  EXPECT_EQ(back.value().channel_time.ns(), b.channel_time.ns());
 }
 
 // --- Controller over fake agents ------------------------------------------

@@ -53,7 +53,7 @@ std::string fmt(const Result<Controller::QualifiedRecord>& r) {
     return "ERR(" + std::to_string(static_cast<int>(r.status().code())) +
            ") " + r.status().message() + "\n";
   }
-  return "OK " + to_wire(r.value().record) + " q=" +
+  return "OK " + to_text(r.value().record) + " q=" +
          to_string(r.value().quality) + "\n";
 }
 
@@ -907,7 +907,7 @@ TEST(AdaptiveBudgetTest, DerivedBudgetClampsChainsAndDisabledIsByteIdentical) {
 
   // Disabled == never-enabled, byte for byte, through faulted rounds (the
   // `off` twin mirrors every call `fixed` makes, keeping RNG in lockstep).
-  EXPECT_EQ(to_wire(bf.responses[0].record), to_wire(bo.responses[0].record));
+  EXPECT_EQ(to_text(bf.responses[0].record), to_text(bo.responses[0].record));
   EXPECT_EQ(bf.responses[0].response_time.ns(),
             bo.responses[0].response_time.ns());
   EXPECT_EQ(bf.responses[0].attempts, bo.responses[0].attempts);
@@ -916,7 +916,7 @@ TEST(AdaptiveBudgetTest, DerivedBudgetClampsChainsAndDisabledIsByteIdentical) {
     std::vector<QueryResponse> ro = off.poll_all(SimTime::millis(t));
     ASSERT_EQ(rf.size(), ro.size());
     for (size_t i = 0; i < rf.size(); ++i) {
-      EXPECT_EQ(to_wire(rf[i].record), to_wire(ro[i].record));
+      EXPECT_EQ(to_text(rf[i].record), to_text(ro[i].record));
       EXPECT_EQ(rf[i].response_time.ns(), ro[i].response_time.ns());
       EXPECT_EQ(static_cast<int>(rf[i].quality),
                 static_cast<int>(ro[i].quality));
@@ -989,7 +989,7 @@ TEST(ChaosMatrixTest, CampaignSweepInvariantsHoldUnderAnyPlan) {
       for (size_t i = 0; i < rs.size(); ++i) {
         // Pooled equals sequential at any campaign intensity; budgets hold;
         // a down agent reports every element missing.
-        EXPECT_EQ(to_wire(rs[i].record), to_wire(rp[i].record));
+        EXPECT_EQ(to_text(rs[i].record), to_text(rp[i].record));
         EXPECT_EQ(static_cast<int>(rs[i].quality),
                   static_cast<int>(rp[i].quality));
         EXPECT_EQ(rs[i].attempts, rp[i].attempts);

@@ -15,6 +15,7 @@
 #include "mbox/presets.h"
 #include "mbox/stream.h"
 #include "perfsight/stats.h"
+#include "perfsight/wire.h"
 #include "sim/simulator.h"
 #include "vm/machine.h"
 
@@ -144,15 +145,20 @@ TEST_P(WireRoundTrip, RandomRecordsSurvive) {
                                    : rng.uniform(-1e6, 1e6);
       r.attrs.push_back({"attr" + std::to_string(a), v});
     }
-    Result<StatsRecord> back = from_wire(to_wire(r));
-    ASSERT_TRUE(back.ok()) << to_wire(r);
-    EXPECT_EQ(back.value().element, r.element);
-    EXPECT_EQ(back.value().timestamp.ns(), r.timestamp.ns());
-    ASSERT_EQ(back.value().attrs.size(), r.attrs.size());
+    QueryResponse q;
+    q.record = r;
+    size_t consumed = 0;
+    Result<QueryResponse> decoded =
+        wire::decode_frame(wire::encode_frame(q).value(), &consumed);
+    ASSERT_TRUE(decoded.ok()) << to_text(r);
+    const StatsRecord& back = decoded.value().record;
+    EXPECT_EQ(back.element, r.element);
+    EXPECT_EQ(back.timestamp.ns(), r.timestamp.ns());
+    ASSERT_EQ(back.attrs.size(), r.attrs.size());
+    // The PSB1 frame carries IEEE-754 bits: values survive exactly.
     for (size_t a = 0; a < r.attrs.size(); ++a) {
-      EXPECT_EQ(back.value().attrs[a].name, r.attrs[a].name);
-      EXPECT_NEAR(back.value().attrs[a].value, r.attrs[a].value,
-                  1e-6 * std::max(1.0, std::fabs(r.attrs[a].value)));
+      EXPECT_EQ(back.attrs[a].name, r.attrs[a].name);
+      EXPECT_EQ(back.attrs[a].value, r.attrs[a].value);
     }
   }
 }

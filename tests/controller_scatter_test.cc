@@ -195,7 +195,7 @@ std::string fmt(const Result<Controller::QualifiedRecord>& r) {
     return "ERR(" + std::to_string(static_cast<int>(r.status().code())) +
            ") " + r.status().message() + "\n";
   }
-  return "OK " + to_wire(r.value().record) + " q=" +
+  return "OK " + to_text(r.value().record) + " q=" +
          to_string(r.value().quality) + "\n";
 }
 
@@ -425,7 +425,7 @@ TEST(ScatterCostTest, BatchingAmortizesChannelTimeWithoutChangingResults) {
   for (size_t i = 0; i < seq.size(); ++i) {
     ASSERT_TRUE(seq[i].ok());
     ASSERT_TRUE(bat[i].ok());
-    EXPECT_EQ(to_wire(seq[i].value().record), to_wire(bat[i].value().record));
+    EXPECT_EQ(to_text(seq[i].value().record), to_text(bat[i].value().record));
   }
 
   // Identical query tallies, strictly cheaper channel bill: the batch pays

@@ -163,7 +163,7 @@ TEST(FaultPlanTest, TornReadIsDeterministicAndPartial) {
              {attr::kRxBytes, 4}};
   StatsRecord t1 = apply_torn_read(r, 0xdeadbeef);
   StatsRecord t2 = apply_torn_read(r, 0xdeadbeef);
-  EXPECT_EQ(to_wire(t1), to_wire(t2));
+  EXPECT_EQ(to_text(t1), to_text(t2));
   EXPECT_GE(t1.attrs.size(), 1u);
   EXPECT_LT(t1.attrs.size(), r.attrs.size());
   // Single-attr records cannot tear.
@@ -646,7 +646,7 @@ TEST(ParallelFaultTest, PollAllByteIdenticalUnderFaults) {
     std::vector<QueryResponse> p = par.poll_all(now, &pool);
     ASSERT_EQ(s.size(), p.size());
     for (size_t i = 0; i < s.size(); ++i) {
-      EXPECT_EQ(to_wire(s[i].record), to_wire(p[i].record));
+      EXPECT_EQ(to_text(s[i].record), to_text(p[i].record));
       EXPECT_EQ(s[i].response_time.ns(), p[i].response_time.ns());
       EXPECT_EQ(static_cast<int>(s[i].quality),
                 static_cast<int>(p[i].quality));
@@ -694,8 +694,8 @@ TEST(ParallelFaultTest, QueryBatchByteIdenticalUnderFaults) {
     EXPECT_EQ(s.channel_time.ns(), p.channel_time.ns());
     EXPECT_EQ(s.degraded, p.degraded);
     for (size_t i = 0; i < s.responses.size(); ++i) {
-      EXPECT_EQ(to_wire(s.responses[i].record),
-                to_wire(p.responses[i].record));
+      EXPECT_EQ(to_text(s.responses[i].record),
+                to_text(p.responses[i].record));
       EXPECT_EQ(s.responses[i].response_time.ns(),
                 p.responses[i].response_time.ns());
       EXPECT_EQ(static_cast<int>(s.responses[i].quality),
@@ -722,7 +722,7 @@ TEST(ParallelFaultTest, DisabledFaultPathMatchesNoPlanAgent) {
     std::vector<QueryResponse> b = without.poll_all(now);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(to_wire(a[i].record), to_wire(b[i].record));
+      EXPECT_EQ(to_text(a[i].record), to_text(b[i].record));
       EXPECT_EQ(a[i].response_time.ns(), b[i].response_time.ns());
     }
   }
@@ -947,7 +947,7 @@ TEST(FaultMatrixTest, SweepInvariantsHoldAtAnyIntensity) {
       int q = static_cast<int>(ra[i].quality);
       EXPECT_GE(q, static_cast<int>(DataQuality::kFresh));
       EXPECT_LE(q, static_cast<int>(DataQuality::kMissing));
-      EXPECT_EQ(to_wire(ra[i].record), to_wire(rb[i].record));
+      EXPECT_EQ(to_text(ra[i].record), to_text(rb[i].record));
       EXPECT_EQ(static_cast<int>(ra[i].quality),
                 static_cast<int>(rb[i].quality));
     }

@@ -106,7 +106,7 @@ std::string fmt(const Result<Controller::QualifiedRecord>& r) {
     return "ERR(" + std::to_string(static_cast<int>(r.status().code())) +
            ") " + r.status().message() + "\n";
   }
-  return "OK " + to_wire(r.value().record) + " q=" +
+  return "OK " + to_text(r.value().record) + " q=" +
          to_string(r.value().quality) + "\n";
 }
 

@@ -80,7 +80,7 @@ TEST(ParallelPollTest, PollAllParallelIsByteIdenticalToSequential) {
     for (size_t i = 0; i < s.size(); ++i) {
       EXPECT_EQ(s[i].record.element, p[i].record.element);
       EXPECT_EQ(s[i].response_time.ns(), p[i].response_time.ns());
-      EXPECT_EQ(to_wire(s[i].record), to_wire(p[i].record));
+      EXPECT_EQ(to_text(s[i].record), to_text(p[i].record));
     }
   }
   // Self-profiling merged deterministically too.
@@ -140,8 +140,8 @@ TEST(ParallelPollTest, QueryBatchAmortizesOneTripPerChannelKind) {
       SimTime::millis(1), &pool);
   ASSERT_EQ(par.responses.size(), batch.responses.size());
   for (size_t i = 0; i < par.responses.size(); ++i) {
-    EXPECT_EQ(to_wire(par.responses[i].record),
-              to_wire(batch.responses[i].record));
+    EXPECT_EQ(to_text(par.responses[i].record),
+              to_text(batch.responses[i].record));
     EXPECT_EQ(par.responses[i].response_time.ns(),
               batch.responses[i].response_time.ns());
   }

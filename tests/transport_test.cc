@@ -229,7 +229,7 @@ std::string fmt(const Result<Controller::QualifiedRecord>& r) {
     return "ERR(" + std::to_string(static_cast<int>(r.status().code())) +
            ") " + r.status().message() + "\n";
   }
-  return "OK " + to_wire(r.value().record) + " q=" +
+  return "OK " + to_text(r.value().record) + " q=" +
          to_string(r.value().quality) + "\n";
 }
 
@@ -682,6 +682,31 @@ TEST(DeploymentRemoteTest, AddRemoteAgentWiresIntoTheControlPlane) {
   ASSERT_TRUE(got.ok()) << got.status().message();
   ASSERT_EQ(got.value().record.attrs.size(), 1u);
   EXPECT_EQ(got.value().record.attrs[0].value, 1234.0);
+}
+
+// Regression: an element id too long for the wire used to be accepted by
+// add_element and then abort the fleet server while it encoded the hello.
+// The id is now refused at registration and the server keeps serving the
+// rest of the agent.
+TEST(DeploymentRemoteTest, OversizeElementIdIsRefusedAndServerKeepsServing) {
+  Agent agent("agent-r", 7);
+  ScriptedSource ok("r/el0", ChannelKind::kProcFs);
+  ok.set_attrs({{attr::kRxPkts, 42.0}});
+  ScriptedSource huge(std::string(70000, 'x'), ChannelKind::kProcFs);
+  ASSERT_TRUE(agent.add_element(&ok).is_ok());
+  EXPECT_EQ(agent.add_element(&huge).code(), StatusCode::kInvalidArgument);
+  RemoteAgentServer server(&agent, transport::Endpoint::tcp("127.0.0.1", 0));
+  ASSERT_TRUE(server.start().is_ok());
+
+  RemoteAgent remote(server.endpoint());
+  ASSERT_TRUE(remote.connect().is_ok());
+  EXPECT_EQ(remote.element_ids(), std::vector<ElementId>{ok.id()});
+  BatchResponse b = remote.query_batch({ok.id()}, SimTime::millis(5), nullptr);
+  ASSERT_EQ(b.responses.size(), 1u);
+  EXPECT_EQ(b.responses[0].record.get(attr::kRxPkts), 42.0);
+  // A second connection after the refused id: the server is still up.
+  RemoteAgent again(server.endpoint());
+  EXPECT_TRUE(again.connect().is_ok());
 }
 
 // Remote agents must feed the same element-stat exposition as in-process
