@@ -588,7 +588,9 @@ Result<QueryResponse> Agent::query_attrs(const ElementId& id,
                                          const std::vector<std::string>& attrs,
                                          SimTime now) {
   Result<QueryResponse> resp = query(id, now);
-  if (resp.ok()) resp.value().record = project(resp.value().record, attrs);
+  if (resp.ok()) {
+    resp.value().record = project(std::move(resp.value().record), attrs);
+  }
   return resp;
 }
 

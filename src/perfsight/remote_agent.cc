@@ -67,6 +67,16 @@ void RemoteAgentServer::set_metrics(MetricsRegistry* m) {
 
 Status RemoteAgentServer::start() {
   PS_CHECK(!thread_.joinable());
+  // Every hello carries the agent names as u16-length strings: refuse a
+  // name the wire cannot carry here, not in the serve loop's encode.
+  for (const Agent* a : agents_) {
+    if (a->name().size() > 0xffff) {
+      return Status::invalid_argument(
+          "agent name of " + std::to_string(a->name().size()) +
+          " bytes exceeds the 65535-byte wire limit: " +
+          a->name().substr(0, 64));
+    }
+  }
   Result<transport::Listener> l = transport::Listener::listen(ep_);
   if (!l.ok()) return l.status();
   listener_ = std::move(l).take();
@@ -410,10 +420,11 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
             static_cast<double>(req.value().ids.size()), "batch");
       }
       Result<std::string> bytes = wire::encode_batch(b);
-      // The agent produced this response; if it cannot travel, that is a
-      // programming error (add_element refuses ids the wire cannot carry,
-      // so only a source emitting an oversize attr name or list gets here).
-      PS_CHECK(bytes.ok());
+      // add_element refuses ids the wire cannot carry, but a source may
+      // still emit an attr name or list too big for a frame.  That batch
+      // cannot travel: close this connection, so the client reconciles it
+      // to blind spots, and keep serving the others.
+      if (!bytes.ok()) return false;
       std::string payload = std::move(bytes).take();
 
       // Consume any armed damage.
@@ -441,7 +452,13 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
         c.close_after_flush = true;
         return true;
       }
-      c.wbuf += payload;
+      // An idle connection takes the encoded batch as its write queue
+      // instead of a copy of it.
+      if (c.wbuf.empty()) {
+        c.wbuf = std::move(payload);
+      } else {
+        c.wbuf += payload;
+      }
       // Piggyback fast path: a traced request earns the drained rings
       // right behind the batch.  Untraced requests get not one extra
       // byte — the disabled-mode reply stays byte-identical.
@@ -471,7 +488,7 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
       }
       if (r.ok()) {
         Result<std::string> frame = wire::encode_frame(r.value());
-        PS_CHECK(frame.ok());
+        if (!frame.ok()) return false;  // as for an unencodable batch
         c.wbuf += wire::encode_message(wire::MessageKind::kSingleResponse,
                                        frame.value());
       } else {
@@ -908,12 +925,23 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
     if (element_set_.count(id) > 0) known.push_back(id);
   }
   const size_t unknown = sorted.size() - known.size();
+  const size_t requested = sorted.size();
 
   Status st = ensure_connected_locked(now);
   if (!st.is_ok()) {
     return finish_batch_locked(total_loss_locked(known, unknown), departed_hit,
                                now);
   }
+
+  // An id over 65535 bytes cannot be encoded and can never be served
+  // (add_element refuses it): it stays off the wire, and the answer counts
+  // it unknown like any other id the agent lacks.
+  const auto wire_end =
+      std::remove_if(sorted.begin(), sorted.end(), [](const ElementId& id) {
+        return id.name.size() > 0xffff;
+      });
+  const size_t oversize = static_cast<size_t>(sorted.end() - wire_end);
+  sorted.erase(wire_end, sorted.end());
 
   // The caller's trace context rides the envelope; {0, 0} (untraced) keeps
   // the request — and the server's reply — byte-identical to a build
@@ -922,7 +950,7 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
   const std::string request = wire::encode_message(
       wire::MessageKind::kBatchRequest,
       wire::encode_batch_request(
-          {now, sorted, ctx.trace_id, ctx.span_id, bind_}));
+          {now, std::move(sorted), ctx.trace_id, ctx.span_id, bind_}));
   const int64_t trip_t0 = transport::span_clock_ns();
 
   // Queries are idempotent reads, so a connection that died *before any
@@ -962,6 +990,8 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
                                now);
   }
 
+  decoded.value().unknown_ids += oversize;
+
   if (read.clean() && dstats.complete()) {
     // The common path: the batch crossed byte-identical; hand it through
     // untouched (responses, channel time, unknown count, degraded tally all
@@ -969,8 +999,8 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
     if (ctx.active()) {
       trace_span(transport_trace_id(), now, TraceEventKind::kSpanTransportTrip,
                  Duration::nanos(transport::span_clock_ns() - trip_t0),
-                 next_span_id(), ctx.span_id,
-                 static_cast<double>(sorted.size()), name_);
+                 next_span_id(), ctx.span_id, static_cast<double>(requested),
+                 name_);
       // A traced request always has trace data piggybacked right behind the
       // batch; pull it off the stream so the connection stays framed.  A
       // loss here costs the lane (recoverable by harvest), not the batch.
@@ -1012,6 +1042,11 @@ Result<QueryResponse> RemoteAgent::query_attrs(
   if (departed_.count(id) > 0) {
     return query_failure_status(name_, id, 1, StatusCode::kFailedPrecondition);
   }
+  // An id the wire cannot carry is one no agent serves (add_element
+  // refuses it): the in-process not-found answer, without a trip.
+  if (id.name.size() > 0xffff) {
+    return Status::not_found("agent " + name_ + ": no element " + id.name);
+  }
 
   Status st = ensure_connected_locked(now);
   if (!st.is_ok()) {
@@ -1019,10 +1054,13 @@ Result<QueryResponse> RemoteAgent::query_attrs(
   }
 
   const TraceContext ctx = current_trace_context();
+  wire::SingleRequestMsg req{now, id, attrs, ctx.trace_id, ctx.span_id, bind_};
+  // No frame can carry an attr name over 65535 bytes back, so like an attr
+  // the element lacks, it is left out of the answer (and off the wire).
+  std::erase_if(req.attrs,
+                [](const std::string& a) { return a.size() > 0xffff; });
   const std::string request = wire::encode_message(
-      wire::MessageKind::kSingleRequest,
-      wire::encode_single_request(
-          {now, id, attrs, ctx.trace_id, ctx.span_id, bind_}));
+      wire::MessageKind::kSingleRequest, wire::encode_single_request(req));
 
   Result<wire::Message> msg = Status::unavailable("unsent");
   for (int attempt = 0;; ++attempt) {

@@ -311,7 +311,7 @@ Result<QueryResponse> StreamCacheAgent::query_attrs(
     // returned when the capture failed.
     return query_failure_status(name_, id, resp.attempts, resp.fail_code);
   }
-  resp.record = project(resp.record, attrs);
+  resp.record = project(std::move(resp.record), attrs);
   return resp;
 }
 

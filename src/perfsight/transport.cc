@@ -167,11 +167,21 @@ std::string Endpoint::to_string() const {
 
 // --- Socket ------------------------------------------------------------------
 
+Socket::Socket(Socket&& o) noexcept
+    : fd_(o.fd_), rbuf_(std::move(o.rbuf_)), rbeg_(o.rbeg_), rend_(o.rend_) {
+  o.fd_ = -1;
+  o.rbeg_ = o.rend_ = 0;
+}
+
 Socket& Socket::operator=(Socket&& o) noexcept {
   if (this != &o) {
     close();
     fd_ = o.fd_;
+    rbuf_ = std::move(o.rbuf_);
+    rbeg_ = o.rbeg_;
+    rend_ = o.rend_;
     o.fd_ = -1;
+    o.rbeg_ = o.rend_ = 0;
   }
   return *this;
 }
@@ -181,6 +191,9 @@ void Socket::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  // Buffered bytes belonged to the old stream; no later read may see them.
+  rbuf_.reset();
+  rbeg_ = rend_ = 0;
 }
 
 void Socket::set_nonblocking(bool on) {
@@ -234,18 +247,24 @@ Status Socket::recv_exact_until(size_t n, std::string* out,
                                 Clock::time_point until) {
   if (fd_ < 0) return Status::unavailable("transport: recv on closed socket");
   size_t got = 0;
-  char buf[4096];
   while (got < n) {
-    if (!poll_until(fd_, POLLIN, until)) {
-      return Status::deadline_exceeded("transport: read deadline after " +
-                                       std::to_string(got) + "/" +
-                                       std::to_string(n) + " bytes");
+    if (rbeg_ < rend_) {
+      const size_t take = std::min(n - got, rend_ - rbeg_);
+      out->append(rbuf_.get() + rbeg_, take);
+      rbeg_ += take;
+      got += take;
+      continue;
     }
-    size_t want = std::min(n - got, sizeof(buf));
-    ssize_t r = ::recv(fd_, buf, want, 0);
+    // Buffer dry: refill with whatever the kernel holds, up to a whole
+    // buffer.  MSG_DONTWAIT keeps a blocking socket from parking us past
+    // the deadline; only EAGAIN waits, and only until `until`.
+    if (rbuf_ == nullptr) {
+      rbuf_ = std::make_unique_for_overwrite<char[]>(kRecvBufferSize);
+    }
+    rbeg_ = rend_ = 0;
+    ssize_t r = ::recv(fd_, rbuf_.get(), kRecvBufferSize, MSG_DONTWAIT);
     if (r > 0) {
-      out->append(buf, static_cast<size_t>(r));
-      got += static_cast<size_t>(r);
+      rend_ = static_cast<size_t>(r);
       continue;
     }
     if (r == 0) {
@@ -253,7 +272,15 @@ Status Socket::recv_exact_until(size_t n, std::string* out,
                                  std::to_string(got) + "/" +
                                  std::to_string(n) + " bytes");
     }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (!poll_until(fd_, POLLIN, until)) {
+        return Status::deadline_exceeded("transport: read deadline after " +
+                                         std::to_string(got) + "/" +
+                                         std::to_string(n) + " bytes");
+      }
+      continue;
+    }
     return errno_status("transport: recv");
   }
   return Status::ok();
@@ -261,6 +288,12 @@ Status Socket::recv_exact_until(size_t n, std::string* out,
 
 Result<size_t> Socket::read_some(std::string* out) {
   if (fd_ < 0) return Status::unavailable("transport: recv on closed socket");
+  if (rbeg_ < rend_) {
+    const size_t n = rend_ - rbeg_;
+    out->append(rbuf_.get() + rbeg_, n);
+    rbeg_ = rend_ = 0;
+    return n;
+  }
   char buf[65536];
   for (;;) {
     ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
@@ -461,6 +494,7 @@ BatchReadResult read_batch(Socket& s, WallDuration deadline) {
 
 bool wait_readable(const Socket& s, WallDuration deadline) {
   if (s.fd() < 0) return false;
+  if (s.buffered() > 0) return true;
   return poll_until(s.fd(), POLLIN, Clock::now() + deadline);
 }
 

@@ -18,6 +18,11 @@
 //     stream died, so the batch reader can hand a damaged prefix to
 //     wire::decode_batch + wire::reconcile instead of discarding a
 //     half-received sweep.
+//   - Few syscalls per reply.  A Socket reads into its own receive buffer
+//     (up to kRecvBufferSize per recv) and serves recv_exact from it, so a
+//     PSB1 batch of small frames costs one recv per 64 KiB, not two polls
+//     and two recvs per frame.  Bytes past what a read asked for stay
+//     buffered for the next read on the same Socket.
 //   - Length-chain-aware reads.  read_batch walks the PSB1 structure (header
 //     frame-count, per-frame payload_len) with wire's prefix parsers, so a
 //     corrupted length prefix caps out at kMaxPayload and never makes the
@@ -29,6 +34,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -63,13 +69,17 @@ struct Endpoint {
   std::string to_string() const;
 };
 
-// A connected stream socket.  Move-only RAII over the fd.
+// The most one recv pulls into a Socket's receive buffer.
+inline constexpr size_t kRecvBufferSize = 64 * 1024;
+
+// A connected stream socket.  Move-only RAII over the fd and its receive
+// buffer: a move carries the buffered bytes along, close() discards them.
 class Socket {
  public:
   Socket() = default;
   explicit Socket(int fd) : fd_(fd) {}
   ~Socket() { close(); }
-  Socket(Socket&& o) noexcept : fd_(o.fd_) { o.fd_ = -1; }
+  Socket(Socket&& o) noexcept;
   Socket& operator=(Socket&& o) noexcept;
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
@@ -77,6 +87,9 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
   void close();
+
+  // Bytes already read off the fd and held for the next read.
+  size_t buffered() const { return rend_ - rbeg_; }
 
   // Flips O_NONBLOCK (event-loop servers run every accepted connection
   // nonblocking and multiplex with poll()).
@@ -91,8 +104,10 @@ class Socket {
   Status send_all(std::string_view bytes, WallDuration deadline);
   Status send_all_until(std::string_view bytes, Clock::time_point until);
 
-  // Reads exactly `n` bytes into `*out` (appended), polling until the
-  // deadline.  On failure `*out` still holds every byte that arrived —
+  // Reads exactly `n` bytes into `*out` (appended): buffered bytes first,
+  // then nonblocking recvs of up to kRecvBufferSize each, polling (until
+  // the deadline) only when the socket has nothing to give.  Bytes past `n`
+  // stay buffered.  On failure `*out` still holds every byte that arrived —
   // partial data is the caller's to reconcile:
   //   kDeadlineExceeded — the deadline expired mid-read
   //   kUnavailable      — peer closed (EOF) or socket error
@@ -101,10 +116,11 @@ class Socket {
   Status recv_exact(size_t n, std::string* out, WallDuration deadline);
   Status recv_exact_until(size_t n, std::string* out, Clock::time_point until);
 
-  // Nonblocking single read: appends whatever is available (at most one
-  // 64 KiB chunk) to `*out` and returns the byte count — 0 with ok() means
-  // nothing is pending (EAGAIN).  kUnavailable on EOF or socket error.
-  // Event-loop reads only; the socket must be nonblocking.
+  // Nonblocking single read: appends whatever is available (the buffered
+  // bytes if any, else at most one 64 KiB chunk) to `*out` and returns the
+  // byte count — 0 with ok() means nothing is pending (EAGAIN).
+  // kUnavailable on EOF or socket error.  Event-loop reads only; the socket
+  // must be nonblocking.
   Result<size_t> read_some(std::string* out);
 
   // Nonblocking single write: sends what fits in the socket buffer and
@@ -114,6 +130,12 @@ class Socket {
 
  private:
   int fd_ = -1;
+  // Receive buffer: [rbeg_, rend_) of rbuf_ is read but not yet handed out.
+  // Allocated by the first recv_exact, so event-loop sockets that only
+  // read_some never carry one.
+  std::unique_ptr<char[]> rbuf_;
+  size_t rbeg_ = 0;
+  size_t rend_ = 0;
 };
 
 // A bound, listening socket.
@@ -175,7 +197,8 @@ BatchReadResult read_batch(Socket& s, WallDuration deadline);
 // checksum.
 Result<wire::Message> read_message(Socket& s, WallDuration deadline);
 
-// True when at least one byte (or EOF) is readable within `deadline`.  Serve
+// True when at least one byte (or EOF) is readable within `deadline`;
+// bytes already in the Socket's buffer count, without a poll.  Serve
 // loops idle on this instead of a short-deadline read, so a slow-trickling
 // message prefix is never read halfway and discarded.
 bool wait_readable(const Socket& s, WallDuration deadline);

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,6 +106,7 @@ class ScatterRig {
         loopbacks_.push_back(std::make_unique<WireLoopback>(agent));
         agent = loopbacks_.back().get();
       }
+      clients_.push_back(agent);
       controller_.register_agent(agent);
       for (size_t e = 0; e < per_agent; ++e) {
         const size_t i = a * per_agent + e;
@@ -142,6 +144,23 @@ class ScatterRig {
       mbs_.push_back(mb.get());
       sources_.push_back(std::move(mb));
     }
+    // One element both agent-1 and agent-2 serve: agent-1 is its primary,
+    // agent-2 its read replica, so a failed primary read exercises the
+    // quorum round of the merge.
+    if (agents >= 3) {
+      auto s = std::make_unique<ScriptedSource>("shared/el",
+                                                ChannelKind::kProcFs);
+      s->attrs = {{attr::kRxPkts, 4000}, {attr::kTxPkts, 3900},
+                  {attr::kDropPkts, 7}, {attr::kTxBytes, 600000}};
+      EXPECT_TRUE(agents_[1]->add_element(s.get()).is_ok());
+      EXPECT_TRUE(agents_[2]->add_element(s.get()).is_ok());
+      EXPECT_TRUE(
+          controller_.register_element(tenant_, s->id(), clients_[1]).is_ok());
+      EXPECT_TRUE(
+          controller_.register_mirror(tenant_, s->id(), clients_[2]).is_ok());
+      mirrored_ = s->id();
+      sources_.push_back(std::move(s));
+    }
   }
 
   SimTime advance(Duration d) {
@@ -173,10 +192,12 @@ class ScatterRig {
     return now_;
   }
 
-  void install_faults(const FaultPlan* plan, const RetryPolicy& retry) {
+  void install_faults(const FaultPlan* plan, const RetryPolicy& retry,
+                      const CircuitBreakerConfig& breaker = {}) {
     for (auto& a : agents_) {
       a->set_fault_plan(plan);
       a->set_retry_policy(retry);
+      a->set_breaker_config(breaker);
     }
   }
 
@@ -184,9 +205,11 @@ class ScatterRig {
   Controller controller_;
   std::vector<std::unique_ptr<Agent>> agents_;
   std::vector<std::unique_ptr<WireLoopback>> loopbacks_;
+  std::vector<AgentClient*> clients_;  // what the controller dials, per agent
   std::vector<std::unique_ptr<ScriptedSource>> sources_;
   std::vector<ScriptedSource*> mbs_;
   std::vector<ElementId> elements_;  // packet-path elements, creation order
+  std::optional<ElementId> mirrored_;  // the replicated element, 3+ agents
   const TenantId tenant_{1};
 };
 
@@ -231,6 +254,26 @@ std::string run_script(ScatterRig& rig, ThreadPool* pool, bool batching) {
            rig.tenant_, ids,
            {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts, attr::kType,
             attr::kVm})) {
+    out += fmt(r);
+  }
+
+  // The same fan-in shuffled, with repeats: duplicate slots of one id (the
+  // mirrored element and the unserved id among them) must each get the
+  // answer the per-element loop gives.
+  std::vector<ElementId> mixed = ids;
+  for (size_t i = 0; i < ids.size(); i += 3) mixed.push_back(ids[i]);
+  if (rig.mirrored_) {
+    mixed.push_back(*rig.mirrored_);
+    mixed.push_back(*rig.mirrored_);
+  }
+  mixed.push_back(ElementId{"ghost"});
+  uint64_t lcg = 12345;
+  for (size_t i = mixed.size(); i > 1; --i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    std::swap(mixed[i - 1], mixed[(lcg >> 33) % i]);
+  }
+  for (const auto& r : c.get_attr_many(rig.tenant_, mixed,
+                                       {attr::kDropPkts, attr::kRxPkts})) {
     out += fmt(r);
   }
 
@@ -366,6 +409,50 @@ TEST(ScatterDifferentialTest, FaultPlanPreservesDifferential) {
     rig.install_faults(&plan, retry);
     ThreadPool pool(4);
     EXPECT_EQ(run_script(rig, &pool, true), oracle);
+  }
+}
+
+// The quorum round under the run-length merge: agent-1 is down while the
+// opening fan-ins run, so every repeat of its mirrored element must come
+// back from the replica, exactly as the per-element loop's fallback
+// answers it.  Breakers stay closed: how a breaker counts failures differs
+// between one trip per element and one per kind, and this test is about
+// the merge.
+TEST(ScatterDifferentialTest, MirrorRoundMatchesSequentialOracle) {
+  RetryPolicy retry;
+  retry.max_attempts = 2;
+  retry.attempt_timeout = Duration::millis(1);
+  CircuitBreakerConfig no_breakers;
+  no_breakers.failure_threshold = 1u << 30;
+  auto make_plan = [] {
+    FaultPlan plan(7);
+    plan.schedule_outage("agent-1", SimTime(), SimTime::millis(1));
+    return plan;
+  };
+
+  ScatterRig oracle_rig(4, 4);
+  FaultPlan oracle_plan = make_plan();
+  oracle_rig.install_faults(&oracle_plan, retry, no_breakers);
+  const std::string oracle = run_script(oracle_rig, nullptr, false);
+  ASSERT_NE(oracle.find("OK <0, shared/el, (dropPkts, 7), (rxPkts, 4000)> "
+                        "q=replica"),
+            std::string::npos)
+      << "the mirror round never ran; its differential is vacuous";
+
+  for (size_t workers : {0u, 1u, 2u, 8u}) {
+    ScatterRig rig(4, 4);
+    FaultPlan plan = make_plan();
+    rig.install_faults(&plan, retry, no_breakers);
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+    EXPECT_EQ(run_script(rig, pool.get(), true), oracle)
+        << "mirror differential divergence at pool size " << workers;
+  }
+  {
+    ScatterRig rig(4, 4, /*wire_loopback=*/true);
+    FaultPlan plan = make_plan();
+    rig.install_faults(&plan, retry, no_breakers);
+    EXPECT_EQ(run_script(rig, nullptr, true), oracle);
   }
 }
 

@@ -1007,6 +1007,196 @@ TEST(TransportDeadlineTest, SendAllHonorsDeadlineAgainstAStalledPeer) {
   EXPECT_LT(elapsed.count(), 1500);
 }
 
+// --- the socket receive buffer ----------------------------------------------
+
+// A traced batch reply is a PSB1 batch with a PSM1 trace-data message right
+// behind it, and one recv can pull both into the buffer: read_batch must
+// hand back exactly the batch and leave the message for read_message.
+TEST(SocketBufferTest, BatchThenMessageInOneSendSplitCleanly) {
+  SocketPair pair = SocketPair::make();
+  BatchResponse b;
+  for (int i = 0; i < 3; ++i) {
+    QueryResponse r;
+    r.record.timestamp = SimTime::millis(5);
+    r.record.element = ElementId{"el" + std::to_string(i)};
+    r.record.attrs = {{attr::kRxPkts, 10.0 * i}, {attr::kTxPkts, 9.0 * i}};
+    b.responses.push_back(std::move(r));
+  }
+  const std::string batch = wire::encode_batch(b).value();
+  wire::TraceDataMsg td;
+  td.process = "agent-x";
+  const std::string message = wire::encode_message(
+      wire::MessageKind::kTraceData, wire::encode_trace_data(td));
+  ASSERT_TRUE(pair.server.send_all(batch + message).is_ok());
+
+  transport::BatchReadResult read =
+      transport::read_batch(pair.client, WallDuration(1000));
+  ASSERT_TRUE(read.clean()) << read.status.message();
+  EXPECT_EQ(read.bytes, batch);
+  EXPECT_EQ(pair.client.buffered(), message.size());
+
+  Result<wire::Message> msg =
+      transport::read_message(pair.client, WallDuration(1000));
+  ASSERT_TRUE(msg.ok()) << msg.status().message();
+  EXPECT_EQ(msg.value().kind, wire::MessageKind::kTraceData);
+  Result<wire::TraceDataMsg> back = wire::decode_trace_data(msg.value().body);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().process, "agent-x");
+  EXPECT_EQ(pair.client.buffered(), 0u);
+}
+
+// A stream torn mid-frame: every byte that arrived is returned, however
+// many of them one recv pulled into the buffer.
+TEST(SocketBufferTest, TornMidFrameKeepsEveryByte) {
+  SocketPair pair = SocketPair::make();
+  const std::string batch = synthetic_batch(8, 100);
+  const std::string prefix =
+      batch.substr(0, wire::kBatchHeaderSize + 3 * (12 + 100) + 50);
+  ASSERT_TRUE(pair.server.send_all(prefix).is_ok());
+  pair.server.close();
+
+  transport::BatchReadResult read =
+      transport::read_batch(pair.client, WallDuration(1000));
+  EXPECT_EQ(read.status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(read.bytes, prefix);
+  EXPECT_EQ(pair.client.buffered(), 0u);
+}
+
+// Bytes parked in the buffer are readable: wait_readable reports them
+// without a poll (the kernel queue is empty), read_some hands them out, and
+// close() discards them.
+TEST(SocketBufferTest, WaitReadableAndReadSomeSeeBufferedBytes) {
+  SocketPair pair = SocketPair::make();
+  const std::string batch = synthetic_batch(4, 16);
+  ASSERT_TRUE(pair.server.send_all(batch + "tail").is_ok());
+
+  transport::BatchReadResult read =
+      transport::read_batch(pair.client, WallDuration(1000));
+  ASSERT_TRUE(read.clean());
+  EXPECT_EQ(read.bytes, batch);
+  ASSERT_EQ(pair.client.buffered(), 4u);
+  EXPECT_TRUE(transport::wait_readable(pair.client, WallDuration(0)));
+
+  pair.client.set_nonblocking(true);
+  std::string got;
+  Result<size_t> n = pair.client.read_some(&got);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 4u);
+  EXPECT_EQ(got, "tail");
+  n = pair.client.read_some(&got);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 0u);  // buffer and kernel queue both empty
+  EXPECT_FALSE(transport::wait_readable(pair.client, WallDuration(0)));
+
+  // A move carries buffered bytes; close() drops them.
+  ASSERT_TRUE(pair.server.send_all(batch + "more").is_ok());
+  pair.client.set_nonblocking(false);
+  ASSERT_TRUE(transport::read_batch(pair.client, WallDuration(1000)).clean());
+  transport::Socket moved = std::move(pair.client);
+  EXPECT_EQ(pair.client.buffered(), 0u);
+  EXPECT_EQ(moved.buffered(), 4u);
+  moved.close();
+  EXPECT_EQ(moved.buffered(), 0u);
+  EXPECT_FALSE(transport::wait_readable(moved, WallDuration(0)));
+}
+
+// --- input the wire cannot carry ---------------------------------------------
+
+// Regression: an id over 65535 bytes used to abort the controller in the
+// request encoder.  No agent can serve such an id (add_element refuses
+// it), so the adapter keeps it off the wire and answers as the in-process
+// agent does: counted unknown in a batch, not_found for a single query.
+TEST(TransportOversizeTest, OversizeIdStaysOffTheWire) {
+  Agent agent("agent-r", 7);
+  ScriptedSource ok("r/el0", ChannelKind::kProcFs);
+  ok.set_attrs({{attr::kRxPkts, 42.0}});
+  ASSERT_TRUE(agent.add_element(&ok).is_ok());
+  RemoteAgentServer server(&agent, transport::Endpoint::tcp("127.0.0.1", 0));
+  ASSERT_TRUE(server.start().is_ok());
+  RemoteAgent remote(server.endpoint());
+  ASSERT_TRUE(remote.connect().is_ok());
+
+  const ElementId huge{std::string(70000, 'x')};
+  const std::vector<ElementId> ids{huge, ok.id(), ElementId{"ghost"}};
+  BatchResponse b = remote.query_batch(ids, SimTime::millis(5), nullptr);
+  ASSERT_EQ(b.responses.size(), 1u);
+  EXPECT_EQ(b.responses[0].record.element, ok.id());
+  EXPECT_EQ(b.responses[0].record.get(attr::kRxPkts), 42.0);
+  EXPECT_EQ(b.unknown_ids, 2u);
+  EXPECT_EQ(b.unknown_ids,
+            agent.query_batch(ids, SimTime::millis(5)).unknown_ids);
+
+  Result<QueryResponse> one =
+      remote.query_attrs(huge, {attr::kRxPkts}, SimTime::millis(5));
+  Result<QueryResponse> local =
+      agent.query_attrs(huge, {attr::kRxPkts}, SimTime::millis(5));
+  ASSERT_FALSE(one.ok());
+  ASSERT_FALSE(local.ok());
+  EXPECT_EQ(one.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(one.status().message(), local.status().message());
+
+  // An attr name no frame could carry is left out like an attr the
+  // element lacks.
+  Result<QueryResponse> wide = remote.query_attrs(
+      ok.id(), {std::string(70000, 'a'), attr::kRxPkts}, SimTime::millis(6));
+  ASSERT_TRUE(wide.ok()) << wide.status().message();
+  ASSERT_EQ(wide.value().record.attrs.size(), 1u);
+  EXPECT_EQ(wide.value().record.attrs[0].name, attr::kRxPkts);
+
+  // The connection stayed framed: the next query crosses as usual.
+  EXPECT_TRUE(remote.query_attrs(ok.id(), {attr::kRxPkts}, SimTime::millis(6))
+                  .ok());
+  EXPECT_EQ(remote.transport_stats().connects, 1u);
+}
+
+// Regression: a source emitting an attr name over 65535 bytes used to
+// abort the fleet server when it encoded the reply.  Now only that
+// connection closes: the client reconciles the batch to blind spots, and
+// the server keeps serving everyone else.
+TEST(TransportOversizeTest, OversizeAttrClosesOnlyThatConnection) {
+  Agent bad("agent-bad", 1);
+  Agent good("agent-good", 2);
+  ScriptedSource wide("bad/el0", ChannelKind::kProcFs);
+  wide.set_attrs({{std::string(70000, 'a'), 1.0}});
+  ScriptedSource fine("good/el0", ChannelKind::kProcFs);
+  fine.set_attrs({{attr::kRxPkts, 9.0}});
+  ASSERT_TRUE(bad.add_element(&wide).is_ok());
+  ASSERT_TRUE(good.add_element(&fine).is_ok());
+  RemoteAgentServer server(std::vector<Agent*>{&bad, &good},
+                           transport::Endpoint::tcp("127.0.0.1", 0));
+  ASSERT_TRUE(server.start().is_ok());
+
+  RemoteAgent to_good(server.endpoint(), "agent-good");
+  ASSERT_TRUE(to_good.connect().is_ok());
+  RemoteAgent to_bad(server.endpoint(), "agent-bad");
+  ASSERT_TRUE(to_bad.connect().is_ok());
+
+  BatchResponse b =
+      to_bad.query_batch({wide.id()}, SimTime::millis(5), nullptr);
+  ASSERT_EQ(b.responses.size(), 1u);
+  EXPECT_EQ(b.responses[0].record.element, wide.id());
+  EXPECT_EQ(b.responses[0].quality, DataQuality::kMissing);
+  EXPECT_EQ(b.responses[0].fail_code, StatusCode::kUnavailable);
+
+  EXPECT_TRUE(server.running());
+  BatchResponse g =
+      to_good.query_batch({fine.id()}, SimTime::millis(5), nullptr);
+  ASSERT_EQ(g.responses.size(), 1u);
+  EXPECT_EQ(g.responses[0].quality, DataQuality::kFresh);
+  EXPECT_EQ(g.responses[0].record.get(attr::kRxPkts), 9.0);
+}
+
+// Regression: an agent name over 65535 bytes used to abort the first
+// hello encode on the serve thread.  start() refuses it up front.
+TEST(TransportOversizeTest, OversizeAgentNameIsRefusedAtStart) {
+  Agent agent(std::string(70000, 'n'), 1);
+  RemoteAgentServer server(&agent, transport::Endpoint::tcp("127.0.0.1", 0));
+  Status st = server.start();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("65535-byte wire limit"), std::string::npos);
+  EXPECT_FALSE(server.running());
+}
+
 // --- accept-error backoff ----------------------------------------------------
 
 namespace {
