@@ -1,12 +1,6 @@
 #include "dataplane/element.h"
 
-#include "perfsight/inband.h"
-
 namespace perfsight::dp {
-
-bool Element::int_active() const {
-  return int_stamper_ != nullptr && int_stamper_->enabled(int_slot_);
-}
 
 ChannelKind channel_for(ElementKind kind) {
   switch (kind) {

@@ -66,8 +66,6 @@ class Element : public StatsSource {
   }
   inband::IntStamper* int_stamper() const { return int_stamper_; }
   int int_slot() const { return int_slot_; }
-  // Attached AND the slot's enable bit is on.
-  bool int_active() const;
 
  protected:
   // Counter updates used by subclasses on their datapaths.

@@ -33,7 +33,7 @@ void PNic::admit_rx(Duration dt) {
       }
     }
     if (fit.empty()) continue;
-    if (int_active()) {
+    if (int_stamper() != nullptr) {
       // Ingress sampling: the pNIC is where flights begin.  The stamped
       // depth is the ring occupancy the sampled packet found on arrival.
       fit.int_tag =

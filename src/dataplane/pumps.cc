@@ -21,15 +21,13 @@ void NapiPoll::step(SimTime /*now*/, Duration dt) {
     PacketBatch b = pnic_->fetch_rx(budget_pkts, UINT64_MAX);
     if (b.empty()) break;
     budget_pkts -= b.packets;
-    if (b.int_tag != 0 && int_active()) {
+    if (b.int_tag != 0 && int_stamper() != nullptr) {
       // The poll loop holds no queue; the stamped depth is what remains in
       // the ring behind the tagged packet, and the io-time is its share of
       // this tick's per-packet poll cost.
-      int_stamper()->stamp(int_slot(), b.int_tag,
-                           pnic_->rx_queued_packets());
-      int_stamper()->add_io_time(
-          b.int_tag, Duration::seconds(static_cast<double>(b.packets) *
-                                       cfg_.cost_per_pkt));
+      int_stamper()->stamp(int_slot(), b.int_tag, pnic_->rx_queued_packets(),
+                           Duration::seconds(static_cast<double>(b.packets) *
+                                             cfg_.cost_per_pkt));
     }
     note_in(b);
     note_out(b);
@@ -90,13 +88,12 @@ void HypervisorIo::step(SimTime /*now*/, Duration dt) {
     rx_pkt_budget -= b.packets;
     rx_byte_budget -= std::min(rx_byte_budget, b.bytes);
     moved_bytes += b.bytes;
-    if (b.int_tag != 0 && int_active()) {
+    if (b.int_tag != 0 && int_stamper() != nullptr) {
       // Copy-engine hop: depth is what is still waiting in the TUN, and the
       // io-time is the memcpy cost of this batch.
-      int_stamper()->stamp(int_slot(), b.int_tag, tun_->queued_packets());
-      int_stamper()->add_io_time(
-          b.int_tag, Duration::seconds(static_cast<double>(b.bytes) /
-                                       cfg_.memcpy_bytes_per_sec));
+      int_stamper()->stamp(int_slot(), b.int_tag, tun_->queued_packets(),
+                           Duration::seconds(static_cast<double>(b.bytes) /
+                                             cfg_.memcpy_bytes_per_sec));
     }
     note_in(b);
     note_out(b);

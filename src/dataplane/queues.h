@@ -23,16 +23,11 @@ class QueueElement : public Element, public PortIn {
 
   void accept(PacketBatch b) override {
     note_in(b);
-    if (b.int_tag != 0 && int_active()) {
+    if (b.int_tag != 0 && int_stamper() != nullptr) {
       // Stamp the arrival occupancy — the depth the tagged packet found,
       // not the depth after it joined.  At a harvest slot the flight
       // finalizes here and the tag stops travelling.
-      if (int_stamper()->harvesting(int_slot())) {
-        int_stamper()->harvest(int_slot(), b.int_tag, q_.packets());
-        b.int_tag = 0;
-      } else {
-        int_stamper()->stamp(int_slot(), b.int_tag, q_.packets());
-      }
+      b.int_tag = int_stamper()->arrive(int_slot(), b.int_tag, q_.packets());
     }
     const uint64_t tag = b.int_tag;
     uint64_t dp = q_.dropped_packets();
@@ -138,13 +133,8 @@ class VNic : public Element {
   // Hypervisor side.
   void push_rx(PacketBatch b) {
     note_in(b);
-    if (b.int_tag != 0 && int_active()) {
-      if (int_stamper()->harvesting(int_slot())) {
-        int_stamper()->harvest(int_slot(), b.int_tag, rx_.packets());
-        b.int_tag = 0;
-      } else {
-        int_stamper()->stamp(int_slot(), b.int_tag, rx_.packets());
-      }
+    if (b.int_tag != 0 && int_stamper() != nullptr) {
+      b.int_tag = int_stamper()->arrive(int_slot(), b.int_tag, rx_.packets());
     }
     const uint64_t tag = b.int_tag;
     uint64_t dp = rx_.dropped_packets(), db = rx_.dropped_bytes();

@@ -17,14 +17,17 @@
 //    keep a raw pointer + slot index (dp::Element::set_int_stamper); every
 //    hook in the packet path is gated on a per-slot enable bit, so a
 //    disabled (or never-attached) stamper leaves the packet path and every
-//    counter bit-identical to a build without INT.  Flights live in a
-//    bounded in-flight table; completed (harvested or drop-tailed) flights
-//    move to a finished list the harvester drains.
+//    counter bit-identical to a build without INT.  Each hook is one locked
+//    call per hop.  A hop names its element by slot index, so stamping
+//    copies no strings.  Tags are issued in sequence, so the bounded
+//    in-flight table is a window indexed by tag; completed (harvested or
+//    drop-tailed) flights move to a finished list the harvester drains.
 //
 //  * IntHarvester — the collection side.  close_window(t) drains finished
 //    flights, aggregates them per element into the same StatsRecord attr
 //    format the agent channels produce (so Algorithms 1/2, the rule book
-//    and the AlertWatcher consume INT records unchanged), and ingests one
+//    and the AlertWatcher consume INT records unchanged), prices each
+//    flight's kIntReport body arithmetically, and ingests one
 //    window into a StreamCache under Provenance::kInband.  A queue-depth
 //    excursion beyond the configured threshold fires the microburst
 //    callback — the hybrid mode wires that callback to a targeted pull
@@ -38,11 +41,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -63,11 +65,10 @@ inline constexpr const char* kIntQueuePeakPkts = "intQueuePeakPkts";
 inline constexpr const char* kIntIoTimeNs = "intIoTimeNs";
 inline constexpr const char* kIntDropTailFlights = "intDropTailFlights";
 
-// One stamped hop of a flight's metadata stack.
+// One stamped hop of a flight's metadata stack.  The element is named by
+// its stamper slot; IntStamper::slot_info resolves it.
 struct Hop {
-  ElementId element;
-  ElementKind kind = ElementKind::kOther;
-  int vm = -1;
+  int slot = -1;
   uint64_t queue_pkts = 0;  // occupancy of the element's queue at arrival
   Duration io_time;         // io-time attributed while held at this hop
   bool drop_tail = false;   // the tagged packet died in a tail drop here
@@ -80,6 +81,13 @@ struct Flight {
   SimTime end;
   bool dropped = false;
   std::vector<Hop> hops;
+};
+
+// What a slot was registered as.
+struct SlotInfo {
+  ElementId id;
+  ElementKind kind = ElementKind::kOther;
+  int vm = -1;
 };
 
 class IntStamper {
@@ -106,32 +114,44 @@ class IntStamper {
   }
   void enable(int slot, bool on);
   void enable_all(bool on);
-  bool enabled(int slot) const;
   // Flights finalize (and the element strips the tag) at a harvest slot —
   // normally the last element of the chain.
   void set_harvest(int slot, bool on);
-  bool harvesting(int slot) const;
+  SlotInfo slot_info(int slot) const;
+  // Appends to `out` the slots registered since it was last filled:
+  // out->size() is taken as the number of slots the caller already holds.
+  void append_slots(std::vector<SlotInfo>* out) const;
 
   // --- clock -----------------------------------------------------------------
   // The stamper is not a Steppable; the driver advances its notion of "now"
   // once per tick so hooks (which have no SimTime parameter) stay cheap.
+  // The clock only moves forward: flights start in tag order, which is what
+  // lets expire() stop at the first flight still young enough to keep.
   void set_now(SimTime now);
 
   // --- packet-path hooks (called by the dataplane) ---------------------------
+  // Each hook takes the lock once.  maybe_tag, arrive and stamp do nothing
+  // at a disabled or invalid slot; the tag they return is the one the batch
+  // carries on.
+  //
   // Ingress sampling: counts `b`'s packets against the 1-in-N knob and, on
   // crossing a sample boundary, opens a flight whose first hop is this slot
-  // at `queue_pkts` depth.  Returns the new tag, or 0 (not sampled, slot
-  // disabled, or in-flight table full).
+  // at `queue_pkts` depth.  Returns the new tag, or 0 (not sampled or
+  // in-flight table full); a disabled slot returns b.int_tag unchanged.
   uint64_t maybe_tag(int slot, const PacketBatch& b, uint64_t queue_pkts);
-  // Appends a hop to `tag`'s stack (no-op for unknown/expired tags).
-  void stamp(int slot, uint64_t tag, uint64_t queue_pkts);
-  // Adds io-time to the flight's most recent hop.
-  void add_io_time(uint64_t tag, Duration d);
+  // The tagged batch reached a queue-owning element at `queue_pkts` arrival
+  // depth.  Stamps a hop and returns `tag`; at a harvest slot the hop is
+  // the final one, the flight finalizes, and the result is 0 (the tag stops
+  // travelling even when its flight was already expired).
+  uint64_t arrive(int slot, uint64_t tag, uint64_t queue_pkts);
+  // A pump (no queue of its own) moved the tagged batch: appends a hop at
+  // `queue_pkts` depth and adds `io_time` to the stack's most recent hop.
+  // No-op for unknown/expired tags.
+  void stamp(int slot, uint64_t tag, uint64_t queue_pkts,
+             Duration io_time = Duration{});
   // The tagged packet tail-dropped at this slot: marks the stack and
   // finalizes the flight as dropped.
   void mark_dropped(int slot, uint64_t tag, uint64_t queue_pkts);
-  // The flight reached a harvest slot: appends the final hop and finalizes.
-  void harvest(int slot, uint64_t tag, uint64_t queue_pkts);
 
   // --- harvest side ----------------------------------------------------------
   // Drains the finished-flight list (harvested and dropped flights, in
@@ -139,7 +159,7 @@ class IntStamper {
   std::vector<Flight> take_finished();
   // Finalizes nothing, forgets everything: in-flight entries older than
   // `max_age` are orphans (their tag died in a merge or a fluid trim) and
-  // are dropped from the table.
+  // are dropped from the table.  Walks only the expired prefix.
   void expire(Duration max_age);
 
   struct Stats {
@@ -160,9 +180,7 @@ class IntStamper {
 
  private:
   struct Slot {
-    ElementId id;
-    ElementKind kind = ElementKind::kOther;
-    int vm = -1;
+    SlotInfo info;
     bool enabled = false;
     bool harvest = false;
   };
@@ -170,15 +188,24 @@ class IntStamper {
   bool valid_slot(int slot) const {
     return slot >= 0 && static_cast<size_t>(slot) < slots_.size();
   }
+  bool active_locked(int slot) const {
+    return valid_slot(slot) && slots_[static_cast<size_t>(slot)].enabled;
+  }
+  // The live flight for `tag`, or null (never issued, finalized or expired).
+  Flight* find_locked(uint64_t tag);
   void append_hop_locked(Flight& f, int slot, uint64_t queue_pkts);
-  void finalize_locked(uint64_t tag, bool dropped);
+  void finalize_locked(Flight& f, bool dropped);
 
   Config cfg_;
   mutable std::mutex mu_;
   std::vector<Slot> slots_;
   SimTime now_;
-  uint64_t next_tag_ = 1;
-  std::unordered_map<uint64_t, Flight> inflight_;
+  // inflight_[i] is the flight of tag base_tag_ + i; tag 0 marks one that
+  // finalized or expired.  Dead entries are trimmed from the front, so the
+  // next tag to issue is base_tag_ + inflight_.size().
+  std::deque<Flight> inflight_;
+  uint64_t base_tag_ = 1;
+  size_t live_ = 0;  // entries of inflight_ with a nonzero tag
   std::vector<Flight> finished_;
   Stats stats_;
 };
@@ -225,18 +252,39 @@ class IntHarvester {
     uint64_t windows_closed = 0;
     uint64_t flights_absorbed = 0;
     uint64_t microbursts = 0;
-    // Wire cost of the harvested reports (each flight encoded as a
-    // kIntReport body) — the "stamping overhead" the bench gates.
+    // Wire cost of the harvested reports (each flight's kIntReport body,
+    // sized exactly without encoding it) — the "stamping overhead" the
+    // bench gates.
     uint64_t report_bytes = 0;
   };
   Stats stats() const { return stats_; }
 
  private:
+  // Per-record aggregate of one window.
+  struct PerElement {
+    ElementKind kind = ElementKind::kOther;
+    int vm = -1;
+    uint64_t samples = 0;
+    uint64_t peak_pkts = 0;
+    uint64_t drop_tail = 0;
+    int64_t io_ns = 0;
+  };
+  // Picks up slots registered since the last window and re-derives the
+  // ascending record order.
+  void refresh_slots();
+
   IntStamper* stamper_;
   StreamCache* cache_;
   Config cfg_;
   MicroburstFn on_microburst_;
   Stats stats_;
+  // The stamper's slots as this harvester knows them, and the record each
+  // one feeds (an index into ids_): slots registered under one ElementId
+  // share a record.
+  std::vector<SlotInfo> slots_;
+  std::vector<size_t> record_of_;
+  std::vector<ElementId> ids_;  // distinct slot ids, ascending
+  std::vector<PerElement> agg_;  // one per ids_ entry
 };
 
 }  // namespace inband

@@ -42,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -384,6 +385,29 @@ struct IntReportMsg {
 // Fails (never clamps) on a name over 64 KiB, more than 65535 hops, or a
 // body past kMaxPayload — a report that encodes decodes back identical.
 Result<std::string> encode_int_report(const IntReportMsg& m);
+
+// The body bytes encode_int_report writes for a report whose agent name is
+// `agent_len` bytes and whose `hops` hops name elements of
+// `element_len(0)` .. `element_len(hops - 1)` bytes — or nullopt exactly
+// where encode_int_report refuses such a report (hop flags aside: a
+// harvester only writes valid ones).  Prices a flight without building or
+// encoding it; wire_test pins the two together.
+template <typename ElementLen>
+std::optional<size_t> int_report_size(size_t agent_len, size_t hops,
+                                      ElementLen element_len) {
+  constexpr size_t kStrLen = 2;                  // u16 length prefix
+  constexpr size_t kFixed = 8 + 8 + 8 + 1 + 2;   // tag start end flags count
+  constexpr size_t kHopFixed = 8 + 8 + 1;        // queue io_time flags
+  if (agent_len > 0xffff || hops > 0xffff) return std::nullopt;
+  size_t n = kStrLen + agent_len + kFixed;
+  for (size_t i = 0; i < hops; ++i) {
+    const size_t len = element_len(i);
+    if (len > 0xffff) return std::nullopt;
+    n += kStrLen + len + kHopFixed;
+  }
+  if (n > kMaxPayload) return std::nullopt;
+  return n;
+}
 // Total over arbitrary bytes: truncation (any strict prefix), trailing
 // bytes, and reserved flag bits all fail loudly.
 Result<IntReportMsg> decode_int_report(std::string_view body);

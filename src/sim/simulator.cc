@@ -1,35 +1,27 @@
 #include "sim/simulator.h"
 
-#include <memory>
-
 #include "perfsight/trace.h"
 
 namespace perfsight::sim {
-
-void Simulator::every(SimTime start, Duration period,
-                      std::function<void()> fn) {
-  // Self-rescheduling event; the shared_ptr lets the lambda re-arm itself.
-  auto repeat = std::make_shared<std::function<void(SimTime)>>();
-  *repeat = [this, period, fn = std::move(fn), repeat](SimTime when) {
-    fn();
-    SimTime next = when + period;
-    at(next, [repeat, next] { (*repeat)(next); });
-  };
-  at(start, [repeat, start] { (*repeat)(start); });
-}
 
 void Simulator::run_until(SimTime until) {
   while (now_ < until) {
     // Stamp the flight recorder's clock so instrumentation points without a
     // `now` parameter (drop charging, queue watermarks) timestamp correctly.
     TraceRecorder::global().set_now(now_);
-    // Fire events due at or before this tick's start, in time order.
-    while (!events_.empty() && events_.top().when <= now_) {
-      // priority_queue::top is const; move via const_cast is UB-adjacent, so
-      // copy the function out instead (events are rare relative to ticks).
-      Event e = events_.top();
-      events_.pop();
+    // Fire events due at or before this tick's start, in time order.  The
+    // event is moved out of the heap before it runs, so `fn` may schedule
+    // more; a periodic one is moved back in, re-armed.
+    while (!events_.empty() && events_.front().when <= now_) {
+      std::pop_heap(events_.begin(), events_.end(), EventLater{});
+      Event e = std::move(events_.back());
+      events_.pop_back();
       e.fn();
+      if (e.period > Duration{}) {
+        e.when = e.when + e.period;
+        e.seq = next_seq_++;
+        push(std::move(e));
+      }
     }
     for (Steppable* s : components_) s->step(now_, tick_);
     now_ = now_ + tick_;

@@ -15,9 +15,9 @@
 // answered by the separate hotpath harness, not by this engine.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -51,14 +51,18 @@ class Simulator {
   // Schedules `fn` to run at simulated time `at` (fired at the start of the
   // first tick whose begin time is >= `at`).
   void at(SimTime when, std::function<void()> fn) {
-    events_.push(Event{when, next_seq_++, std::move(fn)});
+    push(Event{when, next_seq_++, Duration{}, std::move(fn)});
   }
   void after(Duration d, std::function<void()> fn) {
     at(now_ + d, std::move(fn));
   }
 
-  // Schedules `fn` to run every `period`, starting at `start`.
-  void every(SimTime start, Duration period, std::function<void()> fn);
+  // Schedules `fn` to run every `period` (> 0), starting at `start`.  Each
+  // firing re-arms the same event at `when + period`, sequenced after
+  // whatever `fn` itself scheduled.
+  void every(SimTime start, Duration period, std::function<void()> fn) {
+    push(Event{start, next_seq_++, period, std::move(fn)});
+  }
 
   // Runs until simulated time reaches `until`.
   void run_until(SimTime until);
@@ -67,7 +71,8 @@ class Simulator {
  private:
   struct Event {
     SimTime when;
-    uint64_t seq;  // tie-break: preserve scheduling order
+    uint64_t seq;     // tie-break: preserve scheduling order
+    Duration period;  // zero: fires once
     std::function<void()> fn;
   };
   struct EventLater {
@@ -76,12 +81,17 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
+  void push(Event e) {
+    events_.push_back(std::move(e));
+    std::push_heap(events_.begin(), events_.end(), EventLater{});
+  }
 
   Duration tick_;
   SimTime now_;
   uint64_t next_seq_ = 0;
   std::vector<Steppable*> components_;
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  // A binary heap under EventLater: front() is the earliest (when, seq).
+  std::vector<Event> events_;
 };
 
 }  // namespace perfsight::sim

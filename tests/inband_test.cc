@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -202,15 +203,18 @@ TEST(IntStamperTest, SingleFlightWalksTheWholeChainInOrder) {
   EXPECT_FALSE(f.dropped);
   EXPECT_GE(f.end.ns(), f.start.ns());
   std::vector<std::string> path;
-  for (const inband::Hop& h : f.hops) path.push_back(h.element.name);
+  for (const inband::Hop& h : f.hops) {
+    path.push_back(stamper.slot_info(h.slot).id.name);
+  }
   EXPECT_EQ(path, (std::vector<std::string>{"pnic", "napi", "tun", "qemu-io",
                                             "vnic", "gb", "gs"}));
   for (const inband::Hop& h : f.hops) EXPECT_FALSE(h.drop_tail);
   // The hypervisor copy hop attributed io-time to its own hop.
   EXPECT_GT(f.hops[3].io_time.ns(), 0);
-  // vm attribution survives into the hop stack.
-  EXPECT_EQ(f.hops[2].kind, ElementKind::kTun);
-  EXPECT_EQ(f.hops[2].vm, 0);
+  // vm attribution survives through the hop's slot.
+  const inband::SlotInfo tun = stamper.slot_info(f.hops[2].slot);
+  EXPECT_EQ(tun.kind, ElementKind::kTun);
+  EXPECT_EQ(tun.vm, 0);
 }
 
 TEST(IntStamperTest, ExactOneInNSampling) {
@@ -241,7 +245,7 @@ TEST(IntStamperTest, DropTailFinalizesFlightWithMarker) {
   uint64_t tag = stamper.maybe_tag(a, batch(1, 10), 3);
   ASSERT_NE(tag, 0u);
   stamper.set_now(SimTime::millis(6));
-  stamper.stamp(b, tag, 4096);     // arrival at the full queue
+  EXPECT_EQ(stamper.arrive(b, tag, 4096), tag);  // arrival at the full queue
   stamper.mark_dropped(b, tag, 4096);
   std::vector<inband::Flight> flights = stamper.take_finished();
   ASSERT_EQ(flights.size(), 1u);
@@ -262,11 +266,60 @@ TEST(IntStamperTest, DropTailFinalizesFlightWithMarker) {
   EXPECT_TRUE(stamper.take_finished().empty());
 }
 
+TEST(IntStamperTest, ExpireAgesOutTheOrphanAtTheFrontOnly) {
+  inband::IntStamper stamper(inband::IntStamper::Config{1, 16, 2});
+  int a = stamper.register_element(ElementId{"a"}, ElementKind::kPNic, -1);
+  int h = stamper.register_element(ElementId{"h"}, ElementKind::kTun, 0);
+  stamper.enable_all(true);
+  stamper.set_harvest(h, true);
+
+  stamper.set_now(SimTime::millis(0));
+  const uint64_t orphan = stamper.maybe_tag(a, batch(1, 1), 0);
+  stamper.set_now(SimTime::millis(100));
+  const uint64_t done = stamper.maybe_tag(a, batch(1, 1), 0);
+  ASSERT_NE(orphan, 0u);
+  ASSERT_NE(done, 0u);
+  // max_inflight counts live flights: the table is full.
+  EXPECT_EQ(stamper.maybe_tag(a, batch(1, 1), 0), 0u);
+  EXPECT_EQ(stamper.arrive(h, done, 1), 0u);
+  stamper.set_now(SimTime::millis(200));
+  const uint64_t young = stamper.maybe_tag(a, batch(1, 1), 0);
+  ASSERT_NE(young, 0u);
+
+  // Exactly max_age old is kept; one tick older is an orphan.
+  stamper.set_now(SimTime::millis(500));
+  stamper.expire(Duration::millis(500));
+  EXPECT_EQ(stamper.stats().flights_expired, 0u);
+  stamper.set_now(SimTime::millis(501));
+  stamper.expire(Duration::millis(500));
+  EXPECT_EQ(stamper.stats().flights_expired, 1u);
+  stamper.expire(Duration::millis(500));
+  EXPECT_EQ(stamper.stats().flights_expired, 1u);
+
+  // The orphan is gone: its tag stops at the harvest slot but finishes
+  // nothing.  The later flight survived and still harvests.
+  EXPECT_EQ(stamper.arrive(h, orphan, 1), 0u);
+  EXPECT_EQ(stamper.arrive(h, young, 1), 0u);
+  std::vector<inband::Flight> flights = stamper.take_finished();
+  ASSERT_EQ(flights.size(), 2u);
+  EXPECT_EQ(flights[0].tag, done);
+  EXPECT_EQ(flights[1].tag, young);
+  EXPECT_EQ(stamper.stats().flights_harvested, 2u);
+  EXPECT_EQ(stamper.stats().flights_expired, 1u);
+
+  // A disabled slot leaves a batch's tag as it found it.
+  stamper.enable(a, false);
+  PacketBatch tagged = batch(1, 1);
+  tagged.int_tag = 42;
+  EXPECT_EQ(stamper.maybe_tag(a, tagged, 0), 42u);
+}
+
 // --- harvest into the StreamCache -------------------------------------------
 
 TEST(IntHarvesterTest, WindowsLandInCacheAsInbandProvenance) {
   inband::IntStamper stamper(inband::IntStamper::Config{4, 16, 1024});
   int a = stamper.register_element(ElementId{"m0/pnic"}, ElementKind::kPNic, -1);
+  int n = stamper.register_element(ElementId{"m0/napi"}, ElementKind::kNapi, -1);
   int b = stamper.register_element(ElementId{"m0/vm0/tun"}, ElementKind::kTun, 0);
   stamper.enable_all(true);
   stamper.set_harvest(b, true);
@@ -281,8 +334,8 @@ TEST(IntHarvesterTest, WindowsLandInCacheAsInbandProvenance) {
   for (int i = 0; i < 8; ++i) {
     uint64_t tag = stamper.maybe_tag(a, batch(1, 4), 10 + i);
     if (tag == 0) continue;
-    stamper.add_io_time(tag, Duration::micros(3));
-    stamper.harvest(b, tag, 200);
+    stamper.stamp(n, tag, 1, Duration::micros(3));
+    EXPECT_EQ(stamper.arrive(b, tag, 200), 0u);  // harvested
   }
   const SimTime w = SimTime::millis(100);
   size_t absorbed = harvester.close_window(w);
@@ -296,7 +349,8 @@ TEST(IntHarvesterTest, WindowsLandInCacheAsInbandProvenance) {
   // The records read back through the same AgentClient interface the
   // diagnosis stack uses, in the standard attr vocabulary.
   StreamCacheAgent agent(&cache, "a0/int",
-                         {ElementId{"m0/pnic"}, ElementId{"m0/vm0/tun"}});
+                         {ElementId{"m0/pnic"}, ElementId{"m0/napi"},
+                          ElementId{"m0/vm0/tun"}});
   Result<QueryResponse> pnic_r = agent.query_attrs(
       ElementId{"m0/pnic"},
       {attr::kQueuePkts, attr::kType, inband::kIntSamples,
@@ -308,7 +362,14 @@ TEST(IntHarvesterTest, WindowsLandInCacheAsInbandProvenance) {
   EXPECT_EQ(rec.get_or(attr::kType, -1),
             static_cast<double>(static_cast<int>(ElementKind::kPNic)));
   EXPECT_EQ(rec.get_or(inband::kIntSamples, -1), 8.0);
-  EXPECT_EQ(rec.get_or(inband::kIntIoTimeNs, -1), 8 * 3000.0);
+  EXPECT_EQ(rec.get_or(inband::kIntIoTimeNs, -1), 0.0);
+  // The pump hop carries the io-time it was stamped with.
+  Result<QueryResponse> napi_r = agent.query_attrs(
+      ElementId{"m0/napi"}, {inband::kIntSamples, inband::kIntIoTimeNs}, w);
+  ASSERT_TRUE(napi_r.ok()) << napi_r.status().message();
+  EXPECT_EQ(napi_r.value().record.get_or(inband::kIntSamples, -1), 8.0);
+  EXPECT_EQ(napi_r.value().record.get_or(inband::kIntIoTimeNs, -1),
+            8 * 3000.0);
   Result<QueryResponse> tun_r = agent.query_attrs(
       ElementId{"m0/vm0/tun"}, {attr::kQueuePkts, attr::kVm}, w);
   ASSERT_TRUE(tun_r.ok());
@@ -337,7 +398,7 @@ TEST(IntHarvesterTest, MicroburstTriggersTargetedSweepOverImplicated) {
   // queries — hybrid mode is free when nothing is wrong.
   for (int i = 0; i < 5; ++i) {
     uint64_t tag = stamper.maybe_tag(a, batch(1, 1), 4);
-    stamper.harvest(b, tag, 8);
+    stamper.arrive(b, tag, 8);
   }
   harvester.close_window(SimTime::millis(100));
   EXPECT_TRUE(bursts.empty());
@@ -347,10 +408,10 @@ TEST(IntHarvesterTest, MicroburstTriggersTargetedSweepOverImplicated) {
   // stays shallow.  Only vm0's tun is implicated.
   for (int i = 0; i < 3; ++i) {
     uint64_t tag = stamper.maybe_tag(a, batch(1, 1), 4);
-    stamper.harvest(b, tag, 900);
+    stamper.arrive(b, tag, 900);
   }
   uint64_t tag = stamper.maybe_tag(a, batch(1, 1), 4);
-  stamper.harvest(c, tag, 12);
+  stamper.arrive(c, tag, 12);
   harvester.close_window(SimTime::millis(200));
   ASSERT_EQ(bursts.size(), 1u);
   EXPECT_EQ(bursts[0].window_start, SimTime::millis(200));
@@ -358,6 +419,68 @@ TEST(IntHarvesterTest, MicroburstTriggersTargetedSweepOverImplicated) {
   ASSERT_EQ(bursts[0].elements.size(), 1u);
   EXPECT_EQ(bursts[0].elements[0].name, "m0/vm0/tun");
   EXPECT_EQ(harvester.stats().microbursts, 1u);
+}
+
+// Two slots registered under one ElementId feed one record per window:
+// samples sum, the peak is the larger one, and kind/vm come from the last
+// hop aggregated.
+TEST(IntHarvesterTest, SlotsSharingAnIdYieldOneRecord) {
+  inband::IntStamper stamper(inband::IntStamper::Config{1, 16, 64});
+  int a = stamper.register_element(ElementId{"m0/pnic"}, ElementKind::kPNic, -1);
+  int d1 = stamper.register_element(ElementId{"m0/dup"}, ElementKind::kTun, 2);
+  int d2 = stamper.register_element(ElementId{"m0/dup"}, ElementKind::kVNic, 3);
+  int h = stamper.register_element(ElementId{"m0/gs"},
+                                   ElementKind::kGuestSocket, 0);
+  stamper.enable_all(true);
+  stamper.set_harvest(h, true);
+
+  StreamCache cache;
+  inband::IntHarvester::Config hcfg;
+  hcfg.agent = "a0/int";
+  hcfg.microburst_depth_pkts = 1;
+  inband::IntHarvester harvester(&stamper, &cache, hcfg);
+  std::vector<std::vector<ElementId>> implicated;
+  harvester.set_on_microburst([&](const inband::IntHarvester::Microburst& m) {
+    implicated.push_back(m.elements);
+  });
+  auto fly = [&](std::vector<std::pair<int, uint64_t>> path) {
+    uint64_t tag = stamper.maybe_tag(a, batch(1, 1), 1);
+    ASSERT_NE(tag, 0u);
+    for (const auto& [slot, depth] : path) tag = stamper.arrive(slot, tag, depth);
+    EXPECT_EQ(stamper.arrive(h, tag, 1), 0u);
+  };
+  auto dup_record = [&](SimTime w) {
+    std::optional<QueryResponse> r = cache.find("a0/int", ElementId{"m0/dup"}, w);
+    EXPECT_TRUE(r.has_value());
+    return r ? r->record : StatsRecord{};
+  };
+  const std::vector<ElementId> ids = {
+      ElementId{"m0/dup"}, ElementId{"m0/gs"}, ElementId{"m0/pnic"}};
+
+  // Window 1: the last dup hop aggregated is flight 2's d1.
+  fly({{d1, 5}, {d2, 7}});
+  fly({{d2, 9}, {d1, 2}});
+  const SimTime w1 = SimTime::millis(100);
+  EXPECT_EQ(harvester.close_window(w1), 2u);
+  StatsRecord r = dup_record(w1);
+  EXPECT_EQ(r.get_or(inband::kIntSamples, -1), 4.0);
+  EXPECT_EQ(r.get_or(attr::kQueuePkts, -1), 9.0);
+  EXPECT_EQ(r.get_or(attr::kType, -1),
+            static_cast<double>(static_cast<int>(ElementKind::kTun)));
+  EXPECT_EQ(r.get_or(attr::kVm, -1), 2.0);
+
+  // Window 2: only d2 is crossed, so kind/vm are d2's.
+  fly({{d2, 3}});
+  const SimTime w2 = SimTime::millis(200);
+  EXPECT_EQ(harvester.close_window(w2), 1u);
+  r = dup_record(w2);
+  EXPECT_EQ(r.get_or(inband::kIntSamples, -1), 1.0);
+  EXPECT_EQ(r.get_or(attr::kType, -1),
+            static_cast<double>(static_cast<int>(ElementKind::kVNic)));
+  EXPECT_EQ(r.get_or(attr::kVm, -1), 3.0);
+
+  // One record per id, ascending, in both windows.
+  EXPECT_EQ(implicated, (std::vector<std::vector<ElementId>>{ids, ids}));
 }
 
 // Hybrid wiring end to end: the microburst callback issues a real targeted
@@ -473,7 +596,7 @@ TEST(IntChurnTest, HarvestRacesPollSweepsAndStreamPumps) {
     stamper.set_harvest(a, true);
     for (int i = 0; i < 500; ++i) {
       uint64_t tag = stamper.maybe_tag(a, batch(2, 3), 1);
-      if (tag != 0) stamper.harvest(a, tag, 2);
+      if (tag != 0) stamper.arrive(a, tag, 2);
     }
   });
   harvest_thread.join();

@@ -88,6 +88,25 @@ TEST(SimulatorTest, EveryRepeats) {
   EXPECT_EQ(count, 4);
 }
 
+// A periodic event re-arms after its callback runs, so whatever the
+// callback scheduled for the next firing's time runs first; two periodic
+// events due together keep their first-scheduled order on every firing.
+TEST(SimulatorTest, EveryRearmsBehindWhatItsCallbackScheduled) {
+  Simulator sim;
+  std::vector<int> order;
+  bool first = true;
+  sim.every(SimTime(), Duration::millis(1), [&] {
+    order.push_back(0);
+    if (first) {
+      first = false;
+      sim.at(SimTime::millis(1), [&] { order.push_back(1); });
+    }
+  });
+  sim.every(SimTime(), Duration::millis(1), [&] { order.push_back(2); });
+  sim.run_until(SimTime::millis(3));
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 1, 0, 2, 0, 2}));
+}
+
 TEST(SimulatorTest, EventScheduledInsideEventRuns) {
   Simulator sim;
   bool inner = false;

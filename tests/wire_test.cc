@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -892,6 +893,59 @@ TEST(IntReportCodecTest, BitFlipOnEnvelopedReportNeverSilentlyWrong) {
         << " survived the checksum AND the report decode";
   }
   EXPECT_GT(damaged_detected, 250);
+}
+
+// The harvester prices each flight with int_report_size instead of
+// encoding it, so the size function is pinned to the encoder the way
+// frame_size is pinned to put_frame: the same size wherever the encoder
+// accepts a report, nullopt wherever it refuses one.
+void expect_size_pinned(const wire::IntReportMsg& m, const std::string& what) {
+  const Result<std::string> body = wire::encode_int_report(m);
+  const std::optional<size_t> size = wire::int_report_size(
+      m.agent.size(), m.hops.size(),
+      [&](size_t i) { return m.hops[i].element.name.size(); });
+  ASSERT_EQ(size.has_value(), body.ok()) << what;
+  if (body.ok()) {
+    EXPECT_EQ(*size, body.value().size()) << what;
+  }
+}
+
+TEST(IntReportCodecTest, SizeFunctionMatchesTheEncoder) {
+  Pcg32 rng(4141);
+  for (int trial = 0; trial < 300; ++trial) {
+    const wire::IntReportMsg m = random_int_report(rng);
+    ASSERT_TRUE(wire::encode_int_report(m).ok());
+    expect_size_pinned(m, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(IntReportCodecTest, SizeFunctionRefusesWhatTheEncoderRefuses) {
+  wire::IntReportMsg m;
+  m.agent = "m0/int";
+  m.hops.resize(2);
+  // Each limit, at its largest accepted value and one past it.
+  m.agent.assign(0xffff, 'a');
+  expect_size_pinned(m, "agent name of 65535 bytes");
+  m.agent.push_back('a');
+  expect_size_pinned(m, "agent name of 65536 bytes");
+  m.agent = "m0/int";
+  m.hops[1].element.name.assign(0xffff, 'e');
+  expect_size_pinned(m, "element name of 65535 bytes");
+  m.hops[1].element.name.push_back('e');
+  expect_size_pinned(m, "element name of 65536 bytes");
+  m.hops.assign(0xffff, wire::IntHopWire{});
+  expect_size_pinned(m, "65535 hops");
+  m.hops.emplace_back();
+  expect_size_pinned(m, "65536 hops");
+  // 256 hops of 19 + 65515 bytes and a 483-byte agent name fill the body
+  // to exactly kMaxPayload.
+  m.hops.assign(256, wire::IntHopWire{ElementId{std::string(65515, 'e')}});
+  m.agent.assign(483, 'a');
+  expect_size_pinned(m, "body of exactly kMaxPayload");
+  ASSERT_TRUE(wire::encode_int_report(m).ok());
+  m.agent.push_back('a');
+  expect_size_pinned(m, "body one byte past kMaxPayload");
+  EXPECT_FALSE(wire::encode_int_report(m).ok());
 }
 
 TEST(IntReportCodecTest, ReservedFlagBitsAreStructuralDamage) {
