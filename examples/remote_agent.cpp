@@ -125,8 +125,8 @@ int main() {
   BatchResponse probe = redge->query_batch(edge_ids, sim.now());
   Result<std::string> f0 = wire::encode_frame(probe.responses[0]);
   PS_CHECK(f0.ok());
-  server.inject_truncate_next_batch(wire::kBatchHeaderSize +
-                                    f0.value().size());
+  server.inject_reply_damage(
+      {ReplyDamage::kTruncate, wire::kBatchHeaderSize + f0.value().size()});
 
   std::printf("\nsame query over a torn connection:\n");
   for (const auto& r : dep.controller()->get_attr_many(

@@ -65,11 +65,12 @@ class Deployment {
     Agent* a = agents_.back().get();
     controller_.register_agent(a);
     metrics_.add_agent(a);
-    // Agents added after fault config was set inherit it.
+    // Agents added after fault config was set inherit it; until then the
+    // deployment's values are the agent's own defaults.
     if (fault_plan_ != nullptr) a->set_fault_plan(fault_plan_);
-    if (retry_set_) a->set_retry_policy(retry_);
-    if (breaker_set_) a->set_breaker_config(breaker_);
-    if (adaptive_set_) a->set_adaptive_budget(adaptive_);
+    a->set_retry_policy(retry_);
+    a->set_breaker_config(breaker_);
+    a->set_adaptive_budget(adaptive_);
     return a;
   }
 
@@ -86,17 +87,9 @@ class Deployment {
                                         const std::string& agent_name = {}) {
     Result<transport::Endpoint> ep = transport::Endpoint::parse(endpoint_spec);
     if (!ep.ok()) return ep.status();
-    auto remote =
-        std::make_unique<RemoteAgent>(std::move(ep).take(), agent_name);
-    if (retry_set_) remote->set_retry_policy(retry_);
-    if (breaker_set_) remote->set_breaker_config(breaker_);
-    Status st = remote->connect();
-    if (!st.is_ok()) return st;
-    remote->set_metrics(&metrics_);
-    RemoteAgent* r = remote.get();
-    remote_agents_.push_back(std::move(remote));
-    controller_.register_agent(r);
-    return r;
+    Result<std::unique_ptr<RemoteAgent>> remote = dial(ep.value(), agent_name);
+    if (!remote.ok()) return remote.status();
+    return adopt(std::move(remote).take());
   }
 
   // Fleet form: dials `endpoint_spec` once unbound to learn the server's
@@ -110,33 +103,22 @@ class Deployment {
     if (!ep.ok()) return ep.status();
     // A scout connection reads the roster off the hello; it binds the
     // primary, so it is kept as the primary's adapter rather than redialed.
-    auto scout = std::make_unique<RemoteAgent>(ep.value());
-    if (retry_set_) scout->set_retry_policy(retry_);
-    if (breaker_set_) scout->set_breaker_config(breaker_);
-    Status st = scout->connect();
-    if (!st.is_ok()) return st;
-    const std::vector<std::string> roster = scout->roster_names();
+    Result<std::unique_ptr<RemoteAgent>> scout = dial(ep.value(), {});
+    if (!scout.ok()) return scout.status();
+    const std::vector<std::string> roster = scout.value()->roster_names();
 
     std::vector<std::unique_ptr<RemoteAgent>> pending;
-    pending.push_back(std::move(scout));
+    pending.push_back(std::move(scout).take());
     for (size_t i = 1; i < roster.size(); ++i) {
-      auto remote = std::make_unique<RemoteAgent>(ep.value(), roster[i]);
-      if (retry_set_) remote->set_retry_policy(retry_);
-      if (breaker_set_) remote->set_breaker_config(breaker_);
-      Status dial = remote->connect();
-      if (!dial.is_ok()) return dial;  // nothing registered yet: clean fail
-      pending.push_back(std::move(remote));
+      Result<std::unique_ptr<RemoteAgent>> remote = dial(ep.value(), roster[i]);
+      // Nothing registered yet: a failed dial is a clean failure.
+      if (!remote.ok()) return remote.status();
+      pending.push_back(std::move(remote).take());
     }
 
     std::vector<RemoteAgent*> out;
     out.reserve(pending.size());
-    for (auto& remote : pending) {
-      remote->set_metrics(&metrics_);
-      RemoteAgent* r = remote.get();
-      remote_agents_.push_back(std::move(remote));
-      controller_.register_agent(r);
-      out.push_back(r);
-    }
+    for (auto& remote : pending) out.push_back(adopt(std::move(remote)));
     return out;
   }
 
@@ -189,12 +171,10 @@ class Deployment {
   }
   void set_retry_policy(RetryPolicy p) {
     retry_ = p;
-    retry_set_ = true;
     for (auto& a : agents_) a->set_retry_policy(p);
   }
   void set_breaker_config(CircuitBreakerConfig c) {
     breaker_ = c;
-    breaker_set_ = true;
     for (auto& a : agents_) a->set_breaker_config(c);
   }
   // Adaptive retry budgets (observed per-kind p99 × max attempts) on every
@@ -202,7 +182,6 @@ class Deployment {
   // path is byte-identical when disabled.
   void set_adaptive_budget(bool on) {
     adaptive_ = on;
-    adaptive_set_ = true;
     for (auto& a : agents_) a->set_adaptive_budget(on);
   }
   // Adopts PERFSIGHT_FAULTS from the environment (CI fault matrix; scenario
@@ -299,6 +278,26 @@ class Deployment {
   }
 
  private:
+  // Constructs a socket-backed adapter bound to `agent_name` ("" = the
+  // primary), applies the deployment's retry/breaker config and dials it.
+  Result<std::unique_ptr<RemoteAgent>> dial(const transport::Endpoint& ep,
+                                            const std::string& agent_name) {
+    auto remote = std::make_unique<RemoteAgent>(ep, agent_name);
+    remote->set_retry_policy(retry_);
+    remote->set_breaker_config(breaker_);
+    Status st = remote->connect();
+    if (!st.is_ok()) return st;
+    return remote;
+  }
+  // Takes ownership of a connected adapter and registers it.
+  RemoteAgent* adopt(std::unique_ptr<RemoteAgent> remote) {
+    remote->set_metrics(&metrics_);
+    RemoteAgent* r = remote.get();
+    remote_agents_.push_back(std::move(remote));
+    controller_.register_agent(r);
+    return r;
+  }
+
   sim::Simulator* sim_;
   ThreadPool pool_;
   Controller controller_;
@@ -310,10 +309,7 @@ class Deployment {
   std::optional<FaultPlan> env_plan_;
   RetryPolicy retry_;
   CircuitBreakerConfig breaker_;
-  bool retry_set_ = false;
-  bool breaker_set_ = false;
   bool adaptive_ = false;
-  bool adaptive_set_ = false;
 };
 
 }  // namespace perfsight::cluster

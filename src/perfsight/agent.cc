@@ -157,7 +157,7 @@ void Agent::absorb_crashes_locked(SimTime now,
     (void)src;
     pending_reset_.insert(id);
   }
-  for (Breaker& b : breakers_) b = Breaker{};
+  for (CircuitBreaker<SimTime>& b : breakers_) b.reset();
   if (trace_enabled() && traces != nullptr) {
     traces->push_back(PendingTrace{ElementId{name_}, now,
                                    TraceEventKind::kAgentCrashRestart,
@@ -170,12 +170,16 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
                                 bool agent_down,
                                 std::vector<PendingTrace>* traces) {
   const size_t ki = static_cast<size_t>(q.kind);
-  Breaker& br = breakers_[ki];
+  CircuitBreaker<SimTime>& br = breakers_[ki];
   const bool tracing = trace_enabled() && traces != nullptr;
-  const ElementId breaker_id{name_ + "/" + to_string(q.kind)};
+  // Built only when a transition is traced: the per-element path pays no
+  // string allocation for it.
+  const auto breaker_id = [&] {
+    return ElementId{name_ + "/" + to_string(q.kind)};
+  };
 
-  if (br.state == BreakerState::kOpen) {
-    if (now - br.opened_at < breaker_cfg_.cooldown) {
+  if (br.state() == BreakerState::kOpen) {
+    if (!br.admit(now, breaker_cfg_.cooldown)) {
       // Fast fail: known-dead channel, no modelled time paid, no RNG drawn.
       q.failed = true;
       q.quality = DataQuality::kMissing;
@@ -185,9 +189,8 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
       ++fstats_.breaker_fast_fails;
       return;
     }
-    br.state = BreakerState::kHalfOpen;
     if (tracing) {
-      traces->push_back(PendingTrace{breaker_id, now,
+      traces->push_back(PendingTrace{breaker_id(), now,
                                      TraceEventKind::kBreakerStateChange,
                                      static_cast<double>(static_cast<int>(
                                          BreakerState::kHalfOpen)),
@@ -287,13 +290,7 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
     }
     // Exponential backoff with deterministic jitter, drawn pre-fan-out from
     // the same RNG stream as the channel jitter.
-    Duration backoff = retry_.initial_backoff;
-    for (uint32_t i = 1; i < attempt; ++i) {
-      backoff = backoff * retry_.backoff_multiplier;
-    }
-    if (retry_.max_backoff.ns() > 0 && retry_.max_backoff < backoff) {
-      backoff = retry_.max_backoff;
-    }
+    Duration backoff = retry_.backoff(attempt);
     if (retry_.jitter_frac > 0) {
       backoff = backoff * (1.0 + retry_.jitter_frac * rng_.next_double());
     }
@@ -318,32 +315,22 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
   if (q.failed) q.quality = DataQuality::kMissing;
 
   if (success) {
-    br.consecutive_failures = 0;
-    if (br.state == BreakerState::kHalfOpen) {
-      br.state = BreakerState::kClosed;
+    if (br.record_success()) {
       ++fstats_.breaker_closed;
       if (tracing) {
         traces->push_back(PendingTrace{
-            breaker_id, now, TraceEventKind::kBreakerStateChange,
+            breaker_id(), now, TraceEventKind::kBreakerStateChange,
             static_cast<double>(static_cast<int>(BreakerState::kClosed)),
             "closed"});
       }
     }
-  } else {
-    ++br.consecutive_failures;
-    const bool reopen = br.state == BreakerState::kHalfOpen;
-    const bool trip = br.state == BreakerState::kClosed &&
-                      br.consecutive_failures >= breaker_cfg_.failure_threshold;
-    if (reopen || trip) {
-      br.state = BreakerState::kOpen;
-      br.opened_at = now;
-      ++fstats_.breaker_opened;
-      if (tracing) {
-        traces->push_back(PendingTrace{
-            breaker_id, now, TraceEventKind::kBreakerStateChange,
-            static_cast<double>(static_cast<int>(BreakerState::kOpen)),
-            "open"});
-      }
+  } else if (br.record_failure(now, breaker_cfg_.failure_threshold)) {
+    ++fstats_.breaker_opened;
+    if (tracing) {
+      traces->push_back(PendingTrace{
+          breaker_id(), now, TraceEventKind::kBreakerStateChange,
+          static_cast<double>(static_cast<int>(BreakerState::kOpen)),
+          "open"});
     }
   }
 }
@@ -431,10 +418,9 @@ BatchResponse Agent::collect(const std::vector<ElementId>* ids, SimTime now,
       // breaker is open (and still cooling down) gets no round trip at all;
       // its elements fast-fail in planning below.
       for (const PlannedQuery& q : plan) {
-        const Breaker& br = breakers_[static_cast<size_t>(q.kind)];
-        if (br.state != BreakerState::kOpen ||
-            now - br.opened_at >= breaker_cfg_.cooldown) {
-          kind_used[static_cast<size_t>(q.kind)] = true;
+        const size_t k = static_cast<size_t>(q.kind);
+        if (!breakers_[k].cooling(now, breaker_cfg_.cooldown)) {
+          kind_used[k] = true;
         }
       }
       for (size_t k = 0; k < kNumChannelKinds; ++k) {

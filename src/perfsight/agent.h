@@ -46,6 +46,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -117,12 +118,23 @@ struct RetryPolicy {
   // whole retry chain (channel time + backoff) is clamped to this; hitting
   // it fails the element with kDeadlineExceeded.  Zero = unbounded.
   Duration element_budget;
+
+  // The un-jittered backoff after failed attempt `attempt` (1-based):
+  // initial_backoff × backoff_multiplier^(attempt-1), capped at max_backoff
+  // (zero = no cap).  The one schedule both the agent's simulated retries
+  // and the remote adapter's wall-clock redials follow.
+  Duration backoff(uint32_t attempt) const {
+    Duration b = initial_backoff;
+    for (uint32_t i = 1; i < attempt; ++i) b = b * backoff_multiplier;
+    if (max_backoff.ns() > 0 && max_backoff < b) b = max_backoff;
+    return b;
+  }
 };
 
-// Per-channel-kind circuit breaker: after `failure_threshold` consecutive
-// failures the breaker opens and queries over that kind fast-fail without
-// paying channel time; after `cooldown` the next query runs as a half-open
-// probe whose outcome closes or re-opens the breaker.
+// Circuit breaker: after `failure_threshold` consecutive failures the
+// breaker opens and queries fast-fail without paying channel time; after
+// `cooldown` the next query runs as a half-open probe whose outcome closes
+// or re-opens the breaker.
 struct CircuitBreakerConfig {
   uint32_t failure_threshold = 5;
   Duration cooldown = Duration::millis(20);
@@ -130,6 +142,56 @@ struct CircuitBreakerConfig {
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 const char* to_string(BreakerState s);
+
+// The breaker state machine, generic over its clock: the agent runs one per
+// channel kind on SimTime, the remote adapter one per connection on the wall
+// clock.  It owns only the transitions; each caller keeps its own stats,
+// trace events and policy for what counts as one failure.
+template <typename Time>
+class CircuitBreaker {
+ public:
+  using Span = decltype(std::declval<Time>() - std::declval<Time>());
+
+  BreakerState state() const { return state_; }
+
+  // Open and still inside `cooldown` at `now`: an attempt would fast-fail.
+  bool cooling(Time now, Span cooldown) const {
+    return state_ == BreakerState::kOpen && now - opened_at_ < cooldown;
+  }
+  // Gate before an attempt: false while cooling (fast-fail).  An open
+  // breaker whose cooldown has run out turns half-open and admits the probe.
+  bool admit(Time now, Span cooldown) {
+    if (cooling(now, cooldown)) return false;
+    if (state_ == BreakerState::kOpen) state_ = BreakerState::kHalfOpen;
+    return true;
+  }
+  // A success clears the failure run.  True when it closed the breaker.
+  bool record_success() {
+    consecutive_failures_ = 0;
+    if (state_ == BreakerState::kClosed) return false;
+    state_ = BreakerState::kClosed;
+    return true;
+  }
+  // A failure at `now`.  True when it opened the breaker: a failed probe
+  // re-opens at once, a closed breaker trips at `failure_threshold`
+  // consecutive failures.
+  bool record_failure(Time now, uint32_t failure_threshold) {
+    ++consecutive_failures_;
+    const bool reopen = state_ == BreakerState::kHalfOpen;
+    const bool trip = state_ == BreakerState::kClosed &&
+                      consecutive_failures_ >= failure_threshold;
+    if (!reopen && !trip) return false;
+    state_ = BreakerState::kOpen;
+    opened_at_ = now;
+    return true;
+  }
+  void reset() { *this = CircuitBreaker{}; }
+
+ private:
+  BreakerState state_ = BreakerState::kClosed;
+  uint32_t consecutive_failures_ = 0;
+  Time opened_at_{};
+};
 
 // The query surface the controller scatters over.  In-process `Agent`
 // implements it directly; `RemoteAgent` (remote_agent.h) implements it over
@@ -275,7 +337,7 @@ class Agent : public AgentClient {
   }
   BreakerState breaker_state(ChannelKind kind) const {
     std::lock_guard<std::mutex> lock(mu_);
-    return breakers_[static_cast<size_t>(kind)].state;
+    return breakers_[static_cast<size_t>(kind)].state();
   }
   AgentFaultStats fault_stats() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -318,12 +380,6 @@ class Agent : public AgentClient {
     TraceEventKind kind = TraceEventKind::kAgentRetry;
     double value = 0;
     const char* detail = "";
-  };
-
-  struct Breaker {
-    BreakerState state = BreakerState::kClosed;
-    uint32_t consecutive_failures = 0;
-    SimTime opened_at;
   };
 
   Duration channel_delay_locked(ChannelKind kind);
@@ -376,7 +432,7 @@ class Agent : public AgentClient {
   RetryPolicy retry_;
   bool adaptive_budget_ = false;
   CircuitBreakerConfig breaker_cfg_;
-  std::array<Breaker, kNumChannelKinds> breakers_ = {};
+  std::array<CircuitBreaker<SimTime>, kNumChannelKinds> breakers_ = {};
   std::unordered_map<ElementId, StatsRecord> last_good_;
   std::unordered_set<ElementId> pending_reset_;
   std::unordered_map<ElementId, std::vector<Attr>> reset_offset_;

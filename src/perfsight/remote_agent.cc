@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "perfsight/trace.h"
 #include "perfsight/wire.h"
@@ -31,6 +32,11 @@ constexpr int kServePollMs = 200;
 // clears should be prompt.
 constexpr int kAcceptBackoffMinMs = 10;
 constexpr int kAcceptBackoffMaxMs = 1000;
+
+// Per-connection I/O budget: a connection holding a partial request for
+// longer than this, or failing to drain its reply queue for longer than this
+// (backpressure), is closed.
+constexpr transport::WallDuration kIoDeadline{5000};
 
 // Compact a partially-drained write queue once the sent prefix crosses
 // this, so a long-lived pipelining connection cannot grow it unboundedly.
@@ -94,24 +100,9 @@ void RemoteAgentServer::stop() {
   running_ = false;
 }
 
-void RemoteAgentServer::inject_truncate_next_batch(size_t bytes) {
+void RemoteAgentServer::inject_reply_damage(ReplyDamage d) {
   std::lock_guard<std::mutex> lock(inject_mu_);
-  truncate_next_ = bytes;
-}
-
-void RemoteAgentServer::inject_corrupt_next_batch(size_t index) {
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  corrupt_next_ = index;
-}
-
-void RemoteAgentServer::inject_drop_next_reply() {
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  drop_next_ = true;
-}
-
-void RemoteAgentServer::inject_skip_next_publish() {
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  skip_next_publish_ = true;
+  damage_next_ = d;
 }
 
 void RemoteAgentServer::request_publish(SimTime at) {
@@ -121,12 +112,6 @@ void RemoteAgentServer::request_publish(SimTime at) {
 
 void RemoteAgentServer::publish_tick(
     SimTime at, std::vector<std::unique_ptr<Conn>>& conns) {
-  bool skip = false;
-  {
-    std::lock_guard<std::mutex> lock(inject_mu_);
-    skip = skip_next_publish_;
-    skip_next_publish_ = false;
-  }
   for (Agent* agent : agents_) {
     bool subscribed = false;
     for (const auto& c : conns) {
@@ -151,16 +136,6 @@ void RemoteAgentServer::publish_tick(
 
     for (auto& c : conns) {
       if (c->dead || c->sub_agent != agent->name()) continue;
-      if (skip) {
-        // Injected transport loss: the capture was paid and the delta chain
-        // must stay coherent, so a connection that already has a base
-        // advances it (the client repairs the missed window with a pull
-        // whose bytes, by fault-plan purity, equal this capture).  A fresh
-        // connection keeps waiting for its snapshot — its first *sent*
-        // frame must stand alone.
-        if (c->stream_prev != nullptr) *c->stream_prev = msg;
-        continue;
-      }
       // Delta against THIS connection's last frame; a fresh subscriber has
       // no base yet, so its first frame is automatically a snapshot.
       Result<std::string> body =
@@ -296,8 +271,8 @@ void RemoteAgentServer::serve() {
         // Per-connection I/O deadline: a stalled partial read or a write
         // queue making no progress costs the connection, not the loop.
         const auto zero = transport::Clock::time_point{};
-        if ((c.read_since != zero && now - c.read_since > io_deadline_) ||
-            (c.write_since != zero && now - c.write_since > io_deadline_)) {
+        if ((c.read_since != zero && now - c.read_since > kIoDeadline) ||
+            (c.write_since != zero && now - c.write_since > kIoDeadline)) {
           c.dead = true;
         }
       }
@@ -428,29 +403,26 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
       std::string payload = std::move(bytes).take();
 
       // Consume any armed damage.
-      std::optional<size_t> truncate;
-      std::optional<size_t> corrupt;
-      bool drop = false;
+      std::optional<ReplyDamage> damage;
       {
         std::lock_guard<std::mutex> lock(inject_mu_);
-        truncate = truncate_next_;
-        corrupt = corrupt_next_;
-        drop = drop_next_;
-        truncate_next_.reset();
-        corrupt_next_.reset();
-        drop_next_ = false;
+        damage = std::exchange(damage_next_, std::nullopt);
       }
       batches_served_.fetch_add(1, std::memory_order_relaxed);
-      if (drop) return false;  // close without a reply
-      if (corrupt && !payload.empty()) {
-        payload[*corrupt % payload.size()] ^= 0x20;
-      }
-      if (truncate) {
-        // Queue the torn prefix, then cut the connection once it flushes:
-        // the peer observes a stream that dies mid-frame.
-        c.wbuf.append(payload, 0, std::min(*truncate, payload.size()));
-        c.close_after_flush = true;
-        return true;
+      if (damage) {
+        switch (damage->kind) {
+          case ReplyDamage::kDrop:
+            return false;  // close without a reply
+          case ReplyDamage::kCorrupt:
+            if (!payload.empty()) payload[damage->at % payload.size()] ^= 0x20;
+            break;
+          case ReplyDamage::kTruncate:
+            // Queue the torn prefix, then cut the connection once it
+            // flushes: the peer observes a stream that dies mid-frame.
+            c.wbuf.append(payload, 0, std::min(damage->at, payload.size()));
+            c.close_after_flush = true;
+            return true;
+        }
       }
       // An idle connection takes the encoded batch as its write queue
       // instead of a copy of it.
@@ -611,7 +583,7 @@ void RemoteAgent::set_metrics(MetricsRegistry* m) {
 
 BreakerState RemoteAgent::breaker_state() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return breaker_state_;
+  return breaker_.state();
 }
 
 RemoteAgent::TransportStats RemoteAgent::transport_stats() const {
@@ -681,15 +653,6 @@ Status RemoteAgent::harvest_trace() {
 }
 
 void RemoteAgent::drop_connection_locked() { sock_.close(); }
-
-void RemoteAgent::note_connect_failure_locked() {
-  ++consecutive_failures_;
-  if (breaker_state_ == BreakerState::kHalfOpen ||
-      consecutive_failures_ >= breaker_cfg_.failure_threshold) {
-    breaker_state_ = BreakerState::kOpen;
-    breaker_opened_at_ = transport::Clock::now();
-  }
-}
 
 Status RemoteAgent::connect_locked(SimTime now) {
   // Bracket the dial + hello with local span-clock samples: the server's
@@ -807,8 +770,7 @@ Status RemoteAgent::connect_locked(SimTime now) {
   // The breaker is re-armed per the diff, not globally: the connection-level
   // breaker closes (the dial just succeeded), while departed elements stay
   // individually fast-failed above until a later hello re-adds them.
-  consecutive_failures_ = 0;
-  breaker_state_ = BreakerState::kClosed;
+  breaker_.record_success();
   if (m_connects_ != nullptr) m_connects_->increment();
   if (!first && m_reconnects_ != nullptr) m_reconnects_->increment();
   trace_event(transport_trace_id(), now,
@@ -823,32 +785,24 @@ Status RemoteAgent::ensure_connected_locked(SimTime now) {
 
   // Breaker gate: while open, skip the dial timeout entirely until the
   // cooldown (wall clock) expires; the next query then probes half-open.
-  if (breaker_state_ == BreakerState::kOpen) {
-    auto since = transport::Clock::now() - breaker_opened_at_;
-    if (since < to_wall(breaker_cfg_.cooldown)) {
-      ++stats_.fast_fails;
-      return Status::unavailable("transport: breaker open for " +
-                                 ep_.to_string());
-    }
-    breaker_state_ = BreakerState::kHalfOpen;
+  if (!breaker_.admit(transport::Clock::now(),
+                      to_wall(breaker_cfg_.cooldown))) {
+    ++stats_.fast_fails;
+    return Status::unavailable("transport: breaker open for " +
+                               ep_.to_string());
   }
 
+  // One breaker failure per exhausted redial loop, not per dial.
   const uint32_t attempts = std::max<uint32_t>(1, retry_.max_attempts);
-  Duration backoff = retry_.initial_backoff;
   Status last = Status::unavailable("transport: never attempted");
   for (uint32_t a = 1; a <= attempts; ++a) {
     Status st = connect_locked(now);
     if (st.is_ok()) return st;
     last = st;
-    if (a < attempts) {
-      std::this_thread::sleep_for(to_wall(backoff));
-      backoff = Duration::nanos(std::min<int64_t>(
-          static_cast<int64_t>(static_cast<double>(backoff.ns()) *
-                               retry_.backoff_multiplier),
-          retry_.max_backoff.ns()));
-    }
+    if (a < attempts) std::this_thread::sleep_for(to_wall(retry_.backoff(a)));
   }
-  note_connect_failure_locked();
+  breaker_.record_failure(transport::Clock::now(),
+                          breaker_cfg_.failure_threshold);
   return last;
 }
 

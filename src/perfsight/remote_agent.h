@@ -34,13 +34,14 @@
 // would, while ids the agent never had keep their not_found text (they are
 // absent from the reconcile set, not missing from it).
 //
-// Failure handling reuses PR 3's RetryPolicy/CircuitBreakerConfig machinery
-// with a wall-clock interpretation: reconnects back off exponentially
-// (initial_backoff × backoff_multiplier^k, capped at max_backoff, slept on
-// the OS clock), and after `failure_threshold` consecutive connect failures
-// the breaker opens — queries fast-fail to all-kMissing without paying a
-// dial timeout until `cooldown` (wall clock) expires and a half-open probe
-// reconnects.
+// Failure handling is the agent's, on the wall clock: the same
+// RetryPolicy::backoff schedule spaces redials (slept on the OS clock), and
+// the same CircuitBreaker state machine (agent.h) guards the connection.
+// Only the counting differs: the agent counts every element outcome, the
+// adapter one failure per redial loop that exhausted `max_attempts`.  After
+// `failure_threshold` such loops the breaker opens — queries fast-fail to
+// all-kMissing without paying a dial timeout until `cooldown` (wall clock)
+// expires and a half-open probe reconnects.
 //
 // Tracing across the socket (trace.h): when the calling thread carries an
 // active TraceContext, the adapter stamps its trace id + parent span onto
@@ -83,6 +84,16 @@ struct StreamDataMsg;  // wire.h; held by pointer (per-connection delta base)
 
 // --- server stub -------------------------------------------------------------
 
+// One fault for a server's next batch reply (tests).  kTruncate sends only
+// the first `at` bytes of the encoded batch and then kills the connection (a
+// torn stream); kCorrupt XORs the byte at `at` (a checksum failure); kDrop
+// closes the connection without replying at all.
+struct ReplyDamage {
+  enum Kind { kTruncate, kCorrupt, kDrop };
+  Kind kind = kDrop;
+  size_t at = 0;
+};
+
 class RemoteAgentServer {
  public:
   // Serves `agent` (not owned; must outlive the server) on `ep`.
@@ -121,11 +132,6 @@ class RemoteAgentServer {
     return live_connections_.load(std::memory_order_relaxed);
   }
 
-  // Per-connection I/O budget: a connection holding a partial request for
-  // longer than this, or failing to drain its reply queue for longer than
-  // this (backpressure), is closed.  Call before start().
-  void set_io_deadline(transport::WallDuration d) { io_deadline_ = d; }
-
   // Creates perfsight_transport_accept_errors_total (labeled by endpoint)
   // in `m`.  Call before start(); the serve thread reads the pointer.
   void set_metrics(MetricsRegistry* m);
@@ -159,16 +165,9 @@ class RemoteAgentServer {
   }
 
   // --- damage injection (tests) --------------------------------------------
-  // Each arms the *next* batch reply, once.  Truncate sends only the first
-  // `bytes` of the encoded batch and then kills the connection (a torn
-  // stream); corrupt XORs the byte at `index` (a checksum failure); drop
-  // closes the connection without replying at all.
-  void inject_truncate_next_batch(size_t bytes);
-  void inject_corrupt_next_batch(size_t index);
-  void inject_drop_next_reply();
-  // Arms the next publish tick, once: sequence numbers advance but no frame
-  // is sent — every subscriber observes a gap it must repair.
-  void inject_skip_next_publish();
+  // Arms the *next* batch reply, once; a later call replaces an unconsumed
+  // one.
+  void inject_reply_damage(ReplyDamage d);
 
  private:
   // One multiplexed connection's state machine.  Owned exclusively by the
@@ -215,7 +214,6 @@ class RemoteAgentServer {
   std::vector<Agent*> agents_;  // agents_[0] is the primary
   transport::Endpoint ep_;
   transport::Listener listener_;
-  transport::WallDuration io_deadline_{5000};
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
@@ -235,10 +233,7 @@ class RemoteAgentServer {
   std::atomic<uint64_t> stream_frames_{0};
 
   std::mutex inject_mu_;
-  std::optional<size_t> truncate_next_;
-  std::optional<size_t> corrupt_next_;
-  bool drop_next_ = false;
-  bool skip_next_publish_ = false;
+  std::optional<ReplyDamage> damage_next_;
 };
 
 // --- controller-side adapter -------------------------------------------------
@@ -336,7 +331,6 @@ class RemoteAgent : public AgentClient {
   // is available.
   Status ensure_connected_locked(SimTime now);
   void drop_connection_locked();
-  void note_connect_failure_locked();
   // All-blind-spots batch for a total transport loss (every known requested
   // id kMissing/kUnavailable, unknowns counted like the in-process agent).
   BatchResponse total_loss_locked(const std::vector<ElementId>& sorted_known,
@@ -370,9 +364,7 @@ class RemoteAgent : public AgentClient {
   std::vector<RosterDiff> roster_diffs_;  // pending drain_roster_diffs()
   RetryPolicy retry_;
   CircuitBreakerConfig breaker_cfg_;
-  BreakerState breaker_state_ = BreakerState::kClosed;
-  uint32_t consecutive_failures_ = 0;
-  transport::Clock::time_point breaker_opened_at_{};
+  CircuitBreaker<transport::Clock::time_point> breaker_;
   TransportStats stats_;
   MetricsRegistry::CounterMetric* m_connects_ = nullptr;
   MetricsRegistry::CounterMetric* m_reconnects_ = nullptr;

@@ -641,7 +641,7 @@ Result<TraceDataMsg> decode_trace_data(std::string_view body) {
 std::string encode_error(const ErrorMsg& e) {
   Writer w;
   w.put<uint8_t>(static_cast<uint8_t>(e.code));
-  w.bytes(e.message);
+  w.bytes(std::string_view(e.message).substr(0, kMaxPayload - 1));
   return std::move(w).take();
 }
 

@@ -258,7 +258,8 @@ std::string encode_trace_data(const TraceDataMsg& t);
 Result<TraceDataMsg> decode_trace_data(std::string_view body);
 
 // A Status carried verbatim, so remote failures reproduce the exact message
-// text the in-process path would have produced.
+// text the in-process path would have produced.  encode_error clamps a text
+// too long for one message body to the prefix that fits.
 struct ErrorMsg {
   StatusCode code = StatusCode::kUnavailable;
   std::string message;

@@ -3,8 +3,10 @@
 // diagnosis.  The byte-identity tests double as the parallel-vs-sequential
 // contract check under faults, and the churn test is a TSan target.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -20,8 +22,10 @@
 #include "perfsight/controller.h"
 #include "perfsight/faults.h"
 #include "perfsight/monitor.h"
+#include "perfsight/remote_agent.h"
 #include "perfsight/rootcause.h"
 #include "perfsight/trace.h"
+#include "perfsight/transport.h"
 
 namespace perfsight {
 namespace {
@@ -418,6 +422,108 @@ TEST(BreakerTest, FailedProbeReopens) {
   EXPECT_EQ(static_cast<int>(agent.breaker_state(ChannelKind::kProcFs)),
             static_cast<int>(BreakerState::kOpen));
   EXPECT_EQ(agent.fault_stats().breaker_opened, 2u);
+}
+
+// --- the shared breaker state machine and backoff schedule ------------------
+
+// Time points and cooldowns on each clock the breaker runs on.
+template <typename Time>
+struct BreakerClock;
+template <>
+struct BreakerClock<SimTime> {
+  static SimTime at(int64_t ms) { return SimTime::millis(ms); }
+  static Duration span(int64_t ms) { return Duration::millis(ms); }
+};
+template <>
+struct BreakerClock<transport::Clock::time_point> {
+  static transport::Clock::time_point at(int64_t ms) {
+    return transport::Clock::time_point{} + std::chrono::milliseconds(ms);
+  }
+  static std::chrono::nanoseconds span(int64_t ms) {
+    return std::chrono::milliseconds(ms);
+  }
+};
+
+template <typename Time>
+class CircuitBreakerTest : public ::testing::Test {};
+using BreakerClocks = ::testing::Types<SimTime, transport::Clock::time_point>;
+TYPED_TEST_SUITE(CircuitBreakerTest, BreakerClocks);
+
+TYPED_TEST(CircuitBreakerTest, TransitionTable) {
+  using C = BreakerClock<TypeParam>;
+  const auto cooldown = C::span(10);
+  CircuitBreaker<TypeParam> br;
+
+  // Closed: failures below the threshold do not trip, and a success clears
+  // the run.
+  EXPECT_TRUE(br.admit(C::at(0), cooldown));
+  EXPECT_FALSE(br.record_failure(C::at(0), 3));
+  EXPECT_FALSE(br.record_failure(C::at(1), 3));
+  EXPECT_FALSE(br.record_success());
+  EXPECT_FALSE(br.record_failure(C::at(2), 3));
+  EXPECT_FALSE(br.record_failure(C::at(3), 3));
+  EXPECT_EQ(br.state(), BreakerState::kClosed);
+
+  // Trip: the third consecutive failure opens it.
+  EXPECT_TRUE(br.record_failure(C::at(4), 3));
+  EXPECT_EQ(br.state(), BreakerState::kOpen);
+
+  // Fast-fail inside the cooldown, counted from the trip.
+  EXPECT_TRUE(br.cooling(C::at(13), cooldown));
+  EXPECT_FALSE(br.admit(C::at(13), cooldown));
+  EXPECT_EQ(br.state(), BreakerState::kOpen);
+
+  // Probe after it: the breaker turns half-open and admits the attempt.
+  EXPECT_FALSE(br.cooling(C::at(14), cooldown));
+  EXPECT_TRUE(br.admit(C::at(14), cooldown));
+  EXPECT_EQ(br.state(), BreakerState::kHalfOpen);
+
+  // Reopen on a failed probe, without waiting for the threshold; the
+  // cooldown restarts from the reopen.
+  EXPECT_TRUE(br.record_failure(C::at(15), 3));
+  EXPECT_EQ(br.state(), BreakerState::kOpen);
+  EXPECT_FALSE(br.admit(C::at(24), cooldown));
+  EXPECT_TRUE(br.admit(C::at(25), cooldown));
+  EXPECT_EQ(br.state(), BreakerState::kHalfOpen);
+
+  // Close on a successful probe; the next trip needs a full run again.
+  EXPECT_TRUE(br.record_success());
+  EXPECT_EQ(br.state(), BreakerState::kClosed);
+  EXPECT_FALSE(br.record_failure(C::at(26), 3));
+  EXPECT_FALSE(br.record_failure(C::at(27), 3));
+  EXPECT_TRUE(br.record_failure(C::at(28), 3));
+
+  // Reset: closed, admitting at once, with the failure run cleared.
+  br.reset();
+  EXPECT_EQ(br.state(), BreakerState::kClosed);
+  EXPECT_TRUE(br.admit(C::at(28), cooldown));
+  EXPECT_FALSE(br.record_failure(C::at(29), 3));
+  EXPECT_FALSE(br.record_failure(C::at(30), 3));
+  EXPECT_EQ(br.state(), BreakerState::kClosed);
+}
+
+TEST(RetryPolicyTest, BackoffScheduleMultipliesThenCaps) {
+  RetryPolicy p;
+  p.initial_backoff = Duration::millis(1);
+  p.backoff_multiplier = 2.0;
+  p.max_backoff = Duration::millis(5);
+  EXPECT_EQ(p.backoff(1).ns(), Duration::millis(1).ns());
+  EXPECT_EQ(p.backoff(2).ns(), Duration::millis(2).ns());
+  EXPECT_EQ(p.backoff(3).ns(), Duration::millis(4).ns());
+  EXPECT_EQ(p.backoff(4).ns(), Duration::millis(5).ns());
+  EXPECT_EQ(p.backoff(9).ns(), Duration::millis(5).ns());
+
+  // max_backoff = 0 means uncapped, not a zero sleep.
+  p.max_backoff = Duration::nanos(0);
+  EXPECT_EQ(p.backoff(1).ns(), Duration::millis(1).ns());
+  EXPECT_EQ(p.backoff(4).ns(), Duration::millis(8).ns());
+  EXPECT_EQ(p.backoff(6).ns(), Duration::millis(32).ns());
+
+  // An initial backoff above the cap is capped from the first sleep on.
+  p.initial_backoff = Duration::millis(10);
+  p.max_backoff = Duration::millis(3);
+  EXPECT_EQ(p.backoff(1).ns(), Duration::millis(3).ns());
+  EXPECT_EQ(p.backoff(2).ns(), Duration::millis(3).ns());
 }
 
 // --- agent crash / counter reset -------------------------------------------
@@ -982,6 +1088,40 @@ TEST(DeploymentFaultTest, EnvPlanInstallsOnAllAgentsAndSweepSummarizes) {
   EXPECT_GT(a1->fault_stats().torn_reads, 0u);
 }
 
+// A fleet server on a fresh unix path hosting one agent over `sources`.
+struct RemoteHost {
+  Agent agent{"remote-host"};
+  RemoteAgentServer server;
+
+  explicit RemoteHost(const std::vector<std::unique_ptr<FakeSource>>& sources)
+      : server(&agent, transport::Endpoint::unix_path(
+                           "/tmp/ps-fault-" + std::to_string(::getpid()) +
+                           "-" + std::to_string(next_id()) + ".sock")) {
+    for (const auto& s : sources) PS_CHECK(agent.add_element(s.get()).is_ok());
+    PS_CHECK(server.start().is_ok());
+  }
+  static int next_id() {
+    static std::atomic<int> n{0};
+    return n.fetch_add(1);
+  }
+
+  // Stops the server and puts a listener that never says hello on its
+  // endpoint, then lets `remote` query once.  Each redial queues one
+  // connection on that listener and fails at a short hello deadline, so the
+  // count returned is the number of dials the retry policy allowed.
+  size_t dials_after_outage(RemoteAgent* remote) {
+    const transport::Endpoint ep = server.endpoint();
+    server.stop();
+    Result<transport::Listener> mute = transport::Listener::listen(ep);
+    PS_CHECK(mute.ok());
+    remote->set_deadline(transport::WallDuration(50));
+    (void)remote->query_batch(remote->element_ids(), SimTime::millis(1));
+    size_t dials = 0;
+    while (mute.value().accept(transport::WallDuration(0)).ok()) ++dials;
+    return dials;
+  }
+};
+
 TEST(DeploymentFaultTest, RetryAndBreakerConfigReplayOntoNewAgents) {
   sim::Simulator sim(Duration::millis(1));
   cluster::Deployment dep(&sim);
@@ -992,13 +1132,70 @@ TEST(DeploymentFaultTest, RetryAndBreakerConfigReplayOntoNewAgents) {
   dep.set_fault_plan(&plan);
   RetryPolicy p;
   p.max_attempts = 2;
+  p.initial_backoff = Duration::millis(1);
   dep.set_retry_policy(p);
-  Agent* a = dep.add_agent("late");  // all three settings replayed
+  CircuitBreakerConfig cb;
+  cb.failure_threshold = 1;
+  dep.set_breaker_config(cb);
+  Agent* a = dep.add_agent("late");  // all settings replayed
 
   auto sources = make_sources(1);
   ASSERT_TRUE(a->add_element(sources[0].get()).is_ok());
   EXPECT_FALSE(a->query(sources[0]->id(), SimTime::millis(1)).ok());
   EXPECT_EQ(a->fault_stats().retries, 1u);  // max_attempts=2 reached the agent
+  EXPECT_EQ(a->breaker_state(ChannelKind::kProcFs), BreakerState::kOpen);
+
+  // A socket-backed agent dialed after the settings gets them too: its
+  // redial loop makes two dials, and one exhausted loop opens its breaker.
+  auto remote_sources = make_sources(2);
+  RemoteHost host(remote_sources);
+  Result<RemoteAgent*> r =
+      dep.add_remote_agent(host.server.endpoint().to_string());
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(host.dials_after_outage(r.value()), 2u);
+  EXPECT_EQ(r.value()->breaker_state(), BreakerState::kOpen);
+}
+
+TEST(DeploymentFaultTest, AgentsAddedBeforeAnySetKeepTheirDefaults) {
+  sim::Simulator sim(Duration::millis(1));
+  cluster::Deployment dep(&sim);
+  Agent* early = dep.add_agent("early");
+  auto remote_sources = make_sources(2);
+  RemoteHost host(remote_sources);
+  Result<RemoteAgent*> r =
+      dep.add_remote_agent(host.server.endpoint().to_string());
+  ASSERT_TRUE(r.ok()) << r.status().message();
+
+  // The early agent answers exactly like a bare agent with the same plan:
+  // one attempt per query and a breaker that trips at the fifth failure.
+  FaultPlan plan(3);
+  ChannelFaultSpec dead;
+  dead.transient_p = 1.0;
+  plan.set_element_faults(ElementId{"m0/el0"}, dead);
+  Agent bare("early");
+  auto sources = make_sources(1);
+  ASSERT_TRUE(early->add_element(sources[0].get()).is_ok());
+  ASSERT_TRUE(bare.add_element(sources[0].get()).is_ok());
+  dep.set_fault_plan(&plan);
+  bare.set_fault_plan(&plan);
+  for (int t = 1; t <= 6; ++t) {
+    const SimTime now = SimTime::millis(t);
+    Result<QueryResponse> got = early->query(sources[0]->id(), now);
+    Result<QueryResponse> want = bare.query(sources[0]->id(), now);
+    ASSERT_EQ(got.ok(), want.ok());
+    EXPECT_EQ(got.status().message(), want.status().message());
+  }
+  EXPECT_EQ(early->fault_stats().retries, 0u);
+  EXPECT_EQ(early->fault_stats().breaker_opened, 1u);
+  EXPECT_EQ(early->fault_stats().breaker_fast_fails,
+            bare.fault_stats().breaker_fast_fails);
+  EXPECT_EQ(early->breaker_state(ChannelKind::kProcFs),
+            bare.breaker_state(ChannelKind::kProcFs));
+
+  // The remote adapter dials once per loop and one failure leaves its
+  // breaker closed.
+  EXPECT_EQ(host.dials_after_outage(r.value()), 1u);
+  EXPECT_EQ(r.value()->breaker_state(), BreakerState::kClosed);
 }
 
 // --- thread safety under faults (TSan target) -------------------------------

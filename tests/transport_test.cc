@@ -458,8 +458,8 @@ TEST(TransportDamageTest, TornBatchBecomesBlindSpots) {
   BatchResponse clean = rig.remote(0)->query_batch(a0, rig.now_);
   ASSERT_EQ(clean.responses.size(), 3u);
   const std::string f0 = wire::encode_frame(clean.responses[0]).value();
-  rig.server(0)->inject_truncate_next_batch(wire::kBatchHeaderSize +
-                                            f0.size());
+  rig.server(0)->inject_reply_damage(
+      {ReplyDamage::kTruncate, wire::kBatchHeaderSize + f0.size()});
 
   auto got = rig.controller_.get_attr_many(
       rig.tenant_, rig.elements_, {attr::kRxPkts, attr::kDropPkts});
@@ -480,7 +480,8 @@ TEST(TransportDamageTest, TornBatchBecomesBlindSpots) {
 
   // Partial data feeds Algorithm 1's blind-spot accounting: coverage drops
   // below 100% and the report says which elements went unmeasured.
-  rig.server(0)->inject_truncate_next_batch(wire::kBatchHeaderSize);
+  rig.server(0)->inject_reply_damage({ReplyDamage::kTruncate,
+                                      wire::kBatchHeaderSize});
   ContentionDetector det(&rig.controller_, RuleBook::standard());
   std::string report =
       to_text(det.diagnose(rig.tenant_, Duration::millis(100)));
@@ -517,8 +518,9 @@ TEST(TransportDamageTest, CorruptFrameReconcilesAndRecovers) {
   // Flip a byte inside the first frame's payload: the checksum fails, the
   // length chain past the frame is untrustworthy, and every element of
   // agent-0's batch degrades to a kMissing blind spot.
-  rig.server(0)->inject_corrupt_next_batch(wire::kBatchHeaderSize +
-                                           wire::kFramePrefixSize + 2);
+  rig.server(0)->inject_reply_damage(
+      {ReplyDamage::kCorrupt,
+       wire::kBatchHeaderSize + wire::kFramePrefixSize + 2});
   auto got = rig.controller_.get_attr_many(rig.tenant_, rig.elements_,
                                            {attr::kRxPkts});
   ASSERT_EQ(got.size(), 6u);
@@ -543,7 +545,7 @@ TEST(TransportDamageTest, DroppedReplyResendsOnceInvisibly) {
   // The server closes without replying: zero reply bytes arrived, so the
   // idempotent read earns exactly one reconnect + resend and the caller
   // never notices.
-  rig.server(0)->inject_drop_next_reply();
+  rig.server(0)->inject_reply_damage({ReplyDamage::kDrop});
   auto got = rig.controller_.get_attr_many(rig.tenant_, rig.elements_,
                                            {attr::kRxPkts});
   ASSERT_EQ(got.size(), 3u);
@@ -642,8 +644,9 @@ TEST(TransportObservabilityTest, CountersCoverTheTransportLifecycle) {
 
   (void)rig.controller_.get_attr_many(rig.tenant_, rig.elements_,
                                       {attr::kRxPkts});
-  rig.server(0)->inject_corrupt_next_batch(wire::kBatchHeaderSize +
-                                           wire::kFramePrefixSize + 2);
+  rig.server(0)->inject_reply_damage(
+      {ReplyDamage::kCorrupt,
+       wire::kBatchHeaderSize + wire::kFramePrefixSize + 2});
   (void)rig.controller_.get_attr_many(rig.tenant_, rig.elements_,
                                       {attr::kRxPkts});
   (void)rig.controller_.get_attr_many(rig.tenant_, rig.elements_,

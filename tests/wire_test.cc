@@ -445,6 +445,18 @@ TEST(WireMessageTest, ControlMessagesRoundTrip) {
   EXPECT_EQ(ed.value().code, StatusCode::kNotFound);
   EXPECT_EQ(ed.value().message, "agent a: no element z");
 
+  // A text longer than one message body keeps the prefix that fits, so
+  // enveloping it never trips encode_message's size check.
+  err.message.assign(wire::kMaxPayload + 7, 'x');
+  const std::string clamped = wire::encode_error(err);
+  EXPECT_EQ(clamped.size(), wire::kMaxPayload);
+  Result<wire::Message> em = wire::decode_message(
+      wire::encode_message(wire::MessageKind::kError, clamped));
+  ASSERT_TRUE(em.ok()) << em.status().message();
+  ed = wire::decode_error(em.value().body);
+  ASSERT_TRUE(ed.ok());
+  EXPECT_EQ(ed.value().message, err.message.substr(0, wire::kMaxPayload - 1));
+
   // Damage: every strict prefix of the envelope is refused, and a body bit
   // flip fails the checksum.
   for (size_t cut = 0; cut < m.size(); ++cut) {
