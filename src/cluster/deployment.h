@@ -128,36 +128,6 @@ class Deployment {
     return controller_.register_element(tenant, id, r);
   }
 
-  // Declares `agent` a read replica for a tenant's element (quorum reads):
-  // when the primary fails, get_attr_many and get_attr_q fall back to the
-  // replica before declaring a blind spot, annotating the answer
-  // DataQuality::kReplica.  Works for in-process and remote agents alike.
-  Status mirror_element(TenantId tenant, const ElementId& id,
-                        AgentClient* agent) {
-    return controller_.register_mirror(tenant, id, agent);
-  }
-
-  // One reconnect's element-set delta on one socket-backed agent, as
-  // surfaced by its hello diff (see RemoteAgent::RosterDiff).
-  struct RemoteRosterDelta {
-    RemoteAgent* agent = nullptr;
-    RemoteAgent::RosterDiff diff;
-  };
-  // Drains the roster diffs every remote adapter observed at reconnects,
-  // oldest first per agent.  Removed elements are already answered as
-  // "departed at reconnect" blind spots by the adapter; added elements are
-  // already servable (the reconnect hello registered them — no redial).
-  // This view lets scenarios log or re-plan around fleet churn.
-  std::vector<RemoteRosterDelta> drain_remote_roster_diffs() {
-    std::vector<RemoteRosterDelta> out;
-    for (auto& r : remote_agents_) {
-      for (RemoteAgent::RosterDiff& d : r->drain_roster_diffs()) {
-        out.push_back(RemoteRosterDelta{r.get(), std::move(d)});
-      }
-    }
-    return out;
-  }
-
   // --- fault tolerance (deployment-wide) ------------------------------------
   // Installs a fault plan / retry policy / breaker config on every agent,
   // current and future.  The plan is not owned unless it came from
@@ -193,7 +163,6 @@ class Deployment {
     set_fault_plan(&env_plan_.value());
     return true;
   }
-  const FaultPlan* fault_plan() const { return fault_plan_; }
 
   // Aggregate view of one sweep's collection quality: how many responses
   // came back at each DataQuality level (scenarios print this so fault runs

@@ -1,10 +1,11 @@
-// Deterministic pseudo-random number generation (PCG32).
+// Deterministic pseudo-random number generation (PCG32) and hashing.
 //
 // Everything stochastic in the simulator draws from a seeded Pcg32 so that
 // scenarios, tests and benches are exactly reproducible run to run.
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 namespace perfsight {
 
@@ -51,5 +52,16 @@ class Pcg32 {
   uint64_t state_;
   uint64_t inc_;
 };
+
+// FNV-1a 64-bit: the wire's frame checksum, the hello's element-set epoch,
+// the fault plan's per-name decision key and the trace span domain.
+inline uint64_t fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 }  // namespace perfsight

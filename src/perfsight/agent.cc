@@ -67,6 +67,33 @@ Status query_failure_status(const std::string& agent_name, const ElementId& id,
              : Status::unavailable(std::move(m));
 }
 
+Status no_element_status(const std::string& agent_name, const ElementId& id) {
+  return Status::not_found("agent " + agent_name + ": no element " + id.name);
+}
+
+QueryResponse blind_spot(ElementId id, SimTime now, StatusCode code,
+                         uint32_t attempts) {
+  QueryResponse r;
+  r.record.element = std::move(id);
+  r.record.timestamp = now;
+  r.quality = DataQuality::kMissing;
+  r.attempts = attempts;
+  r.fail_code = code;
+  return r;
+}
+
+Result<QueryResponse> single_answer(const std::string& agent_name,
+                                    const ElementId& id, BatchResponse batch,
+                                    const std::vector<std::string>* attrs) {
+  if (batch.responses.empty()) return no_element_status(agent_name, id);
+  QueryResponse& r = batch.responses.front();
+  if (r.quality == DataQuality::kMissing) {
+    return query_failure_status(agent_name, id, r.attempts, r.fail_code);
+  }
+  if (attrs != nullptr) r.record = project(std::move(r.record), *attrs);
+  return std::move(r);
+}
+
 const char* to_string(BreakerState s) {
   switch (s) {
     case BreakerState::kClosed:
@@ -102,9 +129,7 @@ Status Agent::add_element(const StatsSource* source) {
 
 Status Agent::remove_element(const ElementId& id) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (sources_.erase(id) == 0) {
-    return Status::not_found("agent " + name_ + ": no element " + id.name);
-  }
+  if (sources_.erase(id) == 0) return no_element_status(name_, id);
   // Forget every per-element record of the departed element: a source
   // re-added under the same id must not inherit its cached or last-good
   // record, nor the crash offset that made its counters restart from zero.
@@ -182,7 +207,6 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
     if (!br.admit(now, breaker_cfg_.cooldown)) {
       // Fast fail: known-dead channel, no modelled time paid, no RNG drawn.
       q.failed = true;
-      q.quality = DataQuality::kMissing;
       q.attempts = 0;
       q.delay = Duration::nanos(0);
       q.fail_code = StatusCode::kUnavailable;
@@ -312,7 +336,6 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
   q.delay = elapsed;
   q.attempts = attempt;
   q.failed = !success;
-  if (q.failed) q.quality = DataQuality::kMissing;
 
   if (success) {
     if (br.record_success()) {
@@ -373,6 +396,9 @@ BatchResponse Agent::collect(const std::vector<ElementId>* ids, SimTime now,
   bool track_last_good = false, bookkeep = false;
   std::vector<PendingTrace> pending;
   {
+    // Every RNG draw, fault decision and retry chain happens here, under the
+    // lock and in element-id order, before the fan-out — which is what makes
+    // the output byte-identical at any pool size.
     std::lock_guard<std::mutex> lock(mu_);
     absorb_crashes_locked(now, &pending);
     fault_mode = plan_ != nullptr;
@@ -387,31 +413,18 @@ BatchResponse Agent::collect(const std::vector<ElementId>* ids, SimTime now,
       q.id = id;
       q.source = src;
       q.kind = src->channel_kind();
+      return true;
     };
     if (ids == nullptr) {
-      plan.reserve(sources_.size());
-      for (const auto& [id, src] : sources_) add(id, src);
+      plan_request(sources_, plan, [&](const auto& entry) {
+        return add(entry.first, entry.second);
+      });
     } else {
-      plan.reserve(ids->size());
-      for (const ElementId& id : *ids) {
+      batch.unknown_ids = plan_request(*ids, plan, [&](const ElementId& id) {
         auto it = sources_.find(id);
-        if (it == sources_.end()) {
-          ++batch.unknown_ids;
-        } else {
-          add(id, it->second);
-        }
-      }
+        return it != sources_.end() && add(id, it->second);
+      });
     }
-  }
-  std::sort(plan.begin(), plan.end(),
-            [](const PlannedQuery& a, const PlannedQuery& b) {
-              return a.id < b.id;
-            });
-  {
-    // Every RNG draw, fault decision and retry chain happens here, under the
-    // lock and in element-id order, before the fan-out — which is what makes
-    // the output byte-identical at any pool size.
-    std::lock_guard<std::mutex> lock(mu_);
     if (shared) {
       // One round trip per channel kind present, drawn in kind order so the
       // RNG stream is independent of the requested id order.  A kind whose
@@ -448,17 +461,14 @@ BatchResponse Agent::collect(const std::vector<ElementId>* ids, SimTime now,
   parallel_for_or_inline(pool, plan.size(), [&](size_t i) {
     PlannedQuery& q = plan[i];
     QueryResponse& r = out[i];
+    if (q.failed) {
+      r = blind_spot(q.id, now, q.fail_code, q.attempts);
+      r.response_time = q.delay;
+      return;
+    }
     r.response_time = q.delay;
     r.quality = q.quality;
     r.attempts = q.attempts;
-    if (q.failed) {
-      r.fail_code = q.fail_code;
-      // Blind spot: keep the element visible with an empty record so the
-      // diagnosis layer sees the hole instead of silently skipping it.
-      r.record.timestamp = now;
-      r.record.element = q.id;
-      return;
-    }
     if (q.serve_stale) {
       r.record = std::move(q.stale_record);  // true (old) timestamp kept
       return;
@@ -559,25 +569,16 @@ void Agent::trace_batch(const std::vector<PlannedQuery>& plan,
 
 Result<QueryResponse> Agent::query(const ElementId& id, SimTime now) {
   const std::vector<ElementId> one{id};
-  BatchResponse b = collect(&one, now, nullptr, Billing::kTripPerElement);
-  if (b.unknown_ids > 0) {
-    return Status::not_found("agent " + name_ + ": no element " + id.name);
-  }
-  QueryResponse& r = b.responses.front();
-  if (r.quality == DataQuality::kMissing) {
-    return query_failure_status(name_, id, r.attempts, r.fail_code);
-  }
-  return std::move(r);
+  return single_answer(name_, id,
+                       collect(&one, now, nullptr, Billing::kTripPerElement));
 }
 
 Result<QueryResponse> Agent::query_attrs(const ElementId& id,
                                          const std::vector<std::string>& attrs,
                                          SimTime now) {
-  Result<QueryResponse> resp = query(id, now);
-  if (resp.ok()) {
-    resp.value().record = project(std::move(resp.value().record), attrs);
-  }
-  return resp;
+  const std::vector<ElementId> one{id};
+  return single_answer(
+      name_, id, collect(&one, now, nullptr, Billing::kTripPerElement), &attrs);
 }
 
 Result<QueryResponse> Agent::query_cached(const ElementId& id, SimTime now,

@@ -40,8 +40,10 @@
 // bit-for-bit the pre-fault agent.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -87,11 +89,20 @@ struct QueryResponse {
 Status query_failure_status(const std::string& agent_name, const ElementId& id,
                             uint32_t attempts, StatusCode code);
 
+// The not_found Status for an id the agent does not serve.
+Status no_element_status(const std::string& agent_name, const ElementId& id);
+
+// A blind spot: the kMissing response for an element whose query failed.
+// The element stays visible with an empty record stamped `now`, so the
+// diagnosis layer sees the hole instead of silently skipping it; `code` and
+// `attempts` let a caller rebuild the failure via query_failure_status.
+QueryResponse blind_spot(ElementId id, SimTime now, StatusCode code,
+                         uint32_t attempts = 1);
+
 // Result of one batched fetch (query_batch): the per-element records plus
 // the total modelled channel time actually paid — one round trip per
-// channel kind present in the batch, not one per element.  Under faults,
-// elements whose retries exhausted still appear in `responses` with
-// DataQuality::kMissing (empty attrs), so callers see their blind spots.
+// channel kind present in the batch, not one per element.  Elements whose
+// query failed appear as blind spots (see blind_spot below).
 struct BatchResponse {
   std::vector<QueryResponse> responses;  // ordered by element id
   Duration channel_time;                 // sum of the per-kind round trips
@@ -193,14 +204,49 @@ class CircuitBreaker {
   Time opened_at_{};
 };
 
+// The request planner every AgentClient answers through.  Each requested
+// id is offered to `admit` once per occurrence: duplicates are kept, so a
+// request naming x twice gets two answers for x and an unknown id named
+// twice counts twice.  `admit` appends the implementation's plan entry for
+// the id to `plan` (an ElementId, or a struct whose operator< orders by
+// element id) and returns true, or returns false for an id the agent does
+// not serve.  The entries are then put in ascending element-id order, the
+// order every answer comes back in.  Returns the unknown count.
+template <typename Ids, typename Entry, typename Admit>
+size_t plan_request(const Ids& ids, std::vector<Entry>& plan, Admit admit) {
+  plan.reserve(plan.size() + std::size(ids));
+  size_t unknown = 0;
+  for (const auto& id : ids) {
+    if (!admit(id)) ++unknown;
+  }
+  std::sort(plan.begin(), plan.end());
+  return unknown;
+}
+
+// The single-element answer, derived from a batch of one for `id`: the
+// response (projected onto `attrs` when given), the not_found Status when
+// the agent does not serve `id`, or the failure Status of a blind spot.
+Result<QueryResponse> single_answer(const std::string& agent_name,
+                                    const ElementId& id, BatchResponse batch,
+                                    const std::vector<std::string>* attrs =
+                                        nullptr);
+
 // The query surface the controller scatters over.  In-process `Agent`
-// implements it directly; `RemoteAgent` (remote_agent.h) implements it over
-// a socket speaking the PSB1/PSM1 wire codec.  The contract both uphold:
-// query_batch returns one response per *known* requested id in ascending
-// element-id order (unknown ids are counted, not returned), and failures
-// carry the attempts/fail_code a caller needs to reconstruct the exact
-// single-path Status via query_failure_status — so the controller merge is
-// byte-identical whichever implementation sits behind it.
+// implements it directly, `RemoteAgent` (remote_agent.h) over a socket
+// speaking the PSB1/PSM1 wire codec, and `StreamCacheAgent` (streaming.h)
+// from a cache of pushed windows.  The contract all three uphold, built
+// from the helpers above so it exists once:
+//   - query_batch plans the request with plan_request: one response per
+//     *known* requested id and occurrence, in ascending element-id order;
+//     unknown ids are counted per occurrence in unknown_ids, not returned.
+//   - a failed element is a blind_spot: kMissing, stamped with the query
+//     time, carrying the attempts/fail_code from which query_failure_status
+//     rebuilds the exact single-path Status;
+//   - the single-element answer is single_answer over a batch of one (the
+//     remote adapter's single request returns what the server's agent
+//     computed that way).
+// So the controller merge is byte-identical whichever implementation sits
+// behind it.
 //
 // Tracing: when the calling thread carries an active TraceContext
 // (trace.h), implementations record span events under it — the in-process
@@ -215,6 +261,7 @@ class AgentClient {
 
   virtual const std::string& name() const = 0;
   virtual bool has_element(const ElementId& id) const = 0;
+  // Every served id, ascending and unique.
   virtual std::vector<ElementId> element_ids() const = 0;
 
   // Fetches a projection of one element (the paper's GetAttr reaches this).
@@ -275,7 +322,6 @@ class Agent : public AgentClient {
   // Fetches all counters of one element.
   Result<QueryResponse> query(const ElementId& id, SimTime now);
 
-  // Fetches a projection (the paper's GetAttr reaches this).
   Result<QueryResponse> query_attrs(const ElementId& id,
                                     const std::vector<std::string>& attrs,
                                     SimTime now) override;
@@ -292,9 +338,9 @@ class Agent : public AgentClient {
 
   // Batched fetch: one channel round trip amortized across every requested
   // element sharing a channel kind (a real agent reads one /proc file and
-  // parses many counters out of it).  Unknown ids are skipped and counted.
-  // With a parallel `pool`, collect() calls fan out across workers; output
-  // is byte-identical to the pool-less call.
+  // parses many counters out of it).  With a parallel `pool`, collect()
+  // calls fan out across workers; output is byte-identical to the pool-less
+  // call.
   BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
                             ThreadPool* pool = nullptr) override;
 
@@ -370,6 +416,8 @@ class Agent : public AgentClient {
     StatusCode fail_code = StatusCode::kUnavailable;
     bool serve_stale = false;
     StatsRecord stale_record;  // snapshot of last-good at planning time
+
+    bool operator<(const PlannedQuery& o) const { return id < o.id; }
   };
 
   // Trace events decided while holding mu_ are staged and emitted after

@@ -68,7 +68,6 @@ class AlertWatcher {
   void add_rule(AlertRule rule) {
     rules_.push_back(RuleState{std::move(rule), SimTime{}, false});
   }
-  size_t num_rules() const { return rules_.size(); }
 
   // Evaluation pool: the read-only breach scan (monitor series + threshold,
   // phase 1) fans out one task per rule; cooldown bookkeeping, traces and

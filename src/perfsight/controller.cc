@@ -384,8 +384,7 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
     plan.merge(gi, ids, br[gi], [&](const ElementId& id, const Slot* first,
                                     const Slot* last, QueryResponse* resp) {
       if (resp == nullptr) {
-        Status miss = Status::not_found("agent " + agent_name +
-                                        ": no element " + id.name);
+        Status miss = no_element_status(agent_name, id);
         for (const Slot* s = first; s != last; ++s) out[s->index] = miss;
         return;
       }

@@ -54,15 +54,6 @@ uint64_t mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-uint64_t fnv1a(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 size_t FaultPlan::crashes_between(const std::string& agent, SimTime since,
@@ -141,7 +132,7 @@ bool FaultPlan::stream_drop(const std::string& agent, uint64_t seq) const {
   if (stream_drop_p_ <= 0) return false;
   // Same decorrelation shape as decide(), salted so stream fates never
   // alias channel fates: one independent draw per (agent, seq).
-  uint64_t h = mix64(seed_ ^ mix64(fnv1a(agent)) ^
+  uint64_t h = mix64(seed_ ^ mix64(fnv1a64(agent)) ^
                      mix64(seq ^ 0x5354524d53ULL));  // "STRMS"
   Pcg32 rng(h, h >> 1);
   return rng.next_double() < stream_drop_p_;
@@ -164,7 +155,7 @@ FaultDecision FaultPlan::decide(const ElementId& id, ChannelKind kind,
   FaultDecision d;
   if (!spec->any()) return d;
 
-  uint64_t h = mix64(seed_ ^ mix64(fnv1a(id.name)) ^
+  uint64_t h = mix64(seed_ ^ mix64(fnv1a64(id.name)) ^
                      mix64(static_cast<uint64_t>(now.ns())) ^
                      mix64((static_cast<uint64_t>(kind) << 32) | attempt));
   // Pcg32 seeded from the decision hash: one uniform draw for the fault

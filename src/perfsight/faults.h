@@ -225,7 +225,6 @@ class FaultPlan {
   // behind the capture are untouched.  Deliberately NOT part of enabled():
   // agents never consult it.
   void set_stream_drop(double p) { stream_drop_p_ = p; }
-  double stream_drop_p() const { return stream_drop_p_; }
 
   // The fate of stream frame `seq` published by `agent`.  Pure function of
   // (seed, agent, seq) — campaigns and channel decisions draw nothing from

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -113,26 +114,19 @@ void RemoteAgentServer::request_publish(SimTime at) {
 void RemoteAgentServer::publish_tick(
     SimTime at, std::vector<std::unique_ptr<Conn>>& conns) {
   for (Agent* agent : agents_) {
-    bool subscribed = false;
-    for (const auto& c : conns) {
-      if (!c->dead && c->sub_agent == agent->name()) {
-        subscribed = true;
-        break;
-      }
-    }
     // No subscribers: no capture, no seq advance, zero stream bytes.
-    if (!subscribed) continue;
+    if (std::none_of(conns.begin(), conns.end(), [&](const auto& c) {
+          return !c->dead && c->sub_agent == agent->name();
+        })) {
+      continue;
+    }
 
     // One capture and one seq per agent per boundary, shared by every
     // subscriber — gap detection works across connections.
     const uint64_t seq = ++stream_seq_[agent->name()];
     BatchResponse b = agent->query_batch(agent->element_ids(), at);
-    wire::StreamDataMsg msg;
-    msg.agent = agent->name();
-    msg.seq = seq;
-    msg.window_start = at;
-    msg.channel_time = b.channel_time;
-    msg.responses = std::move(b.responses);
+    const wire::StreamDataMsg msg{agent->name(), seq, at, b.channel_time,
+                                  std::move(b.responses)};
 
     for (auto& c : conns) {
       if (c->dead || c->sub_agent != agent->name()) continue;
@@ -172,28 +166,24 @@ std::string RemoteAgentServer::trace_data_bytes(const std::string& process) {
 std::string RemoteAgentServer::hello_bytes() const {
   wire::HelloMsg hello;
   hello.agent_name = agents_.front()->name();
-  hello.elements = agents_.front()->element_ids();  // already ascending
   hello.clock_ns = clock_ns();
-  if (agents_.size() > 1) {
-    hello.roster.reserve(agents_.size());
-    for (Agent* a : agents_) {
-      hello.roster.push_back({a->name(), a->element_ids()});
-    }
-  }
   // Element-set epoch: a fingerprint over every hosted agent's name and
   // element ids.  A reconnecting client compares it against the epoch it
   // cached — equal means the element set is unchanged and the reconnect
   // diff can be skipped entirely.
   std::string fp;
   for (Agent* a : agents_) {
+    std::vector<ElementId> ids = a->element_ids();  // ascending
     fp += a->name();
     fp += '\0';
-    for (const ElementId& id : a->element_ids()) {
+    for (const ElementId& id : ids) {
       fp += id.name;
       fp += '\n';
     }
+    if (agents_.size() > 1) hello.roster.push_back({a->name(), ids});
+    if (a == agents_.front()) hello.elements = std::move(ids);
   }
-  hello.epoch = wire::fnv1a64(fp);
+  hello.epoch = fnv1a64(fp);
   if (hello.epoch == 0) hello.epoch = 1;  // 0 is "not advertised" on the wire
   return wire::encode_message(wire::MessageKind::kHello,
                               wire::encode_hello(hello));
@@ -277,11 +267,8 @@ void RemoteAgentServer::serve() {
         }
       }
     }
-    conns.erase(std::remove_if(conns.begin(), conns.end(),
-                               [](const std::unique_ptr<Conn>& c) {
-                                 return c->dead;
-                               }),
-                conns.end());
+    const auto is_dead = [](const auto& c) { return c->dead; };
+    std::erase_if(conns, is_dead);
 
     // Push-mode boundaries requested since the last tick: capture once per
     // subscribed agent per boundary and queue the frames.
@@ -291,13 +278,7 @@ void RemoteAgentServer::serve() {
       publishes.swap(pending_publishes_);
     }
     for (SimTime at : publishes) publish_tick(at, conns);
-    if (!publishes.empty()) {
-      conns.erase(std::remove_if(conns.begin(), conns.end(),
-                                 [](const std::unique_ptr<Conn>& c) {
-                                   return c->dead;
-                                 }),
-                  conns.end());
-    }
+    std::erase_if(conns, is_dead);
 
     if (accepting && (fds[0].revents & POLLIN)) {
       // Drain every pending connection; a zero deadline makes accept()
@@ -328,10 +309,8 @@ void RemoteAgentServer::serve() {
         if (flush_writes(*c)) conns.push_back(std::move(c));
       }
     }
-    live_connections_.store(conns.size(), std::memory_order_relaxed);
   }
   conns.clear();  // closes every socket
-  live_connections_.store(0, std::memory_order_relaxed);
 }
 
 // Parses and dispatches every complete PSM1 message buffered in c.rbuf,
@@ -357,6 +336,30 @@ bool RemoteAgentServer::drain_messages(Conn& c) {
   return true;
 }
 
+// A traced request (trace_id != 0) gets a serve span around `serve` —
+// span-clock timestamps, parented to the span id off the wire — and that
+// span is the context the agent's own spans hang from.  An untraced one
+// records nothing.
+template <typename Request, typename Serve>
+auto RemoteAgentServer::traced_serve(const Agent& agent, const Request& req,
+                                     TraceEventKind kind, double value,
+                                     std::string_view detail, Serve serve) {
+  const int64_t t0 = clock_ns();
+  const uint64_t span =
+      req.trace_id != 0 ? next_span_id(span_domain_for(agent.name())) : 0;
+  auto result = [&] {
+    ScopedTraceContext span_ctx(TraceContext{req.trace_id, span});
+    return serve();
+  }();
+  if (req.trace_id != 0) {
+    trace_recorder_.record_span(ElementId{agent.name() + "/serve"},
+                                SimTime::nanos(t0), kind,
+                                Duration::nanos(clock_ns() - t0), span,
+                                req.parent_span, value, detail);
+  }
+  return result;
+}
+
 // Dispatches one decoded control message, queueing any reply on c.wbuf.
 // Returns false to close the connection.  Dispatch is synchronous on the
 // serve thread — agent queries are in-memory reads, so one slow peer's
@@ -367,33 +370,14 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
     case wire::MessageKind::kBatchRequest: {
       Result<wire::BatchRequestMsg> req = wire::decode_batch_request(msg.body);
       if (!req.ok()) return false;
-      // Fleet routing: an explicitly named agent must exist; the empty
-      // (pre-roster) form routes to the primary.  An unknown name closes
-      // the connection — bindings are validated at connect time, so this
-      // only happens when the server's agent set changed under the client,
-      // and a reconnect re-runs that validation.
       Agent* agent = route(req.value().agent);
       if (agent == nullptr) return false;
-      // A traced request (trace_id != 0) gets a serve span — span-clock
-      // timestamps, parented to the span id off the wire — and installs
-      // that span as the context the agent's own spans hang from.
       const uint64_t trace_id = req.value().trace_id;
-      const int64_t serve_t0 = clock_ns();
-      const uint64_t serve_span =
-          trace_id != 0 ? next_span_id(span_domain_for(agent->name())) : 0;
-      BatchResponse b;
-      {
-        ScopedTraceContext span_ctx(TraceContext{trace_id, serve_span});
-        b = agent->query_batch(req.value().ids, req.value().now);
-      }
-      if (trace_id != 0) {
-        trace_recorder_.record_span(
-            ElementId{agent->name() + "/serve"}, SimTime::nanos(serve_t0),
-            TraceEventKind::kSpanServerBatch,
-            Duration::nanos(clock_ns() - serve_t0), serve_span,
-            req.value().parent_span,
-            static_cast<double>(req.value().ids.size()), "batch");
-      }
+      BatchResponse b = traced_serve(
+          *agent, req.value(), TraceEventKind::kSpanServerBatch,
+          static_cast<double>(req.value().ids.size()), "batch", [&] {
+            return agent->query_batch(req.value().ids, req.value().now);
+          });
       Result<std::string> bytes = wire::encode_batch(b);
       // add_element refuses ids the wire cannot carry, but a source may
       // still emit an attr name or list too big for a frame.  That batch
@@ -443,21 +427,14 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
       if (!req.ok()) return false;
       Agent* agent = route(req.value().agent);
       if (agent == nullptr) return false;
-      const uint64_t trace_id = req.value().trace_id;
-      const int64_t serve_t0 = clock_ns();
-      const uint64_t serve_span =
-          trace_id != 0 ? next_span_id(span_domain_for(agent->name())) : 0;
-      Result<QueryResponse> r = agent->query_attrs(
-          req.value().id, req.value().attrs, req.value().now);
-      if (trace_id != 0) {
-        // Recorded but not piggybacked: the single-response path stays
-        // lean, and the next harvest (or traced batch) ships it.
-        trace_recorder_.record_span(
-            ElementId{agent->name() + "/serve"}, SimTime::nanos(serve_t0),
-            TraceEventKind::kSpanServerSingle,
-            Duration::nanos(clock_ns() - serve_t0), serve_span,
-            req.value().parent_span, 1.0, req.value().id.name);
-      }
+      // The serve span is recorded but not piggybacked: the single-response
+      // path stays lean, and the next harvest (or traced batch) ships it.
+      Result<QueryResponse> r = traced_serve(
+          *agent, req.value(), TraceEventKind::kSpanServerSingle, 1.0,
+          req.value().id.name, [&] {
+            return agent->query_attrs(req.value().id, req.value().attrs,
+                                      req.value().now);
+          });
       if (r.ok()) {
         Result<std::string> frame = wire::encode_frame(r.value());
         if (!frame.ok()) return false;  // as for an unencodable batch
@@ -472,17 +449,12 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
       }
       return true;
     }
-    case wire::MessageKind::kListElements:
-      c.wbuf += hello_bytes();
-      return true;
     case wire::MessageKind::kTraceHarvest:
       c.wbuf += trace_data_bytes(agents_.front()->name());
       return true;
     case wire::MessageKind::kSubscribe: {
       Result<wire::SubscribeMsg> req = wire::decode_subscribe(msg.body);
       if (!req.ok()) return false;
-      // Same routing contract as batch requests: "" = primary, an unknown
-      // name closes the connection (bindings are validated at connect).
       Agent* agent = route(req.value().agent);
       if (agent == nullptr) return false;
       c.sub_agent = agent->name();
@@ -526,12 +498,6 @@ bool RemoteAgentServer::flush_writes(Conn& c) {
 }
 
 // --- RemoteAgent -------------------------------------------------------------
-
-const std::string& RemoteAgent::name() const {
-  // Set once by the first successful connect(), before the adapter is
-  // handed to a controller; immutable afterwards.
-  return name_;
-}
 
 bool RemoteAgent::has_element(const ElementId& id) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -591,18 +557,9 @@ RemoteAgent::TransportStats RemoteAgent::transport_stats() const {
   return stats_;
 }
 
-std::vector<RemoteAgent::RosterDiff> RemoteAgent::drain_roster_diffs() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<RosterDiff> out = std::move(roster_diffs_);
-  roster_diffs_.clear();
-  return out;
-}
-
 std::vector<ElementId> RemoteAgent::departed_elements() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ElementId> out(departed_.begin(), departed_.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return {departed_.begin(), departed_.end()};
 }
 
 Status RemoteAgent::connect() {
@@ -641,15 +598,14 @@ Status RemoteAgent::read_trace_data_locked() {
 
 Status RemoteAgent::harvest_trace() {
   std::lock_guard<std::mutex> lock(mu_);
-  Status st = ensure_connected_locked(SimTime());
-  if (!st.is_ok()) return st;
-  Status sent = sock_.send_all(
-      wire::encode_message(wire::MessageKind::kTraceHarvest, ""), deadline_);
-  if (!sent.is_ok()) {
-    drop_connection_locked();
-    return sent;
-  }
-  return read_trace_data_locked();
+  Status st = Status::unavailable("transport: no trace data from " +
+                                  ep_.to_string());
+  exchange_locked(wire::encode_message(wire::MessageKind::kTraceHarvest, ""),
+                  SimTime(), [&] {
+                    st = read_trace_data_locked();
+                    return st.is_ok();
+                  });
+  return st;
 }
 
 void RemoteAgent::drop_connection_locked() { sock_.close(); }
@@ -660,18 +616,9 @@ Status RemoteAgent::connect_locked(SimTime now) {
   // the remote-minus-local clock offset (NTP's classic symmetric-delay
   // assumption), good to about half the handshake round trip.
   const int64_t c0 = transport::span_clock_ns();
-  Result<transport::Socket> s = transport::connect(ep_, deadline_);
-  if (!s.ok()) return s.status();
-  transport::Socket sock = std::move(s).take();
-
-  Result<wire::Message> msg = transport::read_message(sock, deadline_);
-  if (!msg.ok()) return msg.status();
-  if (msg.value().kind != wire::MessageKind::kHello) {
-    return Status::unavailable("transport: peer did not send a hello");
-  }
-  Result<wire::HelloMsg> hello = wire::decode_hello(msg.value().body);
-  if (!hello.ok()) return hello.status();
-  wire::HelloMsg h = std::move(hello).take();
+  Result<transport::Greeting> greeting = transport::dial_hello(ep_, deadline_);
+  if (!greeting.ok()) return greeting.status();
+  wire::HelloMsg& h = greeting.value().hello;
 
   // Resolve which roster entry this adapter is bound to.  Unbound (empty
   // bind_) means the primary — the hello's base fields, exactly what a
@@ -680,34 +627,24 @@ Status RemoteAgent::connect_locked(SimTime now) {
   std::string selected_name = h.agent_name;
   std::vector<ElementId> selected_elements = std::move(h.elements);
   std::vector<std::string> roster;
-  if (h.roster.empty()) {
-    roster.push_back(h.agent_name);
-  } else {
-    roster.reserve(h.roster.size());
-    for (const wire::HelloMsg::AgentInfo& a : h.roster) {
-      roster.push_back(a.name);
+  bool found = bind_.empty() || bind_ == selected_name;
+  for (wire::HelloMsg::AgentInfo& a : h.roster) {
+    roster.push_back(a.name);
+    if (!found && a.name == bind_) {
+      selected_name = a.name;
+      selected_elements = std::move(a.elements);
+      found = true;
     }
   }
-  if (!bind_.empty() && bind_ != selected_name) {
-    bool found = false;
-    for (wire::HelloMsg::AgentInfo& a : h.roster) {
-      if (a.name == bind_) {
-        selected_name = a.name;
-        selected_elements = std::move(a.elements);
-        found = true;
-        break;
-      }
+  if (roster.empty()) roster.push_back(h.agent_name);
+  if (!found) {
+    std::string names;
+    for (const std::string& n : roster) {
+      names += (names.empty() ? "" : ", ") + n;
     }
-    if (!found) {
-      std::string names;
-      for (const std::string& n : roster) {
-        if (!names.empty()) names += ", ";
-        names += n;
-      }
-      return Status::failed_precondition(
-          "transport: endpoint " + ep_.to_string() + " does not host agent '" +
-          bind_ + "' (roster: " + names + ")");
-    }
+    return Status::failed_precondition(
+        "transport: endpoint " + ep_.to_string() + " does not host agent '" +
+        bind_ + "' (roster: " + names + ")");
   }
   if (!name_.empty() && selected_name != name_) {
     return Status::failed_precondition(
@@ -724,36 +661,31 @@ Status RemoteAgent::connect_locked(SimTime now) {
   // cached element set.  An unchanged epoch proves the set identical and
   // skips the walk; otherwise removed ids become departed (answered locally
   // as "departed at reconnect" blind spots until they re-appear) and added
-  // ids are servable immediately — no full redial.  The delta is queued for
-  // the deployment layer.
+  // ids are servable immediately — no full redial.
   if (!first && h.epoch != 0 && h.epoch == epoch_) {
     ++stats_.epoch_skips;
   } else if (!first) {
-    RosterDiff diff;
-    diff.old_epoch = epoch_;
-    diff.new_epoch = h.epoch;
     // Both sets are ascending (hellos advertise sorted ids); a two-pointer
     // walk yields both deltas.
-    size_t oi = 0, ni = 0;
+    size_t removed = 0, added = 0, oi = 0, ni = 0;
     while (oi < elements_.size() || ni < selected_elements.size()) {
       if (ni >= selected_elements.size() ||
           (oi < elements_.size() && elements_[oi] < selected_elements[ni])) {
-        diff.removed.push_back(elements_[oi++]);
+        departed_.insert(elements_[oi++]);
+        ++removed;
       } else if (oi >= elements_.size() ||
                  selected_elements[ni] < elements_[oi]) {
-        diff.added.push_back(selected_elements[ni++]);
+        departed_.erase(selected_elements[ni++]);
+        ++added;
       } else {
         ++oi;
         ++ni;
       }
     }
-    for (const ElementId& id : diff.removed) departed_.insert(id);
-    for (const ElementId& id : diff.added) departed_.erase(id);
-    if (!diff.added.empty() || !diff.removed.empty()) {
+    if (removed + added > 0) {
       trace_event(transport_trace_id(), now, TraceEventKind::kTransportDamaged,
-                  static_cast<double>(diff.removed.size()),
+                  static_cast<double>(removed),
                   "elements departed at reconnect");
-      roster_diffs_.push_back(std::move(diff));
     }
   }
   epoch_ = h.epoch;
@@ -763,7 +695,7 @@ Status RemoteAgent::connect_locked(SimTime now) {
   elements_ = std::move(selected_elements);
   element_set_.clear();
   element_set_.insert(elements_.begin(), elements_.end());
-  sock_ = std::move(sock);
+  sock_ = std::move(greeting.value().sock);
 
   ++stats_.connects;
   if (!first) ++stats_.reconnects;
@@ -806,43 +738,24 @@ Status RemoteAgent::ensure_connected_locked(SimTime now) {
   return last;
 }
 
-BatchResponse RemoteAgent::total_loss_locked(
-    const std::vector<ElementId>& sorted_known, size_t unknown) const {
-  BatchResponse decoded;  // empty: every known id reconciles to kMissing
-  BatchResponse out = wire::reconcile(sorted_known, decoded);
-  out.unknown_ids = unknown;
-  return out;
-}
-
-BatchResponse RemoteAgent::finish_batch_locked(
-    BatchResponse out, const std::vector<ElementId>& departed_hit,
-    SimTime now) const {
-  if (departed_hit.empty()) return out;
-  // Two-pointer merge of two ascending sequences: the wire responses and
-  // the locally synthesized departures.  kFailedPrecondition is the marker
-  // the controller turns into the "departed at reconnect" Status — no
-  // channel attempt was spent, the roster is the authority.
-  std::vector<QueryResponse> merged;
-  merged.reserve(out.responses.size() + departed_hit.size());
-  size_t ri = 0;
-  for (const ElementId& id : departed_hit) {
-    while (ri < out.responses.size() && out.responses[ri].record.element < id) {
-      merged.push_back(std::move(out.responses[ri++]));
+template <typename Read>
+bool RemoteAgent::exchange_locked(const std::string& request, SimTime now,
+                                  Read read) {
+  // Queries are idempotent reads, so a connection that died *before any
+  // reply byte arrived* earns exactly one reconnect + resend.  Once reply
+  // bytes exist, no resend: `read` accepts the surviving prefix, which the
+  // caller reconciles (resending could double modelled channel time and
+  // tear determinism).
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    if (!ensure_connected_locked(now).is_ok()) return false;
+    if (attempt > 0) {
+      trace_event(transport_trace_id(), now,
+                  TraceEventKind::kTransportReconnect, 1.0, "resend");
     }
-    QueryResponse gone;
-    gone.record.element = id;
-    gone.record.timestamp = now;
-    gone.quality = DataQuality::kMissing;
-    gone.attempts = 1;
-    gone.fail_code = StatusCode::kFailedPrecondition;
-    merged.push_back(std::move(gone));
-    ++out.degraded;
+    if (sock_.send_all(request, deadline_).is_ok() && read()) return true;
+    drop_connection_locked();
   }
-  while (ri < out.responses.size()) {
-    merged.push_back(std::move(out.responses[ri++]));
-  }
-  out.responses = std::move(merged);
-  return out;
+  return false;
 }
 
 BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
@@ -851,86 +764,74 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
   ++stats_.batches;
   if (m_batches_ != nullptr) m_batches_->increment();
 
-  // Sort + dedupe like the in-process agent, and split known/unknown from
-  // the hello cache — on a total transport loss, ids the agent never served
-  // must stay *absent* (the controller's not_found path), not turn into
-  // kMissing blind spots.
-  std::vector<ElementId> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-
-  // Departed ids never travel the wire: the reconnect hello already proved
-  // the far end dropped them, so they are answered locally as blind spots
-  // (finish_batch_locked) and stripped from the request.
-  std::vector<ElementId> departed_hit;
-  if (!departed_.empty()) {
-    auto keep = std::remove_if(sorted.begin(), sorted.end(),
-                               [&](const ElementId& id) {
-                                 if (departed_.count(id) == 0) return false;
-                                 departed_hit.push_back(id);
-                                 return true;
-                               });
-    sorted.erase(keep, sorted.end());
-  }
-
+  // Planned against the hello cache: the ids it advertised are the ones a
+  // lost reply turns into blind spots, the rest count unknown.  A departed
+  // id is answered here as a blind spot: the reconnect hello already proved
+  // the far end dropped it.
   std::vector<ElementId> known;
-  known.reserve(sorted.size());
-  for (const ElementId& id : sorted) {
-    if (element_set_.count(id) > 0) known.push_back(id);
+  const size_t unknown = plan_request(ids, known, [&](const ElementId& id) {
+    const bool k = element_set_.count(id) > 0 || departed_.count(id) > 0;
+    if (k) known.push_back(id);
+    return k;
+  });
+  std::vector<QueryResponse> departures;
+  if (!departed_.empty()) {
+    std::erase_if(known, [&](const ElementId& id) {
+      if (departed_.count(id) == 0) return false;
+      departures.push_back(
+          blind_spot(id, now, StatusCode::kFailedPrecondition));
+      return true;
+    });
   }
-  const size_t unknown = sorted.size() - known.size();
-  const size_t requested = sorted.size();
-
-  Status st = ensure_connected_locked(now);
-  if (!st.is_ok()) {
-    return finish_batch_locked(total_loss_locked(known, unknown), departed_hit,
-                               now);
+  // The request carries every other id, for the server is the authority on
+  // what it serves, except those too long to encode: no agent can serve
+  // one (add_element refuses it), so it is counted unknown here.
+  const TraceContext ctx = current_trace_context();
+  wire::BatchRequestMsg req{now, {}, ctx.trace_id, ctx.span_id, bind_};
+  req.ids.reserve(ids.size());
+  size_t unsendable = 0;
+  for (const ElementId& id : ids) {
+    if (id.name.size() > 0xffff) {
+      ++unsendable;
+    } else if (departed_.empty() || departed_.count(id) == 0) {
+      req.ids.push_back(id);
+    }
   }
 
-  // An id over 65535 bytes cannot be encoded and can never be served
-  // (add_element refuses it): it stays off the wire, and the answer counts
-  // it unknown like any other id the agent lacks.
-  const auto wire_end =
-      std::remove_if(sorted.begin(), sorted.end(), [](const ElementId& id) {
-        return id.name.size() > 0xffff;
-      });
-  const size_t oversize = static_cast<size_t>(sorted.end() - wire_end);
-  sorted.erase(wire_end, sorted.end());
+  // The answer: a whole reply passes through untouched (responses, channel
+  // time, unknown count and degraded tally all came off the wire); a
+  // damaged or lost one is reconciled against the plan, every known id it
+  // lacks a blind spot; departures merge in by element id.
+  const auto answer = [&](BatchResponse got, bool whole) {
+    BatchResponse out = whole ? std::move(got)
+                              : wire::reconcile(known, got, now);
+    out.unknown_ids = whole ? out.unknown_ids + unsendable : unknown;
+    if (!departures.empty()) {
+      const size_t wired = out.responses.size();
+      std::move(departures.begin(), departures.end(),
+                std::back_inserter(out.responses));
+      std::inplace_merge(out.responses.begin(),
+                         out.responses.begin() + wired, out.responses.end(),
+                         [](const QueryResponse& a, const QueryResponse& b) {
+                           return a.record.element < b.record.element;
+                         });
+      out.degraded += departures.size();
+    }
+    return out;
+  };
 
   // The caller's trace context rides the envelope; {0, 0} (untraced) keeps
   // the request — and the server's reply — byte-identical to a build
   // without tracing.
-  const TraceContext ctx = current_trace_context();
   const std::string request = wire::encode_message(
-      wire::MessageKind::kBatchRequest,
-      wire::encode_batch_request(
-          {now, std::move(sorted), ctx.trace_id, ctx.span_id, bind_}));
+      wire::MessageKind::kBatchRequest, wire::encode_batch_request(req));
   const int64_t trip_t0 = transport::span_clock_ns();
-
-  // Queries are idempotent reads, so a connection that died *before any
-  // reply byte arrived* earns exactly one reconnect + resend.  Once reply
-  // bytes exist, no resend: the surviving prefix is reconciled instead
-  // (resending could double modelled channel time and tear determinism).
   transport::BatchReadResult read;
-  for (int attempt = 0;; ++attempt) {
-    Status sent = sock_.send_all(request, deadline_);
-    if (sent.is_ok()) {
-      read = transport::read_batch(sock_, deadline_);
-      if (read.clean()) break;
-      if (!read.bytes.empty()) break;  // partial reply: reconcile below
-    }
-    drop_connection_locked();
-    if (attempt >= 1) {
-      return finish_batch_locked(total_loss_locked(known, unknown),
-                                 departed_hit, now);
-    }
-    Status re = ensure_connected_locked(now);
-    if (!re.is_ok()) {
-      return finish_batch_locked(total_loss_locked(known, unknown),
-                                 departed_hit, now);
-    }
-    trace_event(transport_trace_id(), now, TraceEventKind::kTransportReconnect,
-                1.0, "resend");
+  if (!exchange_locked(request, now, [&] {
+        read = transport::read_batch(sock_, deadline_);
+        return read.clean() || !read.bytes.empty();
+      })) {
+    return answer({}, false);
   }
 
   wire::DecodeStats dstats;
@@ -940,51 +841,33 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
     drop_connection_locked();
     ++stats_.damaged;
     if (m_damaged_ != nullptr) m_damaged_->increment();
-    return finish_batch_locked(total_loss_locked(known, unknown), departed_hit,
-                               now);
+    return answer({}, false);
   }
-
-  decoded.value().unknown_ids += oversize;
-
   if (read.clean() && dstats.complete()) {
-    // The common path: the batch crossed byte-identical; hand it through
-    // untouched (responses, channel time, unknown count, degraded tally all
-    // came off the wire).
     if (ctx.active()) {
       trace_span(transport_trace_id(), now, TraceEventKind::kSpanTransportTrip,
                  Duration::nanos(transport::span_clock_ns() - trip_t0),
-                 next_span_id(), ctx.span_id, static_cast<double>(requested),
-                 name_);
+                 next_span_id(), ctx.span_id,
+                 static_cast<double>(req.ids.size()), name_);
       // A traced request always has trace data piggybacked right behind the
       // batch; pull it off the stream so the connection stays framed.  A
       // loss here costs the lane (recoverable by harvest), not the batch.
       read_trace_data_locked();
     }
-    return finish_batch_locked(std::move(decoded).take(), departed_hit, now);
+    return answer(std::move(decoded).take(), true);
   }
 
   // Torn or corrupt stream: the connection's framing is gone, so drop it,
-  // and reconcile what survived.  Expected set = known request ids plus
-  // anything the server actually answered (covers elements added remotely
-  // since the hello).
+  // and reconcile what survived.
   drop_connection_locked();
   ++stats_.damaged;
   if (m_damaged_ != nullptr) m_damaged_->increment();
-
-  std::vector<ElementId> expected = known;
-  for (const QueryResponse& r : decoded.value().responses) {
-    expected.push_back(r.record.element);
-  }
-  std::sort(expected.begin(), expected.end());
-  expected.erase(std::unique(expected.begin(), expected.end()),
-                 expected.end());
-
-  BatchResponse out = wire::reconcile(expected, decoded.value());
-  const double lost =
-      static_cast<double>(expected.size() - decoded.value().responses.size());
+  const size_t arrived = decoded.value().responses.size();
   trace_event(transport_trace_id(), now, TraceEventKind::kTransportDamaged,
-              lost, name_);
-  return finish_batch_locked(std::move(out), departed_hit, now);
+              static_cast<double>(known.size() - std::min(arrived,
+                                                           known.size())),
+              name_);
+  return answer(std::move(decoded).take(), false);
 }
 
 Result<QueryResponse> RemoteAgent::query_attrs(
@@ -998,14 +881,7 @@ Result<QueryResponse> RemoteAgent::query_attrs(
   }
   // An id the wire cannot carry is one no agent serves (add_element
   // refuses it): the in-process not-found answer, without a trip.
-  if (id.name.size() > 0xffff) {
-    return Status::not_found("agent " + name_ + ": no element " + id.name);
-  }
-
-  Status st = ensure_connected_locked(now);
-  if (!st.is_ok()) {
-    return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-  }
+  if (id.name.size() > 0xffff) return no_element_status(name_, id);
 
   const TraceContext ctx = current_trace_context();
   wire::SingleRequestMsg req{now, id, attrs, ctx.trace_id, ctx.span_id, bind_};
@@ -1016,43 +892,29 @@ Result<QueryResponse> RemoteAgent::query_attrs(
   const std::string request = wire::encode_message(
       wire::MessageKind::kSingleRequest, wire::encode_single_request(req));
 
+  const auto lost = [&] {
+    return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
+  };
   Result<wire::Message> msg = Status::unavailable("unsent");
-  for (int attempt = 0;; ++attempt) {
-    Status sent = sock_.send_all(request, deadline_);
-    if (sent.is_ok()) {
-      msg = transport::read_message(sock_, deadline_);
-      if (msg.ok()) break;
-    }
-    drop_connection_locked();
-    if (attempt >= 1) {
-      return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-    }
-    Status re = ensure_connected_locked(now);
-    if (!re.is_ok()) {
-      return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-    }
+  if (!exchange_locked(request, now, [&] {
+        msg = transport::read_message(sock_, deadline_);
+        return msg.ok();
+      })) {
+    return lost();
   }
-
   if (msg.value().kind == wire::MessageKind::kError) {
     Result<wire::ErrorMsg> err = wire::decode_error(msg.value().body);
-    if (!err.ok()) {
-      drop_connection_locked();
-      return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
+    if (err.ok()) {
+      // The exact Status the in-process path produced, re-raised verbatim.
+      return Status(err.value().code, err.value().message);
     }
-    // The exact Status the in-process path produced, re-raised verbatim.
-    return Status(err.value().code, err.value().message);
+  } else if (msg.value().kind == wire::MessageKind::kSingleResponse) {
+    size_t consumed = 0;
+    Result<QueryResponse> r = wire::decode_frame(msg.value().body, &consumed);
+    if (r.ok()) return r;
   }
-  if (msg.value().kind != wire::MessageKind::kSingleResponse) {
-    drop_connection_locked();
-    return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-  }
-  size_t consumed = 0;
-  Result<QueryResponse> r = wire::decode_frame(msg.value().body, &consumed);
-  if (!r.ok()) {
-    drop_connection_locked();
-    return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-  }
-  return r;
+  drop_connection_locked();  // stream framing is no longer trustworthy
+  return lost();
 }
 
 }  // namespace perfsight

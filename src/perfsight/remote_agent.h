@@ -23,16 +23,14 @@
 //   the name on every request; constructed bare it speaks the old
 //   single-agent protocol and gets the primary.
 //
-// The contract the differential suite (transport_test) holds this pair to:
-// on a clean stream, every byte of a BatchResponse — records, qualities,
-// attempts, fail codes, channel time, unknown-id count — crosses unchanged,
-// so controller output over sockets is byte-identical to in-process.  On a
-// damaged stream (torn connection, corrupt frame), the surviving prefix is
-// decoded and wire::reconcile turns the lost frames into kMissing blind
-// spots with StatusCode::kUnavailable — the controller merge then produces
-// the same "unavailable after N attempt(s)" text a local channel failure
-// would, while ids the agent never had keep their not_found text (they are
-// absent from the reconcile set, not missing from it).
+// The contract the differential suite (transport_test) holds this pair to
+// is AgentClient's (agent.h): on a clean stream, every byte of a
+// BatchResponse crosses unchanged, so controller output over sockets is
+// byte-identical to in-process.  On a damaged stream the surviving prefix
+// is decoded and wire::reconcile turns the lost frames into kUnavailable
+// blind spots, which the controller reports with the text a local channel
+// failure gets.  A lost reply is answered from the hello's element set:
+// advertised ids become blind spots, the rest count unknown.
 //
 // Failure handling is the agent's, on the wall clock: the same
 // RetryPolicy::backoff schedule spaces redials (slept on the OS clock), and
@@ -62,6 +60,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -127,19 +126,10 @@ class RemoteAgentServer {
   uint64_t accept_errors() const {
     return accept_errors_.load(std::memory_order_relaxed);
   }
-  // Live multiplexed connections (tests; racy by nature).
-  size_t live_connections() const {
-    return live_connections_.load(std::memory_order_relaxed);
-  }
 
   // Creates perfsight_transport_accept_errors_total (labeled by endpoint)
   // in `m`.  Call before start(); the serve thread reads the pointer.
   void set_metrics(MetricsRegistry* m);
-
-  // The server-side flight recorder: serve spans for traced requests land
-  // here and leave via harvest / piggyback.  Always enabled; it only fills
-  // when clients send traced requests.
-  TraceRecorder& trace_recorder() { return trace_recorder_; }
 
   // Shifts this server's view of the span clock (tests: prove the client's
   // hello-derived offset estimate really corrects skewed remote lanes).
@@ -199,10 +189,20 @@ class RemoteAgentServer {
   bool drain_messages(Conn& c);
   // Dispatches one decoded message; replies append to c.wbuf.  False = close.
   bool handle_message(Conn& c, const wire::Message& msg);
+  // Runs `serve` for one routed request of `agent` under the request's
+  // trace context, recording a `kind` serve span when it is traced.
+  template <typename Request, typename Serve>
+  auto traced_serve(const Agent& agent, const Request& req,
+                    TraceEventKind kind, double value, std::string_view detail,
+                    Serve serve);
   // Flushes c.wbuf as far as the socket buffer allows.  False = dead peer
   // or write deadline exceeded (backpressure bound).
   bool flush_writes(Conn& c);
-  // Roster lookup: "" = primary, unknown name = nullptr.
+  // Fleet routing for every request kind: "" (the pre-roster form) is the
+  // primary, an unknown name nullptr.  The caller closes the connection on
+  // nullptr: bindings are validated at connect time, so this only happens
+  // when the agent set changed under the client, and a reconnect re-runs
+  // that validation.
   Agent* route(const std::string& agent_name);
   std::string hello_bytes() const;
   // This server's span clock: transport::span_clock_ns() plus the test skew.
@@ -219,8 +219,10 @@ class RemoteAgentServer {
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> batches_served_{0};
   std::atomic<uint64_t> accept_errors_{0};
-  std::atomic<size_t> live_connections_{0};
   MetricsRegistry::CounterMetric* m_accept_errors_ = nullptr;
+  // The server-side flight recorder: serve spans for traced requests land
+  // here and leave via harvest / piggyback.  Always enabled; it only fills
+  // when clients send traced requests.
   TraceRecorder trace_recorder_;
   std::atomic<int64_t> clock_skew_ns_{0};
 
@@ -259,7 +261,9 @@ class RemoteAgent : public AgentClient {
   // further adapters by name (Deployment::add_remote_agents).
   std::vector<std::string> roster_names() const;
 
-  const std::string& name() const override;
+  // Set once by the first successful connect(), before the adapter is
+  // handed to a controller; immutable afterwards.
+  const std::string& name() const override { return name_; }
   bool has_element(const ElementId& id) const override;
   std::vector<ElementId> element_ids() const override;
 
@@ -304,24 +308,11 @@ class RemoteAgent : public AgentClient {
   };
   TransportStats transport_stats() const;
 
-  // One reconnect's element-set delta: what the fresh hello advertises for
-  // the bound agent versus what this adapter cached at the previous
-  // connection.  Removed ids become immediate "departed at reconnect"
-  // blind spots; added ids are servable right away — no full redial, the
-  // reconnect's hello already registered them.
-  struct RosterDiff {
-    uint64_t old_epoch = 0;  // 0: the previous hello predates epochs
-    uint64_t new_epoch = 0;
-    std::vector<ElementId> added;    // ascending
-    std::vector<ElementId> removed;  // ascending
-  };
-  // Drains the diffs observed at reconnects, oldest first (empty when every
-  // reconnect found the element set unchanged).  The Deployment layer reads
-  // these to keep its registrations honest.
-  std::vector<RosterDiff> drain_roster_diffs();
   // Elements that departed at some reconnect and have not re-appeared
-  // (ascending).  Queries to them fail immediately with the
-  // "departed at reconnect" status instead of travelling the wire.
+  // (ascending): the ids a reconnect's hello no longer advertises for the
+  // bound agent.  Queries to them fail immediately with the "departed at
+  // reconnect" status instead of travelling the wire; ids a reconnect adds
+  // serve right away, with no full redial.
   std::vector<ElementId> departed_elements() const;
 
  private:
@@ -331,16 +322,12 @@ class RemoteAgent : public AgentClient {
   // is available.
   Status ensure_connected_locked(SimTime now);
   void drop_connection_locked();
-  // All-blind-spots batch for a total transport loss (every known requested
-  // id kMissing/kUnavailable, unknowns counted like the in-process agent).
-  BatchResponse total_loss_locked(const std::vector<ElementId>& sorted_known,
-                                  size_t unknown) const;
-  // Merges synthesized "departed at reconnect" blind spots (ascending
-  // `departed_hit`) into an ascending batch.  No-op for an empty hit list,
-  // keeping the fault-free path byte-identical.
-  BatchResponse finish_batch_locked(BatchResponse out,
-                                    const std::vector<ElementId>& departed_hit,
-                                    SimTime now) const;
+  // The send / read / resend-once loop every request kind shares (batch,
+  // single, trace harvest): connects if needed, sends `request`, and calls
+  // `read()` for the reply, which returns true once something usable
+  // arrived.  False when nothing did.
+  template <typename Read>
+  bool exchange_locked(const std::string& request, SimTime now, Read read);
 
   // Reads a piggybacked/harvested kTraceData message off the live socket
   // and merges it into the global recorder as a remote lane.
@@ -360,8 +347,7 @@ class RemoteAgent : public AgentClient {
   uint64_t epoch_ = 0;  // element-set epoch of the last hello (0: none)
   // Elements lost at a reconnect and not re-added since; queries to them
   // are answered locally with kFailedPrecondition (departed at reconnect).
-  std::unordered_set<ElementId> departed_;
-  std::vector<RosterDiff> roster_diffs_;  // pending drain_roster_diffs()
+  std::set<ElementId> departed_;
   RetryPolicy retry_;
   CircuitBreakerConfig breaker_cfg_;
   CircuitBreaker<transport::Clock::time_point> breaker_;

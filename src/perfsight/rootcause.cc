@@ -66,10 +66,14 @@ MbSample to_sample(const Result<Controller::QualifiedRecord>& r) {
   return s;
 }
 
+// Bytes a side must move within the window before its rate is trusted;
+// guards against classifying an idle side from a handful of bytes.
+constexpr double kMinSideBytes = 1.0;
+
 // b/t in Mbps; -1 when the side saw no activity worth judging.
-double side_rate_mbps(double bytes, double time_ns, double min_bytes) {
+double side_rate_mbps(double bytes, double time_ns) {
   if (time_ns <= 0) return -1;
-  if (bytes < min_bytes && time_ns < 1e5) return -1;
+  if (bytes < kMinSideBytes && time_ns < 1e5) return -1;
   return bytes * 8.0 / (time_ns / 1e9) / 1e6;
 }
 
@@ -114,8 +118,8 @@ RootCauseReport RootCauseAnalyzer::analyze(TenantId tenant,
       double db_out = s2.out_bytes - s1.out_bytes;
       double dt_out = s2.out_time_ns - s1.out_time_ns;
       obs.capacity_mbps = s2.capacity_mbps;
-      obs.in_rate_mbps = side_rate_mbps(db_in, dt_in, min_bytes_);
-      obs.out_rate_mbps = side_rate_mbps(db_out, dt_out, min_bytes_);
+      obs.in_rate_mbps = side_rate_mbps(db_in, dt_in);
+      obs.out_rate_mbps = side_rate_mbps(db_out, dt_out);
       obs.has_input = obs.in_rate_mbps >= 0;
       obs.has_output = obs.out_rate_mbps >= 0;
       // Algorithm 2, lines 12-17: blocked iff the side moved data slower

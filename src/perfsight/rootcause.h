@@ -66,10 +66,6 @@ class RootCauseAnalyzer {
   explicit RootCauseAnalyzer(const Controller* controller)
       : controller_(controller) {}
 
-  // Bytes a side must move within the window before its rate is trusted;
-  // guards against classifying an idle side from a handful of bytes.
-  void set_min_bytes(double b) { min_bytes_ = b; }
-
   // Self-profiling sink: each analyze() observes its end-to-end cost into
   // perfsight_rootcause_diagnosis_seconds.  Optional; not owned.
   void set_metrics(MetricsRegistry* m) { metrics_ = m; }
@@ -78,7 +74,6 @@ class RootCauseAnalyzer {
 
  private:
   const Controller* controller_;
-  double min_bytes_ = 1.0;
   MetricsRegistry* metrics_ = nullptr;
 };
 

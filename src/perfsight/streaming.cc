@@ -22,21 +22,13 @@ const char* to_string(StreamCache::Provenance p) {
 // --- StreamPublisher ---------------------------------------------------------
 
 StreamPublisher::StreamPublisher(AgentClient* agent, const FaultPlan* plan)
-    : agent_(agent), plan_(plan), ids_(agent->element_ids()) {
-  std::sort(ids_.begin(), ids_.end());
-  ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
-}
+    : agent_(agent), plan_(plan), ids_(agent->element_ids()) {}
 
 Result<StreamPublisher::Published> StreamPublisher::publish(SimTime at,
                                                             ThreadPool* pool) {
   BatchResponse batch = agent_->query_batch(ids_, at, pool);
-
-  wire::StreamDataMsg msg;
-  msg.agent = agent_->name();
-  msg.seq = seq_ + 1;
-  msg.window_start = at;
-  msg.channel_time = batch.channel_time;
-  msg.responses = std::move(batch.responses);
+  wire::StreamDataMsg msg{agent_->name(), seq_ + 1, at, batch.channel_time,
+                          std::move(batch.responses)};
 
   Result<std::string> body =
       wire::encode_stream_data(msg, has_prev_ ? &prev_ : nullptr);
@@ -162,13 +154,8 @@ void StreamCache::repair(const std::string& agent, SimTime window_start,
   // The repaired window becomes the delta base: the next in-order frame was
   // encoded against the publisher's capture of this same boundary, and the
   // fault plan's purity makes the pull's attr bits identical to it.
-  wire::StreamDataMsg base;
-  base.agent = agent;
-  base.seq = s.expected;
-  base.window_start = window_start;
-  base.channel_time = batch.channel_time;
-  base.responses = batch.responses;
-  s.prev = std::move(base);
+  s.prev = wire::StreamDataMsg{agent, s.expected, window_start,
+                               batch.channel_time, batch.responses};
   s.has_prev = true;
   ++s.expected;
 
@@ -222,10 +209,7 @@ std::optional<QueryResponse> StreamCache::find(const std::string& agent,
 
 bool StreamCache::window_present(const std::string& agent,
                                  SimTime window_start) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto sit = streams_.find(agent);
-  return sit != streams_.end() &&
-         sit->second.windows.count(window_start.ns()) > 0;
+  return window_provenance(agent, window_start).has_value();
 }
 
 std::optional<StreamCache::Provenance> StreamCache::window_provenance(
@@ -274,74 +258,37 @@ StreamCacheAgent::StreamCacheAgent(const StreamCache* cache,
     : cache_(cache), name_(std::move(agent_name)), ids_(std::move(elements)) {
   std::sort(ids_.begin(), ids_.end());
   ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
-  for (const ElementId& id : ids_) known_[id] = true;
+  known_.insert(ids_.begin(), ids_.end());
 }
 
 StreamCacheAgent::StreamCacheAgent(const StreamCache* cache,
                                    const AgentClient& like)
     : StreamCacheAgent(cache, like.name(), like.element_ids()) {}
 
-bool StreamCacheAgent::has_element(const ElementId& id) const {
-  return known_.count(id) > 0;
-}
-
-Result<QueryResponse> StreamCacheAgent::lookup(const ElementId& id,
-                                               SimTime now) const {
-  std::optional<QueryResponse> r = cache_->find(name_, id, now);
-  if (!r.has_value()) {
-    // The window was never streamed or repaired — loud, distinct from any
-    // pull-path text so it reads as a cache bug, not a channel fault.
-    return Status::unavailable("stream cache: no window at t=" +
-                               std::to_string(now.ns()) + "ns for agent " +
-                               name_ + " element " + id.name);
-  }
-  return *r;
-}
-
 Result<QueryResponse> StreamCacheAgent::query_attrs(
     const ElementId& id, const std::vector<std::string>& attrs, SimTime now) {
-  if (!has_element(id)) {
-    return Status::not_found("agent " + name_ + ": no element " + id.name);
-  }
-  Result<QueryResponse> r = lookup(id, now);
-  if (!r.ok()) return r.status();
-  QueryResponse resp = r.value();
-  if (resp.quality == DataQuality::kMissing) {
-    // Reproduce the exact Status the live agent's single-query path
-    // returned when the capture failed.
-    return query_failure_status(name_, id, resp.attempts, resp.fail_code);
-  }
-  resp.record = project(std::move(resp.record), attrs);
-  return resp;
+  return single_answer(name_, id, query_batch({id}, now), &attrs);
 }
 
 BatchResponse StreamCacheAgent::query_batch(const std::vector<ElementId>& ids,
                                             SimTime now, ThreadPool*) {
-  std::vector<ElementId> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-
+  std::vector<ElementId> plan;
   BatchResponse out;
-  for (const ElementId& id : sorted) {
-    if (known_.count(id) == 0) {
-      ++out.unknown_ids;
-      continue;
-    }
+  out.unknown_ids = plan_request(ids, plan, [&](const ElementId& id) {
+    if (known_.count(id) == 0) return false;
+    plan.push_back(id);
+    return true;
+  });
+  out.responses.reserve(plan.size());
+  for (ElementId& id : plan) {
     std::optional<QueryResponse> r = cache_->find(name_, id, now);
-    if (!r.has_value()) {
-      // Degrade like a lost wire frame: a visible kMissing blind spot.
-      QueryResponse miss;
-      miss.record.timestamp = now;
-      miss.record.element = id;
-      miss.quality = DataQuality::kMissing;
-      miss.attempts = 1;
-      miss.fail_code = StatusCode::kUnavailable;
-      out.responses.push_back(std::move(miss));
-      ++out.degraded;
-      continue;
-    }
-    if (r->quality != DataQuality::kFresh) ++out.degraded;
-    out.responses.push_back(std::move(*r));
+    // A window never streamed or repaired degrades like a lost wire frame:
+    // a visible blind spot.
+    out.responses.push_back(
+        r.has_value()
+            ? std::move(*r)
+            : blind_spot(std::move(id), now, StatusCode::kUnavailable));
+    if (out.responses.back().quality != DataQuality::kFresh) ++out.degraded;
   }
   return out;  // channel_time stays zero: paid once, at capture
 }
@@ -398,27 +345,10 @@ uint64_t StreamPipeline::frames_dropped() const {
 Status StreamSubscriber::connect(transport::WallDuration deadline,
                                  uint64_t from_seq, Duration window) {
   close();
-  Result<transport::Socket> s = transport::connect(ep_, deadline);
-  if (!s.ok()) return s.status();
-  sock_ = std::move(s.value());
-
-  Result<wire::Message> msg = transport::read_message(sock_, deadline);
-  if (!msg.ok()) {
-    close();
-    return msg.status();
-  }
-  if (msg.value().kind != wire::MessageKind::kHello) {
-    close();
-    return Status::unavailable(
-        std::string("stream subscribe: expected hello, got ") +
-        wire::to_string(msg.value().kind));
-  }
-  Result<wire::HelloMsg> hello = wire::decode_hello(msg.value().body);
-  if (!hello.ok()) {
-    close();
-    return hello.status();
-  }
-  hello_ = std::move(hello.value());
+  Result<transport::Greeting> g = transport::dial_hello(ep_, deadline);
+  if (!g.ok()) return g.status();
+  sock_ = std::move(g.value().sock);
+  hello_ = std::move(g.value().hello);
 
   wire::SubscribeMsg sub;
   sub.agent = bind_;

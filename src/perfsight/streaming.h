@@ -44,6 +44,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/ids.h"
@@ -225,6 +226,8 @@ class StreamCache {
 // everything above it — Algorithm 1/2, Monitor, AlertWatcher) queries the
 // cache exactly as it would query the live agent.  name() is the *real*
 // agent's name, so failure Status texts match the pull path byte for byte.
+// A window the cache never received answers as a kUnavailable blind spot;
+// the single query is a batch of one, so both controller paths agree.
 class StreamCacheAgent : public AgentClient {
  public:
   StreamCacheAgent(const StreamCache* cache, std::string agent_name,
@@ -233,7 +236,9 @@ class StreamCacheAgent : public AgentClient {
   StreamCacheAgent(const StreamCache* cache, const AgentClient& like);
 
   const std::string& name() const override { return name_; }
-  bool has_element(const ElementId& id) const override;
+  bool has_element(const ElementId& id) const override {
+    return known_.count(id) > 0;
+  }
   std::vector<ElementId> element_ids() const override { return ids_; }
 
   Result<QueryResponse> query_attrs(const ElementId& id,
@@ -246,13 +251,10 @@ class StreamCacheAgent : public AgentClient {
                             ThreadPool* pool = nullptr) override;
 
  private:
-  // The cached response, or the Status a pull-path caller would have seen.
-  Result<QueryResponse> lookup(const ElementId& id, SimTime now) const;
-
   const StreamCache* cache_;
   std::string name_;
   std::vector<ElementId> ids_;  // ascending
-  std::unordered_map<ElementId, bool> known_;
+  std::unordered_set<ElementId> known_;
 };
 
 // Drives in-process push mode: one publisher per agent, one shared cache.

@@ -4,6 +4,7 @@
 #include <array>
 #include <map>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "perfsight/json_export.h"
 
@@ -96,11 +97,7 @@ uint64_t next_span_id(uint16_t domain) {
 
 uint16_t span_domain_for(std::string_view process_name) {
   // FNV-1a folded to 16 bits; never 0 (the controller's domain).
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : process_name) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
+  const uint64_t h = fnv1a64(process_name);
   uint16_t d = static_cast<uint16_t>(h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48));
   return d == 0 ? 1 : d;
 }

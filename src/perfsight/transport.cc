@@ -492,12 +492,6 @@ BatchReadResult read_batch(Socket& s, WallDuration deadline) {
   return out;
 }
 
-bool wait_readable(const Socket& s, WallDuration deadline) {
-  if (s.fd() < 0) return false;
-  if (s.buffered() > 0) return true;
-  return poll_until(s.fd(), POLLIN, Clock::now() + deadline);
-}
-
 Result<wire::Message> read_message(Socket& s, WallDuration deadline) {
   std::string bytes;
   // Prefix and body share one absolute budget (same rationale as
@@ -512,6 +506,23 @@ Result<wire::Message> read_message(Socket& s, WallDuration deadline) {
   st = s.recv_exact_until(prefix.value().body_len, &bytes, until);
   if (!st.is_ok()) return st;
   return wire::decode_message(bytes);
+}
+
+Result<Greeting> dial_hello(const Endpoint& ep, WallDuration deadline) {
+  Result<Socket> s = connect(ep, deadline);
+  if (!s.ok()) return s.status();
+  Greeting g{std::move(s).take(), {}};
+  Result<wire::Message> msg = read_message(g.sock, deadline);
+  if (!msg.ok()) return msg.status();
+  if (msg.value().kind != wire::MessageKind::kHello) {
+    return Status::unavailable("transport: expected a hello from " +
+                               ep.to_string() + ", got " +
+                               wire::to_string(msg.value().kind));
+  }
+  Result<wire::HelloMsg> hello = wire::decode_hello(msg.value().body);
+  if (!hello.ok()) return hello.status();
+  g.hello = std::move(hello).take();
+  return g;
 }
 
 }  // namespace perfsight::transport

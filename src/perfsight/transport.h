@@ -197,10 +197,14 @@ BatchReadResult read_batch(Socket& s, WallDuration deadline);
 // checksum.
 Result<wire::Message> read_message(Socket& s, WallDuration deadline);
 
-// True when at least one byte (or EOF) is readable within `deadline`;
-// bytes already in the Socket's buffer count, without a poll.  Serve
-// loops idle on this instead of a short-deadline read, so a slow-trickling
-// message prefix is never read halfway and discarded.
-bool wait_readable(const Socket& s, WallDuration deadline);
+// A dialed connection whose server hello has been read and decoded.
+struct Greeting {
+  Socket sock;
+  wire::HelloMsg hello;
+};
+// The first step of every client connection (the remote adapter, the
+// stream subscriber): dial `ep`, then read the hello the server sends on
+// accept.  Each step gets its own `deadline`.
+Result<Greeting> dial_hello(const Endpoint& ep, WallDuration deadline);
 
 }  // namespace perfsight::transport

@@ -290,15 +290,6 @@ uint32_t get_stream_header(Reader& in, std::string* agent, uint64_t* seq,
 
 }  // namespace
 
-uint64_t fnv1a64(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 Result<BatchResponse> parse_batch_header(std::string_view bytes,
                                          DecodeStats* stats) {
   Reader in(bytes);
@@ -425,7 +416,7 @@ Result<BatchResponse> decode_batch(std::string_view bytes,
 }
 
 BatchResponse reconcile(const std::vector<ElementId>& sorted_ids,
-                        const BatchResponse& decoded) {
+                        const BatchResponse& decoded, SimTime now) {
   BatchResponse out;
   out.channel_time = decoded.channel_time;
   out.unknown_ids = decoded.unknown_ids;
@@ -441,12 +432,7 @@ BatchResponse reconcile(const std::vector<ElementId>& sorted_ids,
       ++ri;
     } else {
       // Frame lost on the wire: the element stays visible as a blind spot.
-      QueryResponse miss;
-      miss.record.element = id;
-      miss.quality = DataQuality::kMissing;
-      miss.attempts = 1;
-      miss.fail_code = StatusCode::kUnavailable;
-      out.responses.push_back(std::move(miss));
+      out.responses.push_back(blind_spot(id, now, StatusCode::kUnavailable));
     }
     if (out.responses.back().quality != DataQuality::kFresh) ++out.degraded;
   }

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "perfsight/agent.h"
 #include "perfsight/trace.h"
@@ -64,8 +65,8 @@ inline constexpr size_t kMessagePrefixSize = 4 + 1 + 4 + 8;
 // not data: it caps what a corrupted length prefix can make a reader trust.
 inline constexpr uint32_t kMaxPayload = 1u << 24;
 
-// FNV-1a 64-bit, the frame integrity check.
-uint64_t fnv1a64(std::string_view bytes);
+// FNV-1a 64-bit (common/rng.h), the frame integrity check.
+using perfsight::fnv1a64;
 
 // One element response as a self-delimiting frame.  Fails (instead of
 // truncating) when a name exceeds 64 KiB, the record has more than 65535
@@ -104,10 +105,11 @@ Result<BatchResponse> decode_batch(std::string_view bytes,
 // Maps wire damage to DataQuality: returns one response per id in
 // `sorted_ids` (ascending element-id order, matching query_batch output).
 // Ids whose frames were lost to truncation/corruption come back as
-// kMissing responses — a damaged stream degrades to visible blind spots
-// instead of silently shrinking the batch.
+// kUnavailable blind spots stamped `now`, the query time — a damaged
+// stream degrades to visible blind spots instead of silently shrinking the
+// batch.
 BatchResponse reconcile(const std::vector<ElementId>& sorted_ids,
-                        const BatchResponse& decoded);
+                        const BatchResponse& decoded, SimTime now);
 
 // --- transport control messages ---------------------------------------------
 // Everything except batch responses (which stream as raw PSB1 above) rides
@@ -118,7 +120,8 @@ enum class MessageKind : uint8_t {
   kHello = 1,           // server → client on accept: agent name + element ids
   kBatchRequest = 2,    // client → server: query_batch(ids, now)
   kSingleRequest = 3,   // client → server: query_attrs(id, attrs, now)
-  kListElements = 4,    // client → server: re-fetch the hello element set
+  kListElements = 4,    // retired (a server closes the connection); kept so
+                        // the kinds do not renumber
   kSingleResponse = 5,  // server → client: one PSB1 frame (success)
   kError = 6,           // server → client: Status code + message
   kTraceHarvest = 7,    // client → server: drain your trace rings to me

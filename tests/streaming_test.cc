@@ -17,6 +17,7 @@
 // subscriber reconnects against publish ticks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -644,6 +645,94 @@ TEST(StreamCacheTest, RetentionPrunesOldestWindows) {
   EXPECT_FALSE(cache.window_present("a0", SimTime::millis(500)));
   EXPECT_TRUE(cache.window_present("a0", SimTime::millis(600)));
   EXPECT_TRUE(cache.window_present("a0", SimTime::millis(800)));
+}
+
+// --- the AgentClient contract -----------------------------------------------
+
+// One agent's m0/* elements, served in process, over a socket and from a
+// stream cache that captured the window at 100 ms.
+struct ThreeClients {
+  std::vector<std::unique_ptr<FnSource>> sources = make_scenario();
+  Agent agent{"ra", 5};
+  std::vector<ElementId> ids;
+  std::unique_ptr<RemoteAgentServer> server;
+  std::unique_ptr<RemoteAgent> remote;
+  StreamCache cache;
+  std::unique_ptr<StreamCacheAgent> cached;
+
+  ThreeClients() {
+    for (const auto& s : sources) {
+      if (!starts_with(s->id().name, "m0/")) continue;
+      EXPECT_TRUE(agent.add_element(s.get()).is_ok());
+      ids.push_back(s->id());
+    }
+    server = std::make_unique<RemoteAgentServer>(
+        &agent, transport::Endpoint::tcp("127.0.0.1", 0));
+    EXPECT_TRUE(server->start().is_ok());
+    remote = std::make_unique<RemoteAgent>(server->endpoint());
+    EXPECT_TRUE(remote->connect().is_ok());
+    StreamPipeline pipe(&cache);
+    pipe.add_agent(&agent);
+    EXPECT_TRUE(pipe.pump(SimTime::millis(100)).is_ok());
+    cached = std::make_unique<StreamCacheAgent>(&cache, agent);
+  }
+};
+
+// What the contract fixes about a batch answer: the element sequence, each
+// response's quality, and the unknown count.
+std::string answer_shape(const BatchResponse& b) {
+  std::string s = "unknown=" + std::to_string(b.unknown_ids);
+  for (const QueryResponse& r : b.responses) {
+    s += " " + r.record.element.name + ":" + to_string(r.quality);
+  }
+  return s;
+}
+
+TEST(StreamingDifferentialTest, DuplicateAndUnknownIdsAnswerAlike) {
+  ThreeClients c;
+  ASSERT_GE(c.ids.size(), 2u);
+  const ElementId ghost{"ghost"};
+  const std::vector<ElementId> req{c.ids[1], ghost, c.ids[0], c.ids[1],
+                                   ghost};
+  const SimTime t = SimTime::millis(100);
+
+  // One answer per known occurrence, ascending; one unknown per occurrence.
+  std::vector<ElementId> known{c.ids[1], c.ids[0], c.ids[1]};
+  std::sort(known.begin(), known.end());
+  std::string want = "unknown=2";
+  for (const ElementId& id : known) want += " " + id.name + ":fresh";
+  const std::string local = answer_shape(c.agent.query_batch(req, t));
+  EXPECT_EQ(local, want);
+  EXPECT_EQ(answer_shape(c.remote->query_batch(req, t)), local);
+  EXPECT_EQ(answer_shape(c.cached->query_batch(req, t)), local);
+}
+
+// A window the cache never received is a blind spot on both controller
+// paths: scatter-gather and the sequential oracle return the same Status.
+TEST(StreamingDifferentialTest, MissingWindowFailsAlikeBatchedAndSequential) {
+  ThreeClients c;
+  SimTime now = SimTime::millis(200);  // no window was captured here
+  Controller ctl([&](Duration d) { return now = now + d; },
+                 [&] { return now; });
+  ctl.register_agent(c.cached.get());
+  for (const ElementId& id : c.ids) {
+    ASSERT_TRUE(ctl.register_element(kTenant, id, c.cached.get()).is_ok());
+  }
+  ctl.set_batching(true);
+  auto batched = ctl.get_attr_many(kTenant, c.ids, {attr::kRxPkts});
+  ctl.set_batching(false);
+  auto sequential = ctl.get_attr_many(kTenant, c.ids, {attr::kRxPkts});
+  ASSERT_EQ(batched.size(), c.ids.size());
+  ASSERT_EQ(sequential.size(), c.ids.size());
+  for (size_t i = 0; i < c.ids.size(); ++i) {
+    ASSERT_FALSE(batched[i].ok());
+    ASSERT_FALSE(sequential[i].ok());
+    EXPECT_EQ(sequential[i].status().code(), batched[i].status().code());
+    EXPECT_EQ(sequential[i].status().message(), batched[i].status().message());
+    EXPECT_NE(batched[i].status().message().find("unavailable after 1"),
+              std::string::npos)
+        << batched[i].status().message();
+  }
 }
 
 // --- remote kSubscribe / kStreamData ----------------------------------------

@@ -247,7 +247,8 @@ TEST(WireCodecTest, ReconcileMapsDamageToMissing) {
   EXPECT_TRUE(st.truncated);
   EXPECT_FALSE(st.complete());
 
-  BatchResponse healed = wire::reconcile(ids, got.value());
+  BatchResponse healed =
+      wire::reconcile(ids, got.value(), SimTime::micros(5));
   ASSERT_EQ(healed.responses.size(), ids.size());
   EXPECT_EQ(canon(healed.responses[0]), canon(b.responses[0]));
   for (size_t i = 1; i < ids.size(); ++i) {
