@@ -52,8 +52,9 @@ class Deployment {
   sim::Simulator* simulator() { return sim_; }
   Controller* controller() { return &controller_; }
 
-  // The deployment-wide collection pool (hand it to ContentionDetector /
-  // Monitor / Agent batch calls that should fan out).
+  // The deployment-wide collection pool (the controller's scatter-gather
+  // already runs over it; hand it to Agent batch calls that should fan
+  // out).
   ThreadPool* pool() { return &pool_; }
 
   // Deployment-wide metrics registry: every agent added below is scraped by

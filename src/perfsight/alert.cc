@@ -6,39 +6,22 @@
 namespace perfsight {
 
 std::vector<Alert> AlertWatcher::check(const AuxSignals& aux) {
-  // Phase 1 — breach scan, fanned out over the pool: each rule reads its
-  // monitor series and compares against the threshold.  Pure reads into
-  // per-rule slots, so any completion order yields the same breaches.
-  struct Scan {
-    bool breach = false;
+  // Rules run in order.  `now` is read per rule because a fired diagnosis
+  // may advance simulated time: later rules see the post-diagnosis clock.
+  std::vector<Alert> fired;
+  for (RuleState& rs : rules_) {
+    const AlertRule& rule = rs.rule;
     double observed = 0;
-  };
-  std::vector<Scan> scans(rules_.size());
-  parallel_for_or_inline(pool_, rules_.size(), [&](size_t i) {
-    const AlertRule& rule = rules_[i].rule;
-    Scan& s = scans[i];
     if (rule.on_rate) {
       Monitor::Series r = monitor_->rates(rule.element, rule.attr);
-      if (r.empty()) return;
-      s.observed = r.last();
+      if (r.empty()) continue;
+      observed = r.last();
     } else {
       const Monitor::Series& v = monitor_->values(rule.element, rule.attr);
-      if (v.empty()) return;
-      s.observed = v.last();
+      if (v.empty()) continue;
+      observed = v.last();
     }
-    s.breach = s.observed >= rule.threshold;
-  });
-
-  // Phase 2 — cooldown bookkeeping, traces and diagnoses, sequential in
-  // rule order.  `now` is read per rule because a fired diagnosis advances
-  // simulated time: later rules must see the post-diagnosis clock, exactly
-  // as the sequential watcher did.
-  std::vector<Alert> fired;
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    RuleState& rs = rules_[i];
-    const AlertRule& rule = rs.rule;
-    if (!scans[i].breach) continue;
-    const double observed = scans[i].observed;
+    if (observed < rule.threshold) continue;
 
     const SimTime now = monitor_->controller()->now();
     if (rs.fired_before && now - rs.last_fired < rule.cooldown) continue;
@@ -84,9 +67,8 @@ std::string to_text(const Alert& alert) {
                     " >= " + std::to_string(alert.threshold) + " at t=" +
                     std::to_string(alert.at.sec()) + "s\n";
   if (alert.coverage < 1.0) {
-    out += "  (diagnosis ran on partial data: coverage " +
-           std::to_string(static_cast<int>(alert.coverage * 100 + 0.5)) +
-           "%)\n";
+    out += "  (diagnosis ran on partial data: " +
+           coverage_text(alert.coverage) + ")\n";
   }
   if (alert.ran_contention) out += to_text(alert.contention);
   if (alert.ran_rootcause) out += to_text(alert.rootcause);

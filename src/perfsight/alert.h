@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/threadpool.h"
 #include "common/units.h"
 #include "perfsight/contention.h"
 #include "perfsight/monitor.h"
@@ -69,16 +68,12 @@ class AlertWatcher {
     rules_.push_back(RuleState{std::move(rule), SimTime{}, false});
   }
 
-  // Evaluation pool: the read-only breach scan (monitor series + threshold,
-  // phase 1) fans out one task per rule; cooldown bookkeeping, traces and
-  // diagnoses stay sequential in rule order (phase 2), so output is
-  // byte-identical to the pool-less watcher.  Optional; not owned.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
-
-  // Evaluates every rule against the monitor's current series; call after
-  // each Monitor::sample().  Triggered diagnoses advance simulated time by
-  // their window (exactly like a manual run).  Returns the alerts fired by
-  // this call; the full history stays available via history().
+  // Evaluates every rule, in order, against the monitor's current series;
+  // call after each Monitor::sample().  A triggered diagnosis advances
+  // simulated time by its window exactly like a manual run — unless no
+  // element of its scan set answered the first sweep, in which case no
+  // window is waited out (Controller::sample_window).  Returns the alerts
+  // fired by this call; the full history stays available via history().
   std::vector<Alert> check(const AuxSignals& aux = {});
 
   const std::vector<Alert>& history() const { return history_; }
@@ -93,7 +88,6 @@ class AlertWatcher {
   const Monitor* monitor_;
   const ContentionDetector* contention_;
   const RootCauseAnalyzer* rootcause_;
-  ThreadPool* pool_ = nullptr;
   std::vector<RuleState> rules_;
   std::vector<Alert> history_;
 };

@@ -3,49 +3,17 @@
 #include <algorithm>
 #include <set>
 
-#include "perfsight/trace.h"
-
 namespace perfsight {
 
 namespace {
+
 const ElementId kAlgo1Id{"diagnosis/contention"};
-}  // namespace
 
-namespace {
-
-struct Sample {
-  double drops = 0;
-  double in_pkts = 0;
-  double out_pkts = 0;
-  ElementKind kind = ElementKind::kOther;
-  int vm = -1;
-  bool valid = false;
-  bool has_drop_counter = false;
-  DataQuality quality = DataQuality::kMissing;  // kFresh once sampled cleanly
-};
-
-// The attribute set one contention sample needs; shared by the single-element
-// and batched sampling paths.
-std::vector<std::string> sample_attrs() {
-  return {attr::kDropPkts, attr::kRxPkts, attr::kTxPkts, attr::kType,
-          attr::kVm};
-}
-
-Sample to_sample(const Result<Controller::QualifiedRecord>& r) {
-  Sample s;
-  if (!r.ok()) return s;
-  s.quality = r.value().quality;
-  const StatsRecord& rec = r.value().record;
-  s.has_drop_counter = rec.get(attr::kDropPkts).has_value();
-  s.drops = rec.get_or(attr::kDropPkts, 0);
-  s.in_pkts = rec.get_or(attr::kRxPkts, 0);
-  s.out_pkts = rec.get_or(attr::kTxPkts, 0);
-  s.kind = static_cast<ElementKind>(
-      static_cast<int>(rec.get_or(attr::kType, static_cast<double>(static_cast<int>(ElementKind::kOther)))));
-  s.vm = static_cast<int>(rec.get_or(attr::kVm, -1));
-  s.valid = true;
-  return s;
-}
+// One contention sample: the loss counters, then the element's kind and VM.
+constexpr size_t kTypeAttr = 3;
+constexpr size_t kVmAttr = 4;
+const std::vector<std::string> kSampleAttrs = {
+    attr::kDropPkts, attr::kRxPkts, attr::kTxPkts, attr::kType, attr::kVm};
 
 bool is_shared_kind(ElementKind k) {
   switch (k) {
@@ -61,75 +29,44 @@ bool is_shared_kind(ElementKind k) {
 
 }  // namespace
 
+void ContentionDetector::set_metrics(MetricsRegistry* m) {
+  cost_ = m == nullptr
+              ? nullptr
+              : &m->histogram("perfsight_contention_diagnosis_seconds",
+                              "End-to-end Algorithm 1 cost: measurement "
+                              "window plus modelled channel time");
+}
+
 ContentionReport ContentionDetector::diagnose(TenantId tenant, Duration window,
                                               const AuxSignals& aux) const {
-  const SimTime t0 = controller_->now();
-  const Duration ch0 = controller_->channel_time();
-  trace_event(kAlgo1Id, t0, TraceEventKind::kDiagnosisStarted,
-              static_cast<double>(tenant.value()), "Algorithm 1 sweep");
-
-  // Runs at every exit: observe what this diagnosis itself cost (the sweep
-  // window plus the modelled channel time of every query it issued).
-  auto finish = [&](const ContentionReport& r) {
-    const SimTime t1 = controller_->now();
-    const Duration cost = (t1 - t0) + (controller_->channel_time() - ch0);
-    if (metrics_ != nullptr) {
-      metrics_
-          ->histogram("perfsight_contention_diagnosis_seconds",
-                      "End-to-end Algorithm 1 cost: measurement window plus "
-                      "modelled channel time")
-          .observe(cost.sec());
-    }
-    trace_event(kAlgo1Id, t1, TraceEventKind::kDiagnosisCompleted, cost.ms(),
-                r.problem_found ? "problem found" : "healthy");
-  };
-
+  const DiagnosisFrame frame(controller_, kAlgo1Id, tenant,
+                             "Algorithm 1 sweep", cost_);
   ContentionReport report;
-  std::vector<ElementId> elements = controller_->stack_elements_for(tenant);
+  const std::vector<ElementId> elements =
+      controller_->stack_elements_for(tenant);
 
-  // One shared measurement window for the whole sweep.  Each sweep is one
-  // scatter-gather fan-in: the controller groups the elements by owning
-  // agent, issues one batch per agent over the pool, and merges results
-  // back in element order — so the report below never depends on completion
-  // order, and the per-element channel cost amortizes per channel kind.
-  const std::vector<std::string> attrs = sample_attrs();
-  std::vector<Sample> first(elements.size());
-  std::vector<Sample> second(elements.size());
-  auto sweep = [&](std::vector<Sample>& out) {
-    std::vector<Result<Controller::QualifiedRecord>> got =
-        controller_->get_attr_many(tenant, elements, attrs, pool_);
-    for (size_t i = 0; i < elements.size(); ++i) out[i] = to_sample(got[i]);
-  };
-  sweep(first);
-  controller_->advance(window);
-  sweep(second);
+  // One shared measurement window for the whole scan set (not one window
+  // per element).
+  const std::vector<Controller::WindowSample> samples =
+      controller_->sample_window(tenant, elements, kSampleAttrs, window);
   for (size_t i = 0; i < elements.size(); ++i) {
-    const ElementId& e = elements[i];
-    const Sample& s1 = first[i];
-    const Sample& s2 = second[i];
+    const Controller::WindowSample& w = samples[i];
     // A loss delta is only trustworthy when *both* endpoints were actually
     // measured (fresh primary or quorum replica): stale counters produce
     // bogus deltas and torn records may be missing the very counters the
     // delta needs.  Degraded elements become blind spots instead of ranked
     // entries.
-    const DataQuality q = worse(s1.quality, s2.quality);
-    if (!s1.valid || !s2.valid || !is_measured(q)) {
-      report.blind_spots.push_back(ContentionReport::BlindSpot{e, q});
+    if (!w.ok() || !is_measured(w.quality)) {
+      report.blind_spots.push_back(
+          ContentionReport::BlindSpot{elements[i], w.quality});
       continue;
     }
     ElementLossEntry entry;
-    entry.id = e;
-    entry.kind = s2.kind;
-    entry.vm = s2.vm;
-    if (s2.has_drop_counter) {
-      entry.loss_pkts = static_cast<int64_t>(s2.drops - s1.drops);
-    } else {
-      // The paper's (in - out) growth, for elements without an explicit
-      // drop counter.
-      entry.loss_pkts = static_cast<int64_t>((s2.in_pkts - s2.out_pkts) -
-                                             (s1.in_pkts - s1.out_pkts));
-    }
-    if (entry.loss_pkts < 0) entry.loss_pkts = 0;
+    entry.id = elements[i];
+    entry.kind = static_cast<ElementKind>(static_cast<int>(
+        w.second(kTypeAttr).value_or(static_cast<int>(ElementKind::kOther))));
+    entry.vm = static_cast<int>(w.second(kVmAttr).value_or(-1));
+    entry.loss_pkts = std::max<int64_t>(0, pkt_loss(w));
     report.ranked.push_back(entry);
   }
   std::sort(report.ranked.begin(), report.ranked.end(),
@@ -138,26 +75,20 @@ ContentionReport ContentionDetector::diagnose(TenantId tenant, Duration window,
               return a.id < b.id;
             });
 
-  if (!elements.empty()) {
-    report.coverage =
-        static_cast<double>(elements.size() - report.blind_spots.size()) /
-        static_cast<double>(elements.size());
-  }
+  report.coverage = coverage(elements.size(), report.blind_spots.size());
   // Appended to every narrative when the sweep had blind spots: a verdict
   // from partial data must say so.
   auto blind_note = [&]() -> std::string {
     if (report.blind_spots.empty()) return "";
     return "; " + std::to_string(report.blind_spots.size()) +
-           " element(s) unmeasured (coverage " +
-           std::to_string(static_cast<int>(report.coverage * 100 + 0.5)) +
-           "%)";
+           " element(s) unmeasured (" + coverage_text(report.coverage) + ")";
   };
 
   if (report.ranked.empty() ||
       report.ranked.front().loss_pkts < loss_threshold_) {
     report.narrative = "no significant packet loss in the software dataplane" +
                        blind_note();
-    finish(report);
+    frame.finish("healthy");
     return report;
   }
 
@@ -201,7 +132,7 @@ ContentionReport ContentionDetector::diagnose(TenantId tenant, Duration window,
                                 " VMs"
                           : "bottleneck confined to one VM");
   report.narrative += blind_note();
-  finish(report);
+  frame.finish("problem found");
   return report;
 }
 
@@ -212,10 +143,8 @@ std::string to_text(const ContentionReport& r) {
     out += "  no significant loss detected\n";
     if (!r.blind_spots.empty()) {
       out += "  WARNING: verdict from partial data; " +
-             std::to_string(r.blind_spots.size()) +
-             " element(s) unmeasured (coverage " +
-             std::to_string(static_cast<int>(r.coverage * 100 + 0.5)) +
-             "%)\n";
+             std::to_string(r.blind_spots.size()) + " element(s) unmeasured (" +
+             coverage_text(r.coverage) + ")\n";
     }
     return out;
   }
@@ -237,8 +166,8 @@ std::string to_text(const ContentionReport& r) {
            "]: " + std::to_string(e.loss_pkts) + " pkts\n";
   }
   if (!r.blind_spots.empty()) {
-    out += "  blind spots (excluded from ranking, coverage " +
-           std::to_string(static_cast<int>(r.coverage * 100 + 0.5)) + "%):\n";
+    out += "  blind spots (excluded from ranking, " +
+           coverage_text(r.coverage) + "):\n";
     for (const ContentionReport::BlindSpot& b : r.blind_spots) {
       out += "    " + b.id.name + ": " + to_string(b.quality) + "\n";
     }

@@ -1,9 +1,9 @@
 // Algorithm 1 (§5.1): detect contention and bottleneck middleboxes.
 //
 // Scans every virtualization-stack element on the machines hosting a
-// tenant, measures each element's packet loss over a single shared window
-// (one sample sweep, advance, second sweep — not one window per element),
-// ranks elements by loss, and classifies:
+// tenant, measures each element's packet loss over one shared
+// Controller::sample_window (not one window per element), ranks elements by
+// loss, and classifies:
 //
 //   * loss at a shared element (pNIC, pCPU backlog)            -> contention
 //     for that element's resource among its users;
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/threadpool.h"
 #include "perfsight/controller.h"
 #include "perfsight/metrics.h"
 #include "perfsight/rulebook.h"
@@ -70,14 +69,9 @@ class ContentionDetector {
 
   // Self-profiling sink: each diagnose() observes its end-to-end cost
   // (measurement window + modelled channel time) into
-  // perfsight_contention_diagnosis_seconds.  Optional; not owned.
-  void set_metrics(MetricsRegistry* m) { metrics_ = m; }
-
-  // Collection pool for the stack sweeps: the two sample sweeps fan their
-  // per-element queries out across workers and merge by element index, so
-  // the report is byte-identical to the sequential scan.  Optional; not
-  // owned; null means sequential.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
+  // perfsight_contention_diagnosis_seconds, created here.  Optional; not
+  // owned.
+  void set_metrics(MetricsRegistry* m);
 
   ContentionReport diagnose(TenantId tenant, Duration window,
                             const AuxSignals& aux = {}) const;
@@ -86,8 +80,7 @@ class ContentionDetector {
   const Controller* controller_;
   RuleBook rulebook_;
   int64_t loss_threshold_ = 1;
-  MetricsRegistry* metrics_ = nullptr;
-  ThreadPool* pool_ = nullptr;
+  LatencyHistogram* cost_ = nullptr;
 };
 
 std::string to_text(const ContentionReport& report);

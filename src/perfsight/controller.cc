@@ -310,7 +310,7 @@ struct ScatterPlan {
 
 std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
     TenantId tenant, const std::vector<ElementId>& ids,
-    const std::vector<std::string>& attrs, ThreadPool* pool) const {
+    const std::vector<std::string>& attrs) const {
   std::vector<Result<QualifiedRecord>> out(
       ids.size(),
       Result<QualifiedRecord>(Status::unavailable("unresolved scatter slot")));
@@ -349,7 +349,7 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
   // kind — the win is agent-level parallelism.
   auto fan_out = [&](const ScatterPlan& p) {
     std::vector<BatchResponse> br(p.groups.size());
-    parallel_for_or_inline(pool, p.groups.size(), [&](size_t gi) {
+    parallel_for_or_inline(pool_, p.groups.size(), [&](size_t gi) {
       ScopedTraceContext span_ctx(scatter_ctx);
       br[gi] = p.groups[gi].agent->query_batch(p.groups[gi].sorted_ids, now);
     });
@@ -450,7 +450,7 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
 
 std::vector<Result<Controller::QualifiedRecord>> Controller::get_attr_many(
     TenantId tenant, const std::vector<ElementId>& ids,
-    const std::vector<std::string>& attrs, ThreadPool* pool_override) const {
+    const std::vector<std::string>& attrs) const {
   // A batch of one takes the element's own trip; the sequential
   // per-element loop is also the oracle the differential suite holds the
   // scatter-gather path to, and batching off selects it explicitly.
@@ -462,86 +462,125 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::get_attr_many(
     }
     return out;
   }
-  return scatter_gather(tenant, ids, attrs,
-                        pool_override != nullptr ? pool_override : pool_);
+  return scatter_gather(tenant, ids, attrs);
 }
 
-template <typename T, typename Delta>
-std::vector<Result<T>> Controller::interval_many(
-    TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-    const std::vector<std::string>& attrs, std::vector<DataQuality>* quality,
-    ThreadPool* pool_override, Delta delta) const {
-  std::vector<Result<QualifiedRecord>> s1 =
-      get_attr_many(tenant, ids, attrs, pool_override);
-  if (quality != nullptr) quality->assign(ids.size(), DataQuality::kMissing);
-  std::vector<Result<T>> out;
-  out.reserve(ids.size());
-  // Nothing to measure: no window is waited out and no second sweep is
-  // issued when every first sample failed.
-  if (std::none_of(s1.begin(), s1.end(),
-                   [](const Result<QualifiedRecord>& r) { return r.ok(); })) {
-    for (const Result<QualifiedRecord>& r : s1) out.push_back(r.status());
-    return out;
-  }
-  advance_(window);
-  std::vector<Result<QualifiedRecord>> s2 =
-      get_attr_many(tenant, ids, attrs, pool_override);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (!s1[i].ok()) {
-      out.push_back(s1[i].status());
-      continue;
+// --- the measurement window -------------------------------------------------
+
+std::vector<Controller::WindowSample> Controller::sample_window(
+    TenantId tenant, const std::vector<ElementId>& ids,
+    const std::vector<std::string>& attrs, Duration window) const {
+  std::vector<WindowSample> out(ids.size());
+  // Sweep `k` (0 or 1), reduced into `out` as it lands; the first failing
+  // Status stands.  Returns whether any sample landed.
+  auto sweep = [&](size_t k) {
+    std::vector<Result<QualifiedRecord>> got =
+        get_attr_many(tenant, ids, attrs);
+    bool landed = false;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      WindowSample& w = out[i];
+      if (!w.ok()) continue;
+      if (!got[i].ok()) {
+        w.status = got[i].status();
+        w.quality = DataQuality::kMissing;
+        continue;
+      }
+      landed = true;
+      const QualifiedRecord& q = got[i].value();
+      w.quality = worse(w.quality, q.quality);
+      w.t[k] = q.record.timestamp;
+      w.values.resize(2 * attrs.size());
+      for (size_t a = 0; a < attrs.size(); ++a) {
+        w.values[k * attrs.size() + a] = q.record.get(attrs[a]);
+      }
     }
-    if (!s2[i].ok()) {
-      out.push_back(s2[i].status());
-      continue;
-    }
-    if (quality != nullptr) {
-      (*quality)[i] = worse(s1[i].value().quality, s2[i].value().quality);
-    }
-    out.push_back(delta(s1[i].value().record, s2[i].value().record));
+    return landed;
+  };
+  if (sweep(0)) {
+    advance_(window);
+    sweep(1);
   }
   return out;
 }
 
+namespace {
+
+// One Result per window entry — its Status, or `value(entry)` — and, when
+// `quality` is non-null, each entry's quality.
+template <typename T, typename Value>
+std::vector<Result<T>> per_element(
+    const std::vector<Controller::WindowSample>& window,
+    std::vector<DataQuality>* quality, Value value) {
+  if (quality != nullptr) quality->clear();
+  std::vector<Result<T>> out;
+  for (const Controller::WindowSample& w : window) {
+    if (quality != nullptr) quality->push_back(w.quality);
+    out.push_back(w.ok() ? Result<T>(value(w)) : Result<T>(w.status));
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<Result<DataRate>> Controller::get_throughput_many(
     TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-    std::vector<DataQuality>* quality, ThreadPool* pool_override) const {
-  return interval_many<DataRate>(
-      tenant, ids, window, {attr::kTxBytes}, quality, pool_override,
-      [](const StatsRecord& r1, const StatsRecord& r2) {
-        double b1 = r1.get_or(attr::kTxBytes, 0);
-        double b2 = r2.get_or(attr::kTxBytes, 0);
-        return rate_of(static_cast<uint64_t>(std::max(0.0, b2 - b1)),
-                       r2.timestamp - r1.timestamp);
+    std::vector<DataQuality>* quality) const {
+  return per_element<DataRate>(
+      sample_window(tenant, ids, {attr::kTxBytes}, window), quality,
+      [](const WindowSample& w) {
+        const double db = w.second(0).value_or(0) - w.first(0).value_or(0);
+        return rate_of(static_cast<uint64_t>(std::max(0.0, db)),
+                       w.t[1] - w.t[0]);
       });
 }
 
 std::vector<Result<int64_t>> Controller::get_pkt_loss_many(
     TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-    std::vector<DataQuality>* quality, ThreadPool* pool_override) const {
-  return interval_many<int64_t>(
-      tenant, ids, window, {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts},
-      quality, pool_override, [](const StatsRecord& r1, const StatsRecord& r2) {
-        if (r1.get(attr::kDropPkts) && r2.get(attr::kDropPkts)) {
-          return static_cast<int64_t>(*r2.get(attr::kDropPkts) -
-                                      *r1.get(attr::kDropPkts));
-        }
-        double d1 = r1.get_or(attr::kRxPkts, 0) - r1.get_or(attr::kTxPkts, 0);
-        double d2 = r2.get_or(attr::kRxPkts, 0) - r2.get_or(attr::kTxPkts, 0);
-        return static_cast<int64_t>(d2 - d1);
-      });
+    std::vector<DataQuality>* quality) const {
+  return per_element<int64_t>(sample_window(tenant, ids, kLossAttrs, window),
+                              quality, pkt_loss);
 }
 
 std::vector<Result<double>> Controller::get_avg_pkt_size_many(
     TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-    std::vector<DataQuality>* quality, ThreadPool* pool_override) const {
-  return interval_many<double>(
-      tenant, ids, window, {attr::kTxBytes, attr::kTxPkts}, quality,
-      pool_override, [](const StatsRecord& r1, const StatsRecord& r2) {
-        double db = r2.get_or(attr::kTxBytes, 0) - r1.get_or(attr::kTxBytes, 0);
-        double dp = r2.get_or(attr::kTxPkts, 0) - r1.get_or(attr::kTxPkts, 0);
+    std::vector<DataQuality>* quality) const {
+  return per_element<double>(
+      sample_window(tenant, ids, {attr::kTxBytes, attr::kTxPkts}, window),
+      quality, [](const WindowSample& w) {
+        const double db = w.second(0).value_or(0) - w.first(0).value_or(0);
+        const double dp = w.second(1).value_or(0) - w.first(1).value_or(0);
         return dp <= 0 ? 0.0 : db / dp;
       });
+}
+
+int64_t pkt_loss(const Controller::WindowSample& w) {
+  constexpr size_t kDrop = 0, kRx = 1, kTx = 2;  // kLossAttrs positions
+  if (w.first(kDrop) && w.second(kDrop)) {
+    return static_cast<int64_t>(*w.second(kDrop) - *w.first(kDrop));
+  }
+  const double d1 = w.first(kRx).value_or(0) - w.first(kTx).value_or(0);
+  const double d2 = w.second(kRx).value_or(0) - w.second(kTx).value_or(0);
+  return static_cast<int64_t>(d2 - d1);
+}
+
+DiagnosisFrame::DiagnosisFrame(const Controller* controller,
+                               const ElementId& id, TenantId tenant,
+                               const char* what, LatencyHistogram* cost)
+    : controller_(controller),
+      id_(id),
+      cost_(cost),
+      t0_(controller->now()),
+      ch0_(controller->channel_time()) {
+  trace_event(id_, t0_, TraceEventKind::kDiagnosisStarted,
+              static_cast<double>(tenant.value()), what);
+}
+
+void DiagnosisFrame::finish(const char* verdict) const {
+  const SimTime t1 = controller_->now();
+  const Duration cost = (t1 - t0_) + (controller_->channel_time() - ch0_);
+  if (cost_ != nullptr) cost_->observe(cost.sec());
+  trace_event(id_, t1, TraceEventKind::kDiagnosisCompleted, cost.ms(),
+              verdict);
 }
 
 }  // namespace perfsight

@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -87,8 +88,10 @@ class Controller {
 
   // --- scatter-gather configuration -----------------------------------------
   // Collection pool the scatter-gather fan-out runs over (one task per
-  // owning agent).  Not owned; null — the default — visits agents
-  // sequentially.  The deployment layer wires its pool in.
+  // owning agent) — the only pool on the diagnosis side: every reader
+  // above the controller fans out through it.  Not owned; null — the
+  // default — visits agents sequentially.  The deployment layer wires its
+  // pool in.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   // Metrics sink for the perfsight_controller_batch_* series.  Instruments
@@ -130,6 +133,35 @@ class Controller {
     DataQuality quality = DataQuality::kFresh;
   };
 
+  // --- the measurement window ------------------------------------------------
+  // One element's two samples around a window, reduced to the values of the
+  // requested attrs.
+  struct WindowSample {
+    Status status;  // ok, or the Status of the first sample that failed
+    DataQuality quality = DataQuality::kFresh;  // worse of the two; kMissing
+    SimTime t[2];                               // the samples' timestamps
+    // The attrs' values in request order, first sample then second; nullopt
+    // where a record lacked the attr.
+    std::vector<std::optional<double>> values;
+
+    bool ok() const { return status.is_ok(); }
+    const std::optional<double>& first(size_t a) const { return values[a]; }
+    const std::optional<double>& second(size_t a) const {
+      return values[values.size() / 2 + a];
+    }
+  };
+
+  // The window every interval-based reader shares (Fig. 6's "sample,
+  // sleep(T), sample"): one batched sweep, advance by `window`, a second
+  // sweep, one entry per id in input order.  Each sweep is reduced to its
+  // values as it lands, so at most one sweep's records are alive at a time.
+  // When no first sample succeeded (an empty `ids` included) the window is
+  // not waited out and no second sweep is issued.
+  std::vector<WindowSample> sample_window(TenantId tenant,
+                                          const std::vector<ElementId>& ids,
+                                          const std::vector<std::string>& attrs,
+                                          Duration window) const;
+
   // Every single-element utility below is a batch of one over its `_many`
   // counterpart, so the two can never disagree.
 
@@ -142,19 +174,17 @@ class Controller {
                                      const std::vector<std::string>& attrs)
       const;
 
-  // The interval utilities take two samples; when `quality` is non-null it
-  // receives the worse of the two samples' qualities (worst-case honesty:
-  // a rate computed from one stale endpoint is itself stale).  A failed
-  // call returns the failing sample's Status and leaves `quality` alone.
+  // The interval utilities read one sample_window; when `quality` is
+  // non-null it receives the window's quality (worst-case honesty: a rate
+  // computed from one stale endpoint is itself stale).  A failed call
+  // returns the failing sample's Status and leaves `quality` alone.
 
   // GETTHROUGHPUT: output rate of the element over window T.
   Result<DataRate> get_throughput(TenantId tenant, const ElementId& id,
                                   Duration window,
                                   DataQuality* quality = nullptr) const;
 
-  // GETPKTLOSS: growth of (inPkts - outPkts) over window T.  For elements
-  // exposing an explicit drop counter, the drop delta (more precise when
-  // queues are draining/filling); otherwise the in-out delta of the paper.
+  // GETPKTLOSS: pkt_loss (below) over window T.
   Result<int64_t> get_pkt_loss(TenantId tenant, const ElementId& id,
                                Duration window,
                                DataQuality* quality = nullptr) const;
@@ -170,31 +200,24 @@ class Controller {
   // per kind), fans the agents out over the pool, and merges the responses
   // back into input order.  Output is byte-identical to calling get_attr_q
   // per element: same records, same qualities, same Status text for
-  // failures.  `pool_override`, when non-null, wins over set_pool (detectors
-  // pass their own pool through).
+  // failures.
   std::vector<Result<QualifiedRecord>> get_attr_many(
       TenantId tenant, const std::vector<ElementId>& ids,
-      const std::vector<std::string>& attrs,
-      ThreadPool* pool_override = nullptr) const;
+      const std::vector<std::string>& attrs) const;
 
-  // Interval utilities over many elements: two batched sweeps around one
-  // shared window advance.  A failed element carries the Status of its
-  // first failed sample; when every first sample failed, the window is not
-  // waited out and no second sweep is issued.  `quality`, when non-null,
-  // receives one entry per id (worse of the two samples; kMissing for
+  // Interval utilities over many elements, one sample_window each.  A
+  // failed element carries the Status of its first failed sample.
+  // `quality`, when non-null, receives one entry per id (kMissing for
   // failed elements).
   std::vector<Result<DataRate>> get_throughput_many(
       TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-      std::vector<DataQuality>* quality = nullptr,
-      ThreadPool* pool_override = nullptr) const;
+      std::vector<DataQuality>* quality = nullptr) const;
   std::vector<Result<int64_t>> get_pkt_loss_many(
       TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-      std::vector<DataQuality>* quality = nullptr,
-      ThreadPool* pool_override = nullptr) const;
+      std::vector<DataQuality>* quality = nullptr) const;
   std::vector<Result<double>> get_avg_pkt_size_many(
       TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-      std::vector<DataQuality>* quality = nullptr,
-      ThreadPool* pool_override = nullptr) const;
+      std::vector<DataQuality>* quality = nullptr) const;
 
  private:
   AgentClient* locate(TenantId tenant, const ElementId& id) const;
@@ -205,20 +228,10 @@ class Controller {
   Result<QualifiedRecord> query_one(TenantId tenant, const ElementId& id,
                                     const std::vector<std::string>& attrs)
       const;
-  // The interval core behind the three `_many` utilities: sweep, window,
-  // sweep, then `delta(first, second)` per element that sampled twice.
-  template <typename T, typename Delta>
-  std::vector<Result<T>> interval_many(TenantId tenant,
-                                       const std::vector<ElementId>& ids,
-                                       Duration window,
-                                       const std::vector<std::string>& attrs,
-                                       std::vector<DataQuality>* quality,
-                                       ThreadPool* pool_override,
-                                       Delta delta) const;
   // The scatter-gather core: one Result per id, in input order.
   std::vector<Result<QualifiedRecord>> scatter_gather(
       TenantId tenant, const std::vector<ElementId>& ids,
-      const std::vector<std::string>& attrs, ThreadPool* pool) const;
+      const std::vector<std::string>& attrs) const;
   void account(uint64_t queries, Duration channel_time, bool batch) const;
 
   AdvanceFn advance_;
@@ -249,6 +262,45 @@ class Controller {
   std::unordered_map<AgentClient*, std::vector<ElementId>> stack_elements_;
   std::unordered_map<TenantId, std::vector<ElementId>> tenant_mbs_;
   std::unordered_map<TenantId, ChainTopology> tenant_chain_;
+};
+
+// The counters pkt_loss reads.  A window that measures loss requests them
+// first, in this order.
+inline const std::vector<std::string> kLossAttrs = {
+    attr::kDropPkts, attr::kRxPkts, attr::kTxPkts};
+
+// The one loss rule (GETPKTLOSS): the drop-counter delta when both samples
+// carry a drop counter (more precise while queues drain or fill), else the
+// growth of (inPkts - outPkts), the paper's rule.  `w` must have sampled
+// kLossAttrs first.
+int64_t pkt_loss(const Controller::WindowSample& w);
+
+// The fraction of a scan set of `total` elements measured when `blind` of
+// them were not (1 for an empty set), and its "coverage N%" rendering.
+inline double coverage(size_t total, size_t blind) {
+  return total == 0 ? 1.0 : static_cast<double>(total - blind) / total;
+}
+inline std::string coverage_text(double c) {
+  return "coverage " + std::to_string(static_cast<int>(c * 100 + 0.5)) + "%";
+}
+
+// The self-profiling frame of one diagnosis run: construction emits
+// kDiagnosisStarted under `id`; finish() observes the run's cost — the
+// window it waited out plus the modelled channel time of every query it
+// issued — into `cost` (when non-null) and emits kDiagnosisCompleted with
+// `verdict`.
+class DiagnosisFrame {
+ public:
+  DiagnosisFrame(const Controller* controller, const ElementId& id,
+                 TenantId tenant, const char* what, LatencyHistogram* cost);
+  void finish(const char* verdict) const;
+
+ private:
+  const Controller* controller_;
+  ElementId id_;
+  LatencyHistogram* cost_;
+  SimTime t0_;
+  Duration ch0_;
 };
 
 }  // namespace perfsight

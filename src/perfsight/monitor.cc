@@ -23,21 +23,30 @@ double Monitor::Series::mean() const {
   return sum / static_cast<double>(points.size());
 }
 
-void Monitor::sample(ThreadPool* pool) {
-  // Snapshot the watch list once; each task owns a distinct series, so the
-  // parallel fan-out shares nothing but the (read-only) controller maps.
-  std::vector<std::pair<const Key*, Series*>> watches;
-  watches.reserve(series_.size());
-  for (auto& [key, series] : series_) watches.emplace_back(&key, &series);
+void Monitor::sample() {
+  // One get_attr_many over the watch list: one id per watch (the map keeps
+  // an element's watches adjacent, in id order) and the union of the
+  // watched attrs; each watch then reads its own attr from its slot.
+  std::vector<ElementId> ids;
+  std::vector<std::string> attrs;
+  for (const auto& [key, series] : series_) {
+    ids.push_back(key.id);
+    if (std::find(attrs.begin(), attrs.end(), key.attr) == attrs.end()) {
+      attrs.push_back(key.attr);
+    }
+  }
 
-  parallel_for_or_inline(pool, watches.size(), [&](size_t i) {
-    const Key& key = *watches[i].first;
-    Result<StatsRecord> r = controller_->get_attr(tenant_, key.id, {key.attr});
-    if (!r.ok()) return;
-    auto v = r.value().get(key.attr);
-    if (!v) return;
-    watches[i].second->points.push_back(Point{r.value().timestamp, *v});
-  });
+  std::vector<Result<Controller::QualifiedRecord>> got =
+      controller_->get_attr_many(tenant_, ids, attrs);
+  size_t i = 0;
+  for (auto& [key, series] : series_) {
+    const Result<Controller::QualifiedRecord>& r = got[i++];
+    if (!r.ok()) continue;
+    const StatsRecord& rec = r.value().record;
+    if (auto v = rec.get(key.attr)) {
+      series.points.push_back(Point{rec.timestamp, *v});
+    }
+  }
 }
 
 const Monitor::Series& Monitor::values(const ElementId& id,

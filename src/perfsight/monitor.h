@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/threadpool.h"
 #include "perfsight/controller.h"
 
 namespace perfsight {
@@ -42,12 +41,10 @@ class Monitor {
     double mean() const;
   };
 
-  // Takes one sample of every watched attribute (tolerates missing
-  // elements: gaps simply don't produce points).  With a parallel `pool`
-  // the per-watch fetches fan out across workers; each task appends to its
-  // own series, so the resulting points are identical to a sequential
-  // sample at the same instant.
-  void sample(ThreadPool* pool = nullptr);
+  // Takes one sample of every watched attribute with one
+  // Controller::get_attr_many over the watch list (tolerates missing
+  // elements: gaps simply don't produce points).
+  void sample();
 
   // Raw counter values over time.
   const Series& values(const ElementId& id, const std::string& attr) const;

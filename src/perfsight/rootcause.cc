@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "perfsight/trace.h"
-
 namespace perfsight {
 
 const char* to_string(MbState s) {
@@ -35,36 +33,13 @@ const char* to_string(MbRole r) {
 
 namespace {
 
-struct MbSample {
-  double in_bytes = 0;
-  double in_time_ns = 0;
-  double out_bytes = 0;
-  double out_time_ns = 0;
-  double capacity_mbps = 0;
-  bool valid = false;
-  DataQuality quality = DataQuality::kMissing;  // kFresh once sampled cleanly
-};
+const ElementId kAlgo2Id{"diagnosis/rootcause"};
 
-// The attribute set one chain-walk sample needs; both sweeps request it in
-// one scatter-gather fan-in over the whole chain.
-std::vector<std::string> sample_attrs() {
-  return {attr::kInBytes, attr::kInTimeNs, attr::kOutBytes, attr::kOutTimeNs,
-          attr::kCapacityMbps};
-}
-
-MbSample to_sample(const Result<Controller::QualifiedRecord>& r) {
-  MbSample s;
-  if (!r.ok()) return s;
-  s.quality = r.value().quality;
-  const StatsRecord& rec = r.value().record;
-  s.in_bytes = rec.get_or(attr::kInBytes, 0);
-  s.in_time_ns = rec.get_or(attr::kInTimeNs, 0);
-  s.out_bytes = rec.get_or(attr::kOutBytes, 0);
-  s.out_time_ns = rec.get_or(attr::kOutTimeNs, 0);
-  s.capacity_mbps = rec.get_or(attr::kCapacityMbps, 0);
-  s.valid = true;
-  return s;
-}
+// One chain-walk sample, by position in the window's attrs.
+enum MbAttr : size_t { kInBytes, kInTime, kOutBytes, kOutTime, kCapacity };
+const std::vector<std::string> kSampleAttrs = {
+    attr::kInBytes, attr::kInTimeNs, attr::kOutBytes, attr::kOutTimeNs,
+    attr::kCapacityMbps};
 
 // Bytes a side must move within the window before its rate is trusted;
 // guards against classifying an idle side from a handful of bytes.
@@ -79,47 +54,42 @@ double side_rate_mbps(double bytes, double time_ns) {
 
 }  // namespace
 
+void RootCauseAnalyzer::set_metrics(MetricsRegistry* m) {
+  cost_ = m == nullptr
+              ? nullptr
+              : &m->histogram("perfsight_rootcause_diagnosis_seconds",
+                              "End-to-end Algorithm 2 cost: measurement "
+                              "window plus modelled channel time");
+}
+
 RootCauseReport RootCauseAnalyzer::analyze(TenantId tenant,
                                            Duration window) const {
-  static const ElementId kAlgo2Id{"diagnosis/rootcause"};
-  const SimTime t0 = controller_->now();
-  const Duration ch0 = controller_->channel_time();
-  trace_event(kAlgo2Id, t0, TraceEventKind::kDiagnosisStarted,
-              static_cast<double>(tenant.value()), "Algorithm 2 chain walk");
-
+  const DiagnosisFrame frame(controller_, kAlgo2Id, tenant,
+                             "Algorithm 2 chain walk", cost_);
   RootCauseReport report;
   const std::vector<ElementId>& mbs = controller_->middleboxes(tenant);
   const ChainTopology& chain = controller_->chain(tenant);
 
-  // Both chain sweeps ride the controller's scatter-gather path: one batch
-  // per owning agent, merged back in `mbs` order.
-  const std::vector<std::string> attrs = sample_attrs();
-  std::vector<Result<Controller::QualifiedRecord>> sweep1 =
-      controller_->get_attr_many(tenant, mbs, attrs);
-  controller_->advance(window);
-  std::vector<Result<Controller::QualifiedRecord>> sweep2 =
-      controller_->get_attr_many(tenant, mbs, attrs);
-
+  const std::vector<Controller::WindowSample> samples =
+      controller_->sample_window(tenant, mbs, kSampleAttrs, window);
   std::unordered_map<ElementId, MbState> states;
   for (size_t mi = 0; mi < mbs.size(); ++mi) {
     const ElementId& mb = mbs[mi];
-    MbSample s1 = to_sample(sweep1[mi]);
-    MbSample s2 = to_sample(sweep2[mi]);
+    const Controller::WindowSample& w = samples[mi];
     MbObservation obs;
     obs.id = mb;
-    obs.quality = worse(s1.quality, s2.quality);
+    obs.quality = w.quality;
     // Refusal to exonerate on degraded data: only a measured sample pair
     // (fresh primary or quorum replica) may classify a middlebox as blocked
     // (and thereby remove candidates).  A stale/torn/missing middlebox stays
     // kNormal — still a suspect.
-    if (s1.valid && s2.valid && is_measured(obs.quality)) {
-      double db_in = s2.in_bytes - s1.in_bytes;
-      double dt_in = s2.in_time_ns - s1.in_time_ns;
-      double db_out = s2.out_bytes - s1.out_bytes;
-      double dt_out = s2.out_time_ns - s1.out_time_ns;
-      obs.capacity_mbps = s2.capacity_mbps;
-      obs.in_rate_mbps = side_rate_mbps(db_in, dt_in);
-      obs.out_rate_mbps = side_rate_mbps(db_out, dt_out);
+    if (w.ok() && is_measured(obs.quality)) {
+      auto delta = [&](MbAttr a) {
+        return w.second(a).value_or(0) - w.first(a).value_or(0);
+      };
+      obs.capacity_mbps = w.second(kCapacity).value_or(0);
+      obs.in_rate_mbps = side_rate_mbps(delta(kInBytes), delta(kInTime));
+      obs.out_rate_mbps = side_rate_mbps(delta(kOutBytes), delta(kOutTime));
       obs.has_input = obs.in_rate_mbps >= 0;
       obs.has_output = obs.out_rate_mbps >= 0;
       // Algorithm 2, lines 12-17: blocked iff the side moved data slower
@@ -136,11 +106,7 @@ RootCauseReport RootCauseAnalyzer::analyze(TenantId tenant,
     if (!is_measured(obs.quality)) report.blind_spots.push_back(obs);
     report.observations.push_back(obs);
   }
-  if (!mbs.empty()) {
-    report.coverage =
-        static_cast<double>(mbs.size() - report.blind_spots.size()) /
-        static_cast<double>(mbs.size());
-  }
+  report.coverage = coverage(mbs.size(), report.blind_spots.size());
 
   // Candidate filtering (Algorithm 2, lines 14/17) with one refinement for
   // branched topologies: a ReadBlocked middlebox exonerates its successors
@@ -221,24 +187,11 @@ RootCauseReport RootCauseAnalyzer::analyze(TenantId tenant,
   }
   if (!report.blind_spots.empty()) {
     report.narrative += "; " + std::to_string(report.blind_spots.size()) +
-                        " middlebox(es) with degraded counters (coverage " +
-                        std::to_string(
-                            static_cast<int>(report.coverage * 100 + 0.5)) +
-                        "%)";
+                        " middlebox(es) with degraded counters (" +
+                        coverage_text(report.coverage) + ")";
   }
-
-  const SimTime t1 = controller_->now();
-  const Duration cost = (t1 - t0) + (controller_->channel_time() - ch0);
-  if (metrics_ != nullptr) {
-    metrics_
-        ->histogram("perfsight_rootcause_diagnosis_seconds",
-                    "End-to-end Algorithm 2 cost: measurement window plus "
-                    "modelled channel time")
-        .observe(cost.sec());
-  }
-  trace_event(kAlgo2Id, t1, TraceEventKind::kDiagnosisCompleted, cost.ms(),
-              report.root_causes.empty() ? "no root cause"
-                                         : "root cause found");
+  frame.finish(report.root_causes.empty() ? "no root cause"
+                                          : "root cause found");
   return report;
 }
 

@@ -4,7 +4,8 @@
 // middlebox makes its predecessors WriteBlocked and successors ReadBlocked;
 // an Underloaded source makes its successors ReadBlocked (Fig. 7).  The
 // analyzer samples each middlebox's (inBytes, inTime, outBytes, outTime)
-// over one window, computes its state against the vNIC capacity C —
+// over one Controller::sample_window, computes its state against the vNIC
+// capacity C —
 //
 //   ReadBlocked   iff  b_in  / t_in  <  C   (reads slower than the wire can
 //                                            deliver: it was waiting)
@@ -67,14 +68,15 @@ class RootCauseAnalyzer {
       : controller_(controller) {}
 
   // Self-profiling sink: each analyze() observes its end-to-end cost into
-  // perfsight_rootcause_diagnosis_seconds.  Optional; not owned.
-  void set_metrics(MetricsRegistry* m) { metrics_ = m; }
+  // perfsight_rootcause_diagnosis_seconds, created here.  Optional; not
+  // owned.
+  void set_metrics(MetricsRegistry* m);
 
   RootCauseReport analyze(TenantId tenant, Duration window) const;
 
  private:
   const Controller* controller_;
-  MetricsRegistry* metrics_ = nullptr;
+  LatencyHistogram* cost_ = nullptr;
 };
 
 std::string to_text(const RootCauseReport& report);

@@ -296,21 +296,18 @@ std::string run_script(ScatterRig& rig, ThreadPool* pool, bool batching) {
 
   // Algorithm 1 over the stack scan set.
   ContentionDetector det(&c, RuleBook::standard());
-  det.set_pool(pool);
   out += to_text(det.diagnose(rig.tenant_, Duration::millis(100)));
 
   // Algorithm 2 over the middlebox chain.
   RootCauseAnalyzer rca(&c);
   out += to_text(rca.analyze(rig.tenant_, Duration::millis(100)));
 
-  // Alert-driven diagnosis: sample the monitor, then evaluate rules (the
-  // breach scan rides the pool; firings run Algorithm 1/2 via the batch
-  // path).
+  // Alert-driven diagnosis: sample the monitor, then evaluate rules
+  // (firings run Algorithm 1/2 via the batch path).
   Monitor mon(&c, rig.tenant_);
   mon.watch(rig.elements_.front(), attr::kDropPkts);
   mon.watch(rig.mbs_.front()->id(), attr::kInBytes);
   AlertWatcher watcher(&mon, &det, &rca);
-  watcher.set_pool(pool);
   watcher.add_rule({"drops-any", rig.elements_.front(), attr::kDropPkts,
                     /*on_rate=*/false, /*threshold=*/1.0,
                     AlertRule::Action::kContention, Duration::millis(50),
@@ -570,7 +567,6 @@ TEST(ScatterChurnTest, ConcurrentScatterPollAndAlertEvaluation) {
   mon.watch(ids.front(), attr::kDropPkts);
   ContentionDetector det(&controller, RuleBook::standard());
   AlertWatcher watcher(&mon, &det, nullptr);
-  watcher.set_pool(&pool);
   // Action kNone: rule evaluation must not advance time (this test never
   // mutates the sources, so there is no cross-thread write to them).
   watcher.add_rule({"drops", ids.front(), attr::kDropPkts, /*on_rate=*/false,

@@ -241,9 +241,10 @@ TEST(ParallelMonitorTest, ParallelSampleMatchesSequentialGolden) {
   }
 
   ThreadPool pool(4);
+  par_rig.controller_.set_pool(&pool);
   for (int tick = 0; tick < 5; ++tick) {
     seq_mon.sample();
-    par_mon.sample(&pool);
+    par_mon.sample();
     seq_rig.advance(Duration::seconds(1));
     par_rig.advance(Duration::seconds(1));
   }
@@ -264,7 +265,7 @@ TEST(ParallelContentionTest, ParallelDiagnosisIsByteIdenticalToSequential) {
   ContentionDetector seq_det(&seq_rig.controller_, RuleBook::standard());
   ContentionDetector par_det(&par_rig.controller_, RuleBook::standard());
   ThreadPool pool(4);
-  par_det.set_pool(&pool);
+  par_rig.controller_.set_pool(&pool);
 
   ContentionReport a = seq_det.diagnose(seq_rig.tenant_, Duration::seconds(1));
   ContentionReport b = par_det.diagnose(par_rig.tenant_, Duration::seconds(1));

@@ -248,14 +248,12 @@ class Rig {
 std::string run_script(Rig& rig, bool streamed, ThreadPool* pool) {
   ContentionDetector det(&rig.ctl(), RuleBook::standard());
   det.set_loss_threshold(10);
-  det.set_pool(pool);
   RootCauseAnalyzer rca(&rig.ctl());
   Monitor mon(&rig.ctl(), kTenant);
   mon.watch(ElementId{"m0/pnic"}, attr::kDropPkts);
   mon.watch(ElementId{"m1/pnic"}, attr::kRxPkts);
   mon.watch(ElementId{"m0/mb0"}, attr::kInBytes);
   AlertWatcher watcher(&mon, &det, &rca);
-  watcher.set_pool(pool);
   AlertRule drops;
   drops.name = "pnic-drops";
   drops.element = ElementId{"m0/pnic"};
@@ -297,7 +295,7 @@ std::string run_script(Rig& rig, bool streamed, ThreadPool* pool) {
     rig.set_now(tlo);
     out += to_text(rca.analyze(kTenant, kWindow));
     rig.set_now(tlo);
-    mon.sample(pool);
+    mon.sample();
     for (const Alert& a : watcher.check()) out += to_text(a);
   }
   return out;

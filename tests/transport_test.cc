@@ -283,7 +283,6 @@ std::string run_script(TransportRig& rig, ThreadPool* pool, bool batching) {
   for (size_t i = 0; i < aps.size(); ++i) out += fmt_val(aps[i], q[i]);
 
   ContentionDetector det(&c, RuleBook::standard());
-  det.set_pool(pool);
   out += to_text(det.diagnose(rig.tenant_, Duration::millis(100)));
 
   RootCauseAnalyzer rca(&c);
@@ -293,7 +292,6 @@ std::string run_script(TransportRig& rig, ThreadPool* pool, bool batching) {
   mon.watch(rig.elements_.front(), attr::kDropPkts);
   mon.watch(rig.mbs_.front()->id(), attr::kInBytes);
   AlertWatcher watcher(&mon, &det, &rca);
-  watcher.set_pool(pool);
   watcher.add_rule({"drops-any", rig.elements_.front(), attr::kDropPkts,
                     /*on_rate=*/false, /*threshold=*/1.0,
                     AlertRule::Action::kContention, Duration::millis(50),
