@@ -10,9 +10,11 @@
 //
 // The detector takes the utilization snapshot (the same input the naive
 // baseline uses) as a pre-filter, then measures packet loss on each
-// suspect VM's datapath over one window.  Suspects with real loss are
-// confirmed bottlenecks; busy-but-healthy ones are exonerated — the video
-// transcoder case that breaks utilization-only monitoring.
+// suspect VM's datapath over one Controller::sample_window.  Suspects with
+// real loss are confirmed bottlenecks; busy-but-healthy ones are
+// exonerated — the video transcoder case that breaks utilization-only
+// monitoring.  A suspect with any datapath element the window could not
+// measure (failed, stale or torn) is neither: it is reported unmeasured.
 #pragma once
 
 #include <string>
@@ -33,14 +35,16 @@ struct SuspectVm {
 struct BottleneckVerdict {
   std::string vm_name;
   double cpu_utilization = 0;
-  int64_t loss_pkts = 0;
+  int64_t loss_pkts = 0;   // over the measured datapath elements
   bool confirmed = false;  // high utilization AND real loss
+  bool unmeasured = false;  // some datapath element could not be measured
 };
 
 struct BottleneckReport {
   std::vector<BottleneckVerdict> verdicts;  // every suspect, judged
   std::vector<std::string> confirmed;       // bottlenecks to act on
   std::vector<std::string> exonerated;      // busy but healthy
+  std::vector<std::string> unmeasured;      // neither: counters unreadable
 };
 
 class BottleneckDetector {

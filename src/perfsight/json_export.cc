@@ -302,6 +302,23 @@ std::string to_json(const StatsRecord& r) {
   return out;
 }
 
+namespace {
+
+// ,"coverage":…,"blindSpots":[{"element","quality"}…] — how much of its
+// scan set a verdict saw.
+template <typename Spot>
+std::string coverage_fields(double coverage, const std::vector<Spot>& spots) {
+  std::string out = ",\"coverage\":" + number(coverage) + ",\"blindSpots\":[";
+  for (size_t i = 0; i < spots.size(); ++i) {
+    if (i > 0) out += ",";
+    out += "{\"element\":" + str(spots[i].id.name) +
+           ",\"quality\":" + str(to_string(spots[i].quality)) + "}";
+  }
+  return out + "]";
+}
+
+}  // namespace
+
 std::string to_json(const ContentionReport& r) {
   std::string out = "{\"problemFound\":";
   out += r.problem_found ? "true" : "false";
@@ -332,7 +349,8 @@ std::string to_json(const ContentionReport& r) {
     out += ",\"vm\":" + number(e.vm);
     out += ",\"lossPkts\":" + number(static_cast<double>(e.loss_pkts)) + "}";
   }
-  out += "],\"narrative\":" + str(r.narrative) + "}";
+  out += "]" + coverage_fields(r.coverage, r.blind_spots);
+  out += ",\"narrative\":" + str(r.narrative) + "}";
   return out;
 }
 
@@ -345,7 +363,8 @@ std::string to_json(const RootCauseReport& r) {
     out += ",\"state\":" + str(to_string(o.state));
     out += ",\"inRateMbps\":" + number(o.in_rate_mbps);
     out += ",\"outRateMbps\":" + number(o.out_rate_mbps);
-    out += ",\"capacityMbps\":" + number(o.capacity_mbps) + "}";
+    out += ",\"capacityMbps\":" + number(o.capacity_mbps);
+    out += ",\"quality\":" + str(to_string(o.quality)) + "}";
   }
   out += "],\"rootCauses\":[";
   for (size_t i = 0; i < r.root_causes.size(); ++i) {
@@ -353,7 +372,8 @@ std::string to_json(const RootCauseReport& r) {
     out += "{\"element\":" + str(r.root_causes[i].name);
     out += ",\"role\":" + str(to_string(r.root_cause_roles[i])) + "}";
   }
-  out += "],\"narrative\":" + str(r.narrative) + "}";
+  out += "]" + coverage_fields(r.coverage, r.blind_spots);
+  out += ",\"narrative\":" + str(r.narrative) + "}";
   return out;
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/deployment.h"
+#include "perfsight/faults.h"
 #include "sim/simulator.h"
 #include "vm/machine.h"
 
@@ -79,6 +80,41 @@ TEST(BottleneckDetectorTest, StarvedVmConfirmed) {
   EXPECT_TRUE(r.verdicts[0].confirmed);
   EXPECT_GT(r.verdicts[0].loss_pkts, 1000);
   EXPECT_EQ(r.confirmed, std::vector<std::string>{"victim"});
+}
+
+// Counters the detector could not read never exonerate a suspect: a starved
+// VM whose TUN reads always fail is neither confirmed nor "busy-but-healthy"
+// (its drops are exactly the ones the failed reads hide) but unmeasured.
+TEST(BottleneckDetectorTest, UnreadableDatapathIsUnmeasuredNotExonerated) {
+  Rig rig;
+  int victim = rig.m.add_vm({"victim", 1.0});
+  rig.m.set_sink_app(victim);
+  FlowSpec f = rig.flow(1);
+  rig.m.route_flow_to_vm(f, victim);
+  rig.m.add_ingress_source("s", f, 500_mbps);
+  rig.m.add_vm_cpu_hog(victim)->set_demand_cores(1.0);
+  rig.wire();
+  FaultPlan plan(7);
+  ChannelFaultSpec dead;
+  dead.transient_p = 1.0;
+  plan.set_element_faults(rig.m.tun(victim)->id(), dead);
+  rig.dep.set_fault_plan(&plan);
+  rig.sim.run_for(2_s);
+
+  BottleneckDetector det(rig.dep.controller());
+  BottleneckReport r =
+      det.diagnose(Rig::kTenant, rig.m.utilization_snapshot(),
+                   {rig.suspect(victim, "victim")}, Duration::seconds(1.0));
+  ASSERT_EQ(r.verdicts.size(), 1u);
+  EXPECT_TRUE(r.verdicts[0].unmeasured);
+  EXPECT_FALSE(r.verdicts[0].confirmed);
+  EXPECT_TRUE(r.confirmed.empty());
+  EXPECT_TRUE(r.exonerated.empty());
+  EXPECT_EQ(r.unmeasured, std::vector<std::string>{"victim"});
+  const std::string text = to_text(r);
+  EXPECT_NE(text.find("victim: cpu="), std::string::npos) << text;
+  EXPECT_NE(text.find("-> unmeasured"), std::string::npos) << text;
+  EXPECT_EQ(text.find("busy-but-healthy"), std::string::npos) << text;
 }
 
 TEST(BottleneckDetectorTest, LowUtilizationVmsSkippedUnlessDegenerate) {

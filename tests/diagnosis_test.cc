@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "cluster/deployment.h"
 #include "cluster/scenarios.h"
 #include "perfsight/contention.h"
+#include "perfsight/faults.h"
 #include "perfsight/rootcause.h"
 
 namespace perfsight {
@@ -227,6 +229,42 @@ TEST(Algorithm2Test, BuggyNfsIdentifiedThroughPropagation) {
 }
 
 // --- Fig. 13/14 multi-tenant workflow ----------------------------------------
+
+// The all-dark rule: when no element of the scan set answers the first
+// sweep, Algorithms 1 and 2 report nothing measured — coverage 0, every
+// element a blind spot — and wait out no window.
+TEST(AllDarkScanTest, NoFirstSampleMeansNoWindowAndZeroCoverage) {
+  PropagationScenario s(PropagationScenario::Case::kOverloadedServer);
+  s.settle();
+  std::optional<FaultPlan> plan =
+      FaultPlan::parse("seed=3,outage=agent-m0@0-60000");
+  ASSERT_TRUE(plan.has_value());
+  s.deployment().set_fault_plan(&*plan);
+  Controller* ctl = s.deployment().controller();
+  const SimTime before = s.sim().now();
+
+  ContentionDetector det(ctl, RuleBook::standard());
+  ContentionReport a1 = det.diagnose(PropagationScenario::kTenant, 1_s);
+  const size_t scan = ctl->stack_elements_for(PropagationScenario::kTenant)
+                          .size();
+  ASSERT_GT(scan, 0u);
+  EXPECT_EQ(a1.coverage, 0.0);
+  EXPECT_EQ(a1.blind_spots.size(), scan);
+  EXPECT_TRUE(a1.ranked.empty());
+  EXPECT_FALSE(a1.problem_found);
+  EXPECT_EQ(s.sim().now(), before);
+
+  RootCauseAnalyzer rca(ctl);
+  RootCauseReport a2 = rca.analyze(PropagationScenario::kTenant, 1_s);
+  const size_t mbs = ctl->middleboxes(PropagationScenario::kTenant).size();
+  ASSERT_GT(mbs, 0u);
+  EXPECT_EQ(a2.coverage, 0.0);
+  EXPECT_EQ(a2.blind_spots.size(), mbs);
+  for (const MbObservation& o : a2.blind_spots) {
+    EXPECT_EQ(o.quality, DataQuality::kMissing) << o.id.name;
+  }
+  EXPECT_EQ(s.sim().now(), before);
+}
 
 TEST(MultiTenantTest, BottleneckThenContentionThenScaleOut) {
   MultiTenantScenario s;

@@ -154,6 +154,50 @@ TEST(JsonRootCauseTest, SerializesReport) {
             std::string::npos);
 }
 
+// Reports say how much they saw: a verdict from partial data carries its
+// coverage and blind spots, and every Algorithm 2 observation its quality.
+TEST(JsonContentionTest, CarriesCoverageAndBlindSpots) {
+  ContentionReport r;
+  r.ranked.push_back({ElementId{"m0/pnic"}, ElementKind::kPNic, -1, 7});
+  r.blind_spots.push_back({ElementId{"m0/vm1/tun"}, DataQuality::kStale});
+  r.blind_spots.push_back({ElementId{"m0/napi"}, DataQuality::kMissing});
+  r.coverage = 1.0 / 3.0;
+  std::string j = to_json(r);
+  EXPECT_TRUE(lint(j).is_ok()) << lint(j).message() << "\n" << j;
+  EXPECT_NE(j.find("\"coverage\":0.333"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"blindSpots\":[{\"element\":\"m0/vm1/tun\","
+                   "\"quality\":\"stale\"},{\"element\":\"m0/napi\","
+                   "\"quality\":\"missing\"}]"),
+            std::string::npos)
+      << j;
+
+  const std::string full = to_json(ContentionReport{});
+  EXPECT_TRUE(lint(full).is_ok());
+  EXPECT_NE(full.find("\"coverage\":1,\"blindSpots\":[]"), std::string::npos)
+      << full;
+}
+
+TEST(JsonRootCauseTest, CarriesCoverageBlindSpotsAndQuality) {
+  RootCauseReport r;
+  MbObservation fresh;
+  fresh.id = ElementId{"lb"};
+  MbObservation torn;
+  torn.id = ElementId{"nfs"};
+  torn.quality = DataQuality::kTorn;
+  r.observations = {fresh, torn};
+  r.blind_spots = {torn};
+  r.coverage = 0.5;
+  std::string j = to_json(r);
+  EXPECT_TRUE(lint(j).is_ok()) << lint(j).message() << "\n" << j;
+  EXPECT_NE(j.find("\"capacityMbps\":0,\"quality\":\"fresh\"}"),
+            std::string::npos)
+      << j;
+  EXPECT_NE(j.find("\"coverage\":0.5,\"blindSpots\":[{\"element\":\"nfs\","
+                   "\"quality\":\"torn\"}]"),
+            std::string::npos)
+      << j;
+}
+
 // A light structural sanity check: braces and quotes balance.
 TEST(JsonTest, BalancedStructure) {
   RootCauseReport r;
