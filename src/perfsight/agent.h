@@ -242,9 +242,10 @@ Result<QueryResponse> single_answer(const std::string& agent_name,
 //   - a failed element is a blind_spot: kMissing, stamped with the query
 //     time, carrying the attempts/fail_code from which query_failure_status
 //     rebuilds the exact single-path Status;
-//   - the single-element answer is single_answer over a batch of one (the
-//     remote adapter's single request returns what the server's agent
-//     computed that way).
+//   - the single-element answer is single_answer over a batch of one:
+//     query_attrs below does exactly that, so a remote single query is one
+//     batch request on the wire.  Only the in-process agent overrides it,
+//     to bill the element its own channel trip (Fig. 9).
 // So the controller merge is byte-identical whichever implementation sits
 // behind it.
 //
@@ -267,7 +268,9 @@ class AgentClient {
   // Fetches a projection of one element (the paper's GetAttr reaches this).
   virtual Result<QueryResponse> query_attrs(
       const ElementId& id, const std::vector<std::string>& attrs,
-      SimTime now) = 0;
+      SimTime now) {
+    return single_answer(name(), id, query_batch({id}, now), &attrs);
+  }
 
   // Batched fetch: one channel round trip per channel kind in the batch.
   // `pool` is advisory (in-process agents fan collect() out; a remote agent

@@ -336,28 +336,28 @@ bool RemoteAgentServer::drain_messages(Conn& c) {
   return true;
 }
 
-// A traced request (trace_id != 0) gets a serve span around `serve` —
+// A traced request (trace_id != 0) gets a serve span around the batch —
 // span-clock timestamps, parented to the span id off the wire — and that
 // span is the context the agent's own spans hang from.  An untraced one
 // records nothing.
-template <typename Request, typename Serve>
-auto RemoteAgentServer::traced_serve(const Agent& agent, const Request& req,
-                                     TraceEventKind kind, double value,
-                                     std::string_view detail, Serve serve) {
+BatchResponse RemoteAgentServer::serve_batch(Agent& agent,
+                                             const wire::BatchRequestMsg& req) {
   const int64_t t0 = clock_ns();
   const uint64_t span =
       req.trace_id != 0 ? next_span_id(span_domain_for(agent.name())) : 0;
-  auto result = [&] {
+  BatchResponse b = [&] {
     ScopedTraceContext span_ctx(TraceContext{req.trace_id, span});
-    return serve();
+    return agent.query_batch(req.ids, req.now);
   }();
   if (req.trace_id != 0) {
     trace_recorder_.record_span(ElementId{agent.name() + "/serve"},
-                                SimTime::nanos(t0), kind,
+                                SimTime::nanos(t0),
+                                TraceEventKind::kSpanServerBatch,
                                 Duration::nanos(clock_ns() - t0), span,
-                                req.parent_span, value, detail);
+                                req.parent_span,
+                                static_cast<double>(req.ids.size()), "batch");
   }
-  return result;
+  return b;
 }
 
 // Dispatches one decoded control message, queueing any reply on c.wbuf.
@@ -373,12 +373,8 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
       Agent* agent = route(req.value().agent);
       if (agent == nullptr) return false;
       const uint64_t trace_id = req.value().trace_id;
-      BatchResponse b = traced_serve(
-          *agent, req.value(), TraceEventKind::kSpanServerBatch,
-          static_cast<double>(req.value().ids.size()), "batch", [&] {
-            return agent->query_batch(req.value().ids, req.value().now);
-          });
-      Result<std::string> bytes = wire::encode_batch(b);
+      Result<std::string> bytes =
+          wire::encode_batch(serve_batch(*agent, req.value()));
       // add_element refuses ids the wire cannot carry, but a source may
       // still emit an attr name or list too big for a frame.  That batch
       // cannot travel: close this connection, so the client reconciles it
@@ -421,34 +417,6 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
       if (trace_id != 0) c.wbuf += trace_data_bytes(agent->name());
       return true;
     }
-    case wire::MessageKind::kSingleRequest: {
-      Result<wire::SingleRequestMsg> req =
-          wire::decode_single_request(msg.body);
-      if (!req.ok()) return false;
-      Agent* agent = route(req.value().agent);
-      if (agent == nullptr) return false;
-      // The serve span is recorded but not piggybacked: the single-response
-      // path stays lean, and the next harvest (or traced batch) ships it.
-      Result<QueryResponse> r = traced_serve(
-          *agent, req.value(), TraceEventKind::kSpanServerSingle, 1.0,
-          req.value().id.name, [&] {
-            return agent->query_attrs(req.value().id, req.value().attrs,
-                                      req.value().now);
-          });
-      if (r.ok()) {
-        Result<std::string> frame = wire::encode_frame(r.value());
-        if (!frame.ok()) return false;  // as for an unencodable batch
-        c.wbuf += wire::encode_message(wire::MessageKind::kSingleResponse,
-                                       frame.value());
-      } else {
-        // The Status travels verbatim: the adapter re-raises the exact
-        // text the in-process path produced.
-        c.wbuf += wire::encode_message(
-            wire::MessageKind::kError,
-            wire::encode_error({r.status().code(), r.status().message()}));
-      }
-      return true;
-    }
     case wire::MessageKind::kTraceHarvest:
       c.wbuf += trace_data_bytes(agents_.front()->name());
       return true;
@@ -462,7 +430,9 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
       return true;
     }
     default:
-      return false;  // a client speaking server->client kinds is confused
+      // A retired kind, or a client speaking server->client kinds: it is
+      // confused, and only its own connection pays.
+      return false;
   }
 }
 
@@ -761,8 +731,6 @@ bool RemoteAgent::exchange_locked(const std::string& request, SimTime now,
 BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
                                        SimTime now, ThreadPool* /*pool*/) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.batches;
-  if (m_batches_ != nullptr) m_batches_->increment();
 
   // Planned against the hello cache: the ids it advertised are the ones a
   // lost reply turns into blind spots, the rest count unknown.  A departed
@@ -819,6 +787,11 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
     }
     return out;
   };
+  // Every id answered here (departed or unsendable): no wire trip, so no
+  // redial and no breaker failure against a dead server.
+  if (req.ids.empty()) return answer({}, true);
+  ++stats_.batches;
+  if (m_batches_ != nullptr) m_batches_->increment();
 
   // The caller's trace context rides the envelope; {0, 0} (untraced) keeps
   // the request — and the server's reply — byte-identical to a build
@@ -868,53 +841,6 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
                                                            known.size())),
               name_);
   return answer(std::move(decoded).take(), false);
-}
-
-Result<QueryResponse> RemoteAgent::query_attrs(
-    const ElementId& id, const std::vector<std::string>& attrs, SimTime now) {
-  std::lock_guard<std::mutex> lock(mu_);
-
-  // Departed at a reconnect: fail fast with the departure status — the
-  // roster is the authority, no dial or channel attempt is owed.
-  if (departed_.count(id) > 0) {
-    return query_failure_status(name_, id, 1, StatusCode::kFailedPrecondition);
-  }
-  // An id the wire cannot carry is one no agent serves (add_element
-  // refuses it): the in-process not-found answer, without a trip.
-  if (id.name.size() > 0xffff) return no_element_status(name_, id);
-
-  const TraceContext ctx = current_trace_context();
-  wire::SingleRequestMsg req{now, id, attrs, ctx.trace_id, ctx.span_id, bind_};
-  // No frame can carry an attr name over 65535 bytes back, so like an attr
-  // the element lacks, it is left out of the answer (and off the wire).
-  std::erase_if(req.attrs,
-                [](const std::string& a) { return a.size() > 0xffff; });
-  const std::string request = wire::encode_message(
-      wire::MessageKind::kSingleRequest, wire::encode_single_request(req));
-
-  const auto lost = [&] {
-    return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-  };
-  Result<wire::Message> msg = Status::unavailable("unsent");
-  if (!exchange_locked(request, now, [&] {
-        msg = transport::read_message(sock_, deadline_);
-        return msg.ok();
-      })) {
-    return lost();
-  }
-  if (msg.value().kind == wire::MessageKind::kError) {
-    Result<wire::ErrorMsg> err = wire::decode_error(msg.value().body);
-    if (err.ok()) {
-      // The exact Status the in-process path produced, re-raised verbatim.
-      return Status(err.value().code, err.value().message);
-    }
-  } else if (msg.value().kind == wire::MessageKind::kSingleResponse) {
-    size_t consumed = 0;
-    Result<QueryResponse> r = wire::decode_frame(msg.value().body, &consumed);
-    if (r.ok()) return r;
-  }
-  drop_connection_locked();  // stream framing is no longer trustworthy
-  return lost();
 }
 
 }  // namespace perfsight

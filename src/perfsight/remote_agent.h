@@ -12,9 +12,9 @@
 //   bytes accumulated nonblocking into a partial-read buffer until a whole
 //   PSM1 message lands, dispatch, replies drained through a per-connection
 //   write queue with deadline-bounded backpressure.  The server hosts MANY
-//   served agents: the hello advertises the roster, batch/single requests
-//   route by the agent name on their envelope, and requests without one
-//   (old clients) fall back to the primary (first-registered) agent.
+//   served agents: the hello advertises the roster, batch requests route by
+//   the agent name on their envelope, and requests without one (old
+//   clients) fall back to the primary (first-registered) agent.
 //
 //   RemoteAgent — the controller-side adapter.  It implements AgentClient
 //   over one connection to a server, so the controller's scatter-gather path
@@ -26,11 +26,12 @@
 // The contract the differential suite (transport_test) holds this pair to
 // is AgentClient's (agent.h): on a clean stream, every byte of a
 // BatchResponse crosses unchanged, so controller output over sockets is
-// byte-identical to in-process.  On a damaged stream the surviving prefix
-// is decoded and wire::reconcile turns the lost frames into kUnavailable
-// blind spots, which the controller reports with the text a local channel
-// failure gets.  A lost reply is answered from the hello's element set:
-// advertised ids become blind spots, the rest count unknown.
+// byte-identical to in-process.  A single query is a batch of one, so the
+// batch request is the only query on the wire.  On a damaged stream the
+// surviving prefix is decoded and wire::reconcile turns the lost frames into
+// kUnavailable blind spots, which the controller reports with the text a
+// local channel failure gets.  A lost reply is answered from the hello's
+// element set: advertised ids become blind spots, the rest count unknown.
 //
 // Failure handling is the agent's, on the wall clock: the same
 // RetryPolicy::backoff schedule spaces redials (slept on the OS clock), and
@@ -45,14 +46,14 @@
 // active TraceContext, the adapter stamps its trace id + parent span onto
 // the request envelope, records a client-side kSpanTransportTrip span, and
 // reads the server's piggybacked trace data after a clean batch reply.  The
-// server records a kSpanServerBatch/kSpanServerSingle span (span-clock
-// timestamps) into its own TraceRecorder for every traced request, parented
-// to the span id off the wire.  With no active context the request carries
-// trace_id 0 and the server's reply bytes are identical to an untraced
-// build — tracing never perturbs the differential contract.  The hello
-// handshake carries the server's span clock; the adapter brackets the
-// handshake with its own clock samples and keeps the midpoint offset
-// estimate that to_chrome_trace() uses to align harvested lanes.
+// server records a kSpanServerBatch span (span-clock timestamps) into its
+// own TraceRecorder for every traced request, parented to the span id off
+// the wire.  With no active context the request carries trace_id 0 and the
+// server's reply bytes are identical to an untraced build — tracing never
+// perturbs the differential contract.  The hello handshake carries the
+// server's span clock; the adapter brackets the handshake with its own clock
+// samples and keeps the midpoint offset estimate that to_chrome_trace() uses
+// to align harvested lanes.
 #pragma once
 
 #include <atomic>
@@ -77,8 +78,11 @@
 namespace perfsight {
 
 namespace wire {
-struct Message;        // wire.h; only referenced, never stored, in this header
-struct StreamDataMsg;  // wire.h; held by pointer (per-connection delta base)
+// wire.h types this header only references (the stream delta base is held
+// by pointer).
+struct Message;
+struct BatchRequestMsg;
+struct StreamDataMsg;
 }
 
 // --- server stub -------------------------------------------------------------
@@ -189,12 +193,9 @@ class RemoteAgentServer {
   bool drain_messages(Conn& c);
   // Dispatches one decoded message; replies append to c.wbuf.  False = close.
   bool handle_message(Conn& c, const wire::Message& msg);
-  // Runs `serve` for one routed request of `agent` under the request's
-  // trace context, recording a `kind` serve span when it is traced.
-  template <typename Request, typename Serve>
-  auto traced_serve(const Agent& agent, const Request& req,
-                    TraceEventKind kind, double value, std::string_view detail,
-                    Serve serve);
+  // Answers one routed batch request of `agent` under the request's trace
+  // context, recording a kSpanServerBatch serve span when it is traced.
+  BatchResponse serve_batch(Agent& agent, const wire::BatchRequestMsg& req);
   // Flushes c.wbuf as far as the socket buffer allows.  False = dead peer
   // or write deadline exceeded (backpressure bound).
   bool flush_writes(Conn& c);
@@ -267,14 +268,11 @@ class RemoteAgent : public AgentClient {
   bool has_element(const ElementId& id) const override;
   std::vector<ElementId> element_ids() const override;
 
-  Result<QueryResponse> query_attrs(const ElementId& id,
-                                    const std::vector<std::string>& attrs,
-                                    SimTime now) override;
-
-  // One wire round trip per call.  `pool` is ignored — concurrency across
-  // remote agents comes from the controller's fan-out; the connection itself
-  // is serialized.  Never fails outright: transport loss degrades to
-  // kMissing responses (see header comment).
+  // One wire round trip per call, or none when the adapter answers every
+  // id itself (departed, or too long for the wire).  `pool` is ignored —
+  // concurrency across remote agents comes from the controller's fan-out;
+  // the connection itself is serialized.  Never fails outright: transport
+  // loss degrades to kMissing responses (see header comment).
   BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
                             ThreadPool* pool = nullptr) override;
 
@@ -289,7 +287,7 @@ class RemoteAgent : public AgentClient {
   // Pulls the server's drained trace rings into the *global* TraceRecorder
   // as a remote lane (clock-offset attached).  The piggyback fast path makes
   // this unnecessary after clean traced batches; harvest catches spans from
-  // single requests and from sweeps whose piggyback was lost.
+  // sweeps whose piggyback was lost.
   Status harvest_trace();
 
   // Remote span clock minus local, estimated at the last hello handshake.
@@ -322,8 +320,8 @@ class RemoteAgent : public AgentClient {
   // is available.
   Status ensure_connected_locked(SimTime now);
   void drop_connection_locked();
-  // The send / read / resend-once loop every request kind shares (batch,
-  // single, trace harvest): connects if needed, sends `request`, and calls
+  // The send / read / resend-once loop both request kinds share (batch and
+  // trace harvest): connects if needed, sends `request`, and calls
   // `read()` for the reply, which returns true once something usable
   // arrived.  False when nothing did.
   template <typename Read>

@@ -265,11 +265,6 @@ StreamCacheAgent::StreamCacheAgent(const StreamCache* cache,
                                    const AgentClient& like)
     : StreamCacheAgent(cache, like.name(), like.element_ids()) {}
 
-Result<QueryResponse> StreamCacheAgent::query_attrs(
-    const ElementId& id, const std::vector<std::string>& attrs, SimTime now) {
-  return single_answer(name_, id, query_batch({id}, now), &attrs);
-}
-
 BatchResponse StreamCacheAgent::query_batch(const std::vector<ElementId>& ids,
                                             SimTime now, ThreadPool*) {
   std::vector<ElementId> plan;
@@ -369,11 +364,6 @@ Result<std::string> StreamSubscriber::next_body(
   }
   Result<wire::Message> msg = transport::read_message(sock_, deadline);
   if (!msg.ok()) return msg.status();
-  if (msg.value().kind == wire::MessageKind::kError) {
-    Result<wire::ErrorMsg> err = wire::decode_error(msg.value().body);
-    if (err.ok()) return Status(err.value().code, err.value().message);
-    return Status::unavailable("stream subscriber: undecodable server error");
-  }
   if (msg.value().kind != wire::MessageKind::kStreamData) {
     return Status::unavailable(
         std::string("stream subscriber: unexpected ") +

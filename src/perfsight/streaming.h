@@ -241,10 +241,6 @@ class StreamCacheAgent : public AgentClient {
   }
   std::vector<ElementId> element_ids() const override { return ids_; }
 
-  Result<QueryResponse> query_attrs(const ElementId& id,
-                                    const std::vector<std::string>& attrs,
-                                    SimTime now) override;
-
   // Served entirely from the cache: no channel time is paid at query time
   // (it was paid once, at capture).  `pool` is ignored.
   BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
@@ -291,8 +287,8 @@ class StreamPipeline {
 
 // The client half of kSubscribe/kStreamData: dials a RemoteAgentServer,
 // reads the hello, opens a subscription for one agent, and reads frames.
-// The connection is dedicated — after the subscribe, only kStreamData (or
-// kError) arrives, so frames never interleave with request/reply traffic.
+// The connection is dedicated — after the subscribe, only kStreamData
+// arrives, so frames never interleave with request/reply traffic.
 // Feed the returned bodies to StreamCache::apply; after a reconnect, call
 // StreamCache::reset_stream first (the server's first frame to a fresh
 // connection is always a snapshot).
@@ -310,7 +306,7 @@ class StreamSubscriber {
                  Duration window = {});
 
   // Blocks up to `deadline` for the next kStreamData frame and returns its
-  // body.  A kError message from the server is surfaced as its Status.
+  // body.  Any other message kind fails kUnavailable.
   Result<std::string> next_body(transport::WallDuration deadline);
 
   const wire::HelloMsg& hello() const { return hello_; }

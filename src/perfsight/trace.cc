@@ -66,8 +66,6 @@ const char* to_string(TraceEventKind k) {
       return "span_transport_trip";
     case TraceEventKind::kSpanServerBatch:
       return "span_server_batch";
-    case TraceEventKind::kSpanServerSingle:
-      return "span_server_single";
   }
   return "?";
 }

@@ -106,7 +106,6 @@ enum class TraceEventKind {
   kSpanChannelTrip,    // one channel kind's shared round trip
   kSpanTransportTrip,  // client-side socket round trip (dur = wall time)
   kSpanServerBatch,    // server-side batch serve (span-clock timestamps)
-  kSpanServerSingle,   // server-side single-attr serve
 };
 
 const char* to_string(TraceEventKind k);

@@ -552,33 +552,6 @@ Result<BatchRequestMsg> decode_batch_request(std::string_view body) {
   return in.finish(std::move(r), "wire batch request");
 }
 
-std::string encode_single_request(const SingleRequestMsg& r) {
-  Writer w;
-  w.put<int64_t>(r.now.ns());
-  w.str(r.id.name, "element name");
-  w.count<uint32_t>(r.attrs.size(),
-                    [] { return "wire: attr list exceeds u32"; });
-  for (const std::string& a : r.attrs) w.str(a, "attr name");
-  w.put<uint64_t>(r.trace_id);
-  w.put<uint64_t>(r.parent_span);
-  if (!r.agent.empty()) w.str(r.agent, "agent name");  // as in batch requests
-  return std::move(w).take();
-}
-
-Result<SingleRequestMsg> decode_single_request(std::string_view body) {
-  SingleRequestMsg r;
-  Reader in(body);
-  r.now = SimTime::nanos(in.get<int64_t>());
-  r.id = ElementId{in.str()};
-  const auto n = in.count<uint32_t>(2);
-  r.attrs.reserve(n);
-  for (uint32_t i = 0; i < n && in.ok(); ++i) r.attrs.push_back(in.str());
-  r.trace_id = in.get<uint64_t>();
-  r.parent_span = in.get<uint64_t>();
-  if (in.remaining() != 0) r.agent = in.str();
-  return in.finish(std::move(r), "wire single request");
-}
-
 // --- trace data --------------------------------------------------------------
 
 std::string encode_trace_data(const TraceDataMsg& t) {
@@ -611,7 +584,7 @@ Result<TraceDataMsg> decode_trace_data(std::string_view body) {
     TraceEvent e;
     e.t = SimTime::nanos(in.get<int64_t>());
     const auto kind = in.get<uint8_t>();
-    in.require(kind <= static_cast<uint8_t>(TraceEventKind::kSpanServerSingle));
+    in.require(kind <= static_cast<uint8_t>(TraceEventKind::kSpanServerBatch));
     e.kind = static_cast<TraceEventKind>(kind);
     e.value = in.f64();
     e.span_id = in.get<uint64_t>();
@@ -622,22 +595,6 @@ Result<TraceDataMsg> decode_trace_data(std::string_view body) {
     t.events.push_back(std::move(e));
   }
   return in.finish(std::move(t), "wire trace data");
-}
-
-std::string encode_error(const ErrorMsg& e) {
-  Writer w;
-  w.put<uint8_t>(static_cast<uint8_t>(e.code));
-  w.bytes(std::string_view(e.message).substr(0, kMaxPayload - 1));
-  return std::move(w).take();
-}
-
-Result<ErrorMsg> decode_error(std::string_view body) {
-  Reader in(body);
-  const auto code = in.get<uint8_t>();
-  in.require(code <= static_cast<uint8_t>(StatusCode::kDeadlineExceeded));
-  ErrorMsg e{static_cast<StatusCode>(code),
-             std::string(in.bytes(in.remaining()))};
-  return in.finish(std::move(e), "wire error message");
 }
 
 // --- push-mode streaming -----------------------------------------------------

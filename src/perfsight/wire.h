@@ -1,5 +1,5 @@
 // Length-prefixed binary framing for agent→controller batch responses, plus
-// the request/hello/error envelopes the socket transport speaks.
+// the request/hello/trace envelopes the socket transport speaks.
 //
 // The in-process batch path (Agent::query_batch) amortises channel round
 // trips; a *remote* controller needs the same amortisation across a real
@@ -20,11 +20,14 @@
 //
 // The record header is shared with push-mode stream records (below).
 //
-// Control messages (requests, the connect-time hello, and error replies)
+// Control messages (the requests, the connect-time hello and trace data)
 // travel in a separate checksummed envelope:
 //
 //   message := u32 magic ("PSM1") | u8 kind | u32 body_len |
 //              u64 fnv1a64(body) | body
+//
+// There are no error replies: a failed element query travels inside the
+// batch reply as a blind spot, from which the client rebuilds its Status.
 //
 // Damage contract (what the property/fuzz suite locks down): decoding
 // arbitrary bytes never crashes and never yields a silently wrong record.
@@ -116,14 +119,16 @@ BatchResponse reconcile(const std::vector<ElementId>& sorted_ids,
 // the PSM1 envelope.  Bodies are checksummed; decoders are total functions
 // over arbitrary bytes.
 
+// Kinds 3 to 6 are retired: a server closes a connection that sends one.
+// They keep their numbers so the live kinds do not renumber.  A single
+// query (query_attrs) is a kBatchRequest for one id.
 enum class MessageKind : uint8_t {
   kHello = 1,           // server → client on accept: agent name + element ids
   kBatchRequest = 2,    // client → server: query_batch(ids, now)
-  kSingleRequest = 3,   // client → server: query_attrs(id, attrs, now)
-  kListElements = 4,    // retired (a server closes the connection); kept so
-                        // the kinds do not renumber
-  kSingleResponse = 5,  // server → client: one PSB1 frame (success)
-  kError = 6,           // server → client: Status code + message
+  kSingleRequest = 3,   // retired (was the single-element query)
+  kListElements = 4,    // retired (was the element listing)
+  kSingleResponse = 5,  // retired (was the single-element reply)
+  kError = 6,           // retired (was a Status reply)
   kTraceHarvest = 7,    // client → server: drain your trace rings to me
   kTraceData = 8,       // server → client: drained spans (also piggybacked
                         // after a batch reply when the request was traced)
@@ -136,7 +141,7 @@ enum class MessageKind : uint8_t {
 const char* to_string(MessageKind k);
 
 struct Message {
-  MessageKind kind = MessageKind::kError;
+  MessageKind kind = MessageKind::kHello;
   std::string body;
 };
 
@@ -165,7 +170,7 @@ Result<BatchResponse> parse_batch_header(std::string_view bytes,
 // A PSB1 frame prefix or PSM1 message prefix: the length and checksum of
 // the body behind it (and, for a message, its kind).
 struct Prefix {
-  MessageKind kind = MessageKind::kError;  // PSM1 messages only
+  MessageKind kind = MessageKind::kHello;  // PSM1 messages only
   uint32_t body_len = 0;
   uint64_t checksum = 0;
 };
@@ -231,21 +236,6 @@ struct BatchRequestMsg {
 std::string encode_batch_request(const BatchRequestMsg& r);
 Result<BatchRequestMsg> decode_batch_request(std::string_view body);
 
-// query_attrs over the wire (the single-element GetAttr path).  Carries the
-// same trace context as batch requests; the server records the serve span
-// (harvested later) but never piggybacks on the single-response path.
-struct SingleRequestMsg {
-  SimTime now;
-  ElementId id;
-  std::vector<std::string> attrs;
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
-  // Fleet routing, as on BatchRequestMsg: empty = primary agent, old format.
-  std::string agent;
-};
-std::string encode_single_request(const SingleRequestMsg& r);
-Result<SingleRequestMsg> decode_single_request(std::string_view body);
-
 // Drained trace rings crossing the wire (kTraceData): the producing
 // process's name plus its events, timestamps still on that process's span
 // clock (the receiver applies its hello-derived clock offset at export).
@@ -259,16 +249,6 @@ struct TraceDataMsg {
 };
 std::string encode_trace_data(const TraceDataMsg& t);
 Result<TraceDataMsg> decode_trace_data(std::string_view body);
-
-// A Status carried verbatim, so remote failures reproduce the exact message
-// text the in-process path would have produced.  encode_error clamps a text
-// too long for one message body to the prefix that fits.
-struct ErrorMsg {
-  StatusCode code = StatusCode::kUnavailable;
-  std::string message;
-};
-std::string encode_error(const ErrorMsg& e);
-Result<ErrorMsg> decode_error(std::string_view body);
 
 // --- push-mode streaming (kSubscribe / kStreamData) --------------------------
 // Inverts the collection direction: instead of the controller pulling a

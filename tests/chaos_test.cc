@@ -730,6 +730,54 @@ TEST(ReconnectDiffTest, DepartedAndAddedElementsSurfaceWithoutRedial) {
   EXPECT_TRUE(client.departed_elements().empty());
 }
 
+// A batch whose every id the adapter answers itself — departed at a
+// reconnect, or too long for the wire — makes no trip: against a dead
+// server it neither redials nor records a breaker failure.  The single
+// query, a batch of one, inherits that.
+TEST(ReconnectDiffTest, LocallyAnsweredBatchMakesNoTrip) {
+  SourceKeeper world;
+  const ElementId el0{"f/el0"}, el1{"f/el1"};
+  auto gen1 = std::make_unique<Agent>("fleet-0", 1);
+  ASSERT_TRUE(gen1->add_element(world.source(el0.name)).is_ok());
+  ASSERT_TRUE(gen1->add_element(world.source(el1.name)).is_ok());
+  auto server1 = std::make_unique<RemoteAgentServer>(
+      gen1.get(), transport::Endpoint::tcp("127.0.0.1", 0));
+  ASSERT_TRUE(server1->start().is_ok());
+  const transport::Endpoint ep = server1->endpoint();
+
+  RemoteAgent client(ep);
+  CircuitBreakerConfig breaker;
+  breaker.failure_threshold = 1;  // one failed redial loop would open it
+  client.set_breaker_config(breaker);
+  ASSERT_TRUE(client.connect().is_ok());
+
+  // el0 departs at a reconnect; then the server goes away for good.
+  server1->stop();
+  auto gen2 = std::make_unique<Agent>("fleet-0", 1);
+  ASSERT_TRUE(gen2->add_element(world.source(el1.name)).is_ok());
+  auto server2 = std::make_unique<RemoteAgentServer>(gen2.get(), ep);
+  ASSERT_TRUE(server2->start().is_ok());
+  (void)client.query_batch({el1}, SimTime::millis(1));
+  ASSERT_EQ(client.departed_elements(), std::vector<ElementId>{el0});
+  server2->stop();
+
+  const ElementId oversize{std::string(70000, 'x')};
+  BatchResponse b = client.query_batch({el0, oversize}, SimTime::millis(2));
+  ASSERT_EQ(b.responses.size(), 1u);
+  EXPECT_EQ(b.responses[0].record.element, el0);
+  EXPECT_EQ(b.responses[0].quality, DataQuality::kMissing);
+  EXPECT_EQ(b.responses[0].fail_code, StatusCode::kFailedPrecondition);
+  EXPECT_EQ(b.unknown_ids, 1u);
+
+  Result<QueryResponse> gone =
+      client.query_attrs(el0, {attr::kRxPkts}, SimTime::millis(3));
+  ASSERT_FALSE(gone.ok());
+  EXPECT_EQ(gone.status().code(), StatusCode::kFailedPrecondition);
+
+  EXPECT_EQ(client.breaker_state(), BreakerState::kClosed);
+  EXPECT_EQ(client.transport_stats().fast_fails, 0u);
+}
+
 TEST(ReconnectDiffTest, UnchangedElementSetSkipsDiffViaEpoch) {
   SourceKeeper world;
   const ElementId el0{"f/el0"}, el1{"f/el1"};

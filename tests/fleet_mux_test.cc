@@ -111,9 +111,9 @@ std::string fmt(const Result<Controller::QualifiedRecord>& r) {
 }
 
 // The workload every controller runs: a fleet-wide multi-attr sweep (the
-// batch path, including an id nobody serves) plus single-element reads (the
-// kSingleRequest path) off the first and last elements.  Folded to a string
-// so byte-identity is one EXPECT_EQ.
+// batch path, including an id nobody serves) plus single-element reads (each
+// a batch of one on the wire) off the first and last elements.  Folded to a
+// string so byte-identity is one EXPECT_EQ.
 std::string run_fleet_script(const Fleet& fleet,
                              const std::vector<AgentClient*>& clients) {
   SimTime now;
@@ -230,9 +230,9 @@ TEST(FleetMuxTest, TracedFleetBatchesStayByteIdenticalAndShipServeSpans) {
   // drains exactly the serve span its own batch recorded.
   EXPECT_EQ(run_fleet_script(fleet, clients), oracle);
 
-  // The single-request path records a serve span only under an active
-  // caller context (the controller's get_attr_q carries none), and never
-  // piggybacks — a harvest brings it home.
+  // A single query is a batch of one: under an active caller context (the
+  // controller's get_attr_q carries none) it records a batch serve span and
+  // piggybacks it like any traced batch.  The harvest finds nothing left.
   {
     ScopedTraceContext ctx(TraceContext{77, 5});
     Result<QueryResponse> r = remotes[1]->query_attrs(
@@ -244,18 +244,16 @@ TEST(FleetMuxTest, TracedFleetBatchesStayByteIdenticalAndShipServeSpans) {
   const std::vector<TraceRecorder::RemoteLane> lanes =
       scoped.recorder().remote_lanes();
   size_t batch_spans = 0;
-  size_t single_spans = 0;
   for (const TraceRecorder::RemoteLane& lane : lanes) {
     // Lane attribution is always a hosted agent: the routed agent's name on
     // piggybacks, the primary's on harvests.
     EXPECT_EQ(lane.process.rfind("fleet-", 0), 0u) << lane.process;
     for (const TraceEvent& e : lane.events) {
       if (e.kind == TraceEventKind::kSpanServerBatch) ++batch_spans;
-      if (e.kind == TraceEventKind::kSpanServerSingle) ++single_spans;
     }
   }
-  EXPECT_EQ(batch_spans, fleet.agents.size());  // one per routed batch
-  EXPECT_EQ(single_spans, 1u);                  // the traced query_attrs
+  // One per routed batch, plus the traced query_attrs' batch of one.
+  EXPECT_EQ(batch_spans, fleet.agents.size() + 1);
 }
 
 // --- protocol compatibility --------------------------------------------------

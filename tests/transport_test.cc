@@ -383,7 +383,7 @@ TEST(TransportDifferentialTest, SocketAgentsMatchInProcessOracle) {
     ThreadPool pool(4);
     EXPECT_EQ(run_script(rig, &pool, true), oracle);
   }
-  // Single-request path over tcp (kSingleRequest / kError framing).
+  // Sequential (batching off) over tcp: each single query a batch of one.
   {
     TransportRig rig(3, 3, TransportRig::Mode::kTcp);
     EXPECT_EQ(run_script(rig, nullptr, false), oracle);
@@ -1221,6 +1221,46 @@ TEST(TransportOversizeTest, OversizeAgentNameIsRefusedAtStart) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("65535-byte wire limit"), std::string::npos);
   EXPECT_FALSE(server.running());
+}
+
+// --- protocol confusion ------------------------------------------------------
+
+// A client that sends a retired kind (3 to 6) or a kind only a server or a
+// harvester sends is confused: the server closes that connection and keeps
+// serving every other one.
+TEST(TransportProtocolTest, RetiredAndServerKindsCloseOnlyThatConnection) {
+  Agent agent("agent-p", 3);
+  ScriptedSource el("p/el0", ChannelKind::kProcFs);
+  el.set_attrs({{attr::kRxPkts, 5.0}});
+  ASSERT_TRUE(agent.add_element(&el).is_ok());
+  RemoteAgentServer server(&agent, transport::Endpoint::tcp("127.0.0.1", 0));
+  ASSERT_TRUE(server.start().is_ok());
+  RemoteAgent remote(server.endpoint(), "agent-p");
+  ASSERT_TRUE(remote.connect().is_ok());
+
+  const transport::WallDuration deadline{2000};
+  for (wire::MessageKind kind :
+       {wire::MessageKind::kSingleRequest, wire::MessageKind::kListElements,
+        wire::MessageKind::kSingleResponse, wire::MessageKind::kError,
+        wire::MessageKind::kHello, wire::MessageKind::kTraceData,
+        wire::MessageKind::kStreamData, wire::MessageKind::kIntReport}) {
+    SCOPED_TRACE(wire::to_string(kind));
+    Result<transport::Greeting> raw =
+        transport::dial_hello(server.endpoint(), deadline);
+    ASSERT_TRUE(raw.ok()) << raw.status().message();
+    transport::Socket& sock = raw.value().sock;
+    ASSERT_TRUE(
+        sock.send_all(wire::encode_message(kind, ""), deadline).is_ok());
+    Result<wire::Message> reply = transport::read_message(sock, deadline);
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
+        << reply.status().message();
+
+    BatchResponse b = remote.query_batch({el.id()}, SimTime::millis(1));
+    ASSERT_EQ(b.responses.size(), 1u);
+    EXPECT_EQ(b.responses[0].quality, DataQuality::kFresh);
+  }
+  EXPECT_EQ(remote.transport_stats().connects, 1u);
 }
 
 // --- accept-error backoff ----------------------------------------------------

@@ -268,19 +268,7 @@ std::string encoder_transcript() {
        hex(wire::encode_batch_request({SimTime::millis(12),
                                        {ElementId{"x"}, ElementId{"y"}},
                                        0xdeadbeefcafef00dULL, 42, "second"})));
-  line("single_request_plain",
-       hex(wire::encode_single_request(
-           {SimTime::micros(3), ElementId{"z"}, {}, 0, 0, ""})));
-  line("single_request_routed_traced",
-       hex(wire::encode_single_request({SimTime::micros(3),
-                                        ElementId{"z"},
-                                        {"rxPkts", "txPkts"},
-                                        7,
-                                        8,
-                                        "second"})));
   line("trace_data", hex(wire::encode_trace_data(sample_trace())));
-  line("error",
-       hex(wire::encode_error({StatusCode::kNotFound, "agent a: no z"})));
   line("subscribe", hex(wire::encode_subscribe({"second", 17, 100000000})));
   const std::vector<wire::StreamDataMsg> chain = stream_chain();
   line("stream_snapshot",
@@ -412,19 +400,6 @@ std::string decoder_transcript() {
                                   "second"}),
       batch_req);
 
-  const Decoder single_req = [](std::string_view b) {
-    return status_of<wire::SingleRequestMsg>(
-        wire::decode_single_request(b), [](const wire::SingleRequestMsg& r) {
-          std::string s = std::to_string(r.now.ns()) + " " + r.id.name + " [";
-          for (const std::string& a : r.attrs) s += a + ",";
-          return s + "] trace=" + std::to_string(r.trace_id) + "/" +
-                 std::to_string(r.parent_span) + " agent=" + r.agent;
-        });
-  };
-  const std::string single_bytes = wire::encode_single_request(
-      {SimTime::micros(3), ElementId{"z"}, {"rxPkts", "tx"}, 7, 8, "second"});
-  out += damage_table("single_request", single_bytes, single_req);
-
   const Decoder trace = [](std::string_view b) {
     return status_of<wire::TraceDataMsg>(
         wire::decode_trace_data(b), [](const wire::TraceDataMsg& t) {
@@ -433,16 +408,6 @@ std::string decoder_transcript() {
   };
   const std::string trace_bytes = wire::encode_trace_data(sample_trace());
   out += damage_table("trace_data", trace_bytes, trace);
-
-  const Decoder error = [](std::string_view b) {
-    return status_of<wire::ErrorMsg>(
-        wire::decode_error(b), [](const wire::ErrorMsg& e) {
-          return std::to_string(static_cast<int>(e.code)) + " " + e.message;
-        });
-  };
-  out += damage_table(
-      "error", wire::encode_error({StatusCode::kDeadlineExceeded, "late"}),
-      error);
 
   const Decoder subscribe = [](std::string_view b) {
     return status_of<wire::SubscribeMsg>(
@@ -520,8 +485,6 @@ std::string decoder_transcript() {
                  {SimTime(), {ElementId{"x"}}, 0, 0, ""}),
              8, 0x40000000u)) +
          "\n";
-  out += "over single_request_attrs: " +
-         single_req(patched<uint32_t>(single_bytes, 8 + 3, 0x10000u)) + "\n";
   out += "over trace_events: " +
          trace(patched<uint32_t>(trace_bytes, 2 + 7, 1000u)) + "\n";
   out += "over stream_records: " +

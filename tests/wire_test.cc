@@ -428,36 +428,6 @@ TEST(WireMessageTest, ControlMessagesRoundTrip) {
   EXPECT_EQ(r.value().trace_id, 0xdeadbeefcafef00dULL);
   EXPECT_EQ(r.value().parent_span, 42u);
 
-  wire::SingleRequestMsg sr{SimTime::micros(3), ElementId{"z"},
-                            {"rxPkts", "txPkts"},
-                            /*trace_id=*/7, /*parent_span=*/8,
-                            /*agent=*/""};
-  Result<wire::SingleRequestMsg> sd = wire::decode_single_request(
-      wire::encode_single_request(sr));
-  ASSERT_TRUE(sd.ok());
-  EXPECT_EQ(sd.value().id.name, "z");
-  ASSERT_EQ(sd.value().attrs.size(), 2u);
-  EXPECT_EQ(sd.value().trace_id, 7u);
-  EXPECT_EQ(sd.value().parent_span, 8u);
-
-  wire::ErrorMsg err{StatusCode::kNotFound, "agent a: no element z"};
-  Result<wire::ErrorMsg> ed = wire::decode_error(wire::encode_error(err));
-  ASSERT_TRUE(ed.ok());
-  EXPECT_EQ(ed.value().code, StatusCode::kNotFound);
-  EXPECT_EQ(ed.value().message, "agent a: no element z");
-
-  // A text longer than one message body keeps the prefix that fits, so
-  // enveloping it never trips encode_message's size check.
-  err.message.assign(wire::kMaxPayload + 7, 'x');
-  const std::string clamped = wire::encode_error(err);
-  EXPECT_EQ(clamped.size(), wire::kMaxPayload);
-  Result<wire::Message> em = wire::decode_message(
-      wire::encode_message(wire::MessageKind::kError, clamped));
-  ASSERT_TRUE(em.ok()) << em.status().message();
-  ed = wire::decode_error(em.value().body);
-  ASSERT_TRUE(ed.ok());
-  EXPECT_EQ(ed.value().message, err.message.substr(0, wire::kMaxPayload - 1));
-
   // Damage: every strict prefix of the envelope is refused, and a body bit
   // flip fails the checksum.
   for (size_t cut = 0; cut < m.size(); ++cut) {
@@ -531,23 +501,6 @@ TEST(WireMessageTest, FleetRosterAndRoutingRoundTripBackCompatible) {
   EXPECT_FALSE(
       wire::decode_batch_request(wire::encode_batch_request(routed) + "!")
           .ok());
-
-  // Same contract on the single-request envelope.
-  wire::SingleRequestMsg srouted{SimTime::micros(3), ElementId{"z"},
-                                 {"rxPkts"},
-                                 /*trace_id=*/7,
-                                 /*parent_span=*/8,
-                                 /*agent=*/"third"};
-  Result<wire::SingleRequestMsg> srd =
-      wire::decode_single_request(wire::encode_single_request(srouted));
-  ASSERT_TRUE(srd.ok());
-  EXPECT_EQ(srd.value().agent, "third");
-  wire::SingleRequestMsg sunrouted = srouted;
-  sunrouted.agent.clear();
-  Result<wire::SingleRequestMsg> sod =
-      wire::decode_single_request(wire::encode_single_request(sunrouted));
-  ASSERT_TRUE(sod.ok());
-  EXPECT_TRUE(sod.value().agent.empty());
 }
 
 // Harvested trace rings cross the wire losslessly — span links, durations,
