@@ -84,6 +84,7 @@ class MultiTenantScenario {
   sim::Simulator& sim() { return sim_; }
   Deployment& deployment() { return *deployment_; }
   mbox::StreamMachine& lb_machine() { return *lb_machine_; }
+  mbox::StreamMachine& edge_machine() { return *edge_machine_; }
 
   mbox::StreamApp* client1 = nullptr;
   mbox::StreamApp* lb1 = nullptr;
