@@ -56,10 +56,13 @@ inline uint64_t kernel_io_emulation(uint8_t* scratch, uint64_t seed) {
 }
 
 // Per-kind packet processing.  `in` and `out` are packet-sized buffers;
-// returns a value data-dependent on the payload so nothing is elided.
+// returns a value data-dependent on the payload so nothing is elided, and
+// adds the payload bytes it hashed, scanned or copied to `worked`.
 uint64_t process_packet(MbWorkKind kind, const uint8_t* in, uint8_t* out,
                         uint32_t n, uint64_t seq,
-                        std::vector<uint64_t>& table) {
+                        std::vector<uint64_t>& table, uint64_t& worked) {
+  // Every kind forwards the payload.
+  worked += n;
   switch (kind) {
     case MbWorkKind::kProxy: {
       // Pure forwarding: payload copy is the whole job.
@@ -68,13 +71,16 @@ uint64_t process_packet(MbWorkKind kind, const uint8_t* in, uint8_t* out,
     }
     case MbWorkKind::kLoadBalancer: {
       // Hash the "5-tuple" (first 13 bytes), pick a backend, forward.
-      uint64_t h = fnv1a(in, n < 13 ? n : 13, 1469598103934665603ULL);
+      const uint32_t tuple = n < 13 ? n : 13;
+      uint64_t h = fnv1a(in, tuple, 1469598103934665603ULL);
+      worked += tuple;
       std::memcpy(out, in, n);
       return h % 8;
     }
     case MbWorkKind::kCache: {
       // Digest the payload, probe a small object table.
       uint64_t h = fnv1a(in, n, 1469598103934665603ULL);
+      worked += n;
       uint64_t& slot = table[h % table.size()];
       uint64_t hit = slot == h ? 1 : 0;
       slot = h;
@@ -87,6 +93,7 @@ uint64_t process_packet(MbWorkKind kind, const uint8_t* in, uint8_t* out,
       for (uint32_t i = 0; i + 32 <= n; i += 32) {
         acc ^= fnv1a(in + i, 32, acc | 1);
         table[acc % table.size()] = acc;
+        worked += 32;
       }
       std::memcpy(out, in, n);
       return acc;
@@ -100,6 +107,7 @@ uint64_t process_packet(MbWorkKind kind, const uint8_t* in, uint8_t* out,
         matches += (b == kSigs[0]) + (b == kSigs[1]) + (b == kSigs[2]) +
                    (b == kSigs[3]);
       }
+      worked += n;
       std::memcpy(out, in, n);
       return matches;
     }
@@ -154,7 +162,8 @@ HotpathResult run_hotpath(const HotpathConfig& cfg, uint64_t packets) {
     in[0] = static_cast<uint8_t>(p);  // vary payloads slightly
 
     checksum += process_packet(cfg.kind, in.data(), out.data(),
-                               cfg.packet_bytes, p, table);
+                               cfg.packet_bytes, p, table,
+                               res.payload_bytes_worked);
 
     // Output method: push to the "kernel".
     {

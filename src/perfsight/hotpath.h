@@ -44,6 +44,10 @@ struct HotpathResult {
   uint64_t packets = 0;
   uint64_t wall_ns = 0;
   uint64_t checksum = 0;  // anti-DCE sink; also a determinism probe
+  // Payload bytes the work model hashed, scanned or copied (kernel I/O
+  // emulation excluded): the deterministic work count behind each kind's
+  // cost, which a test can compare where wall-clock would flake.
+  uint64_t payload_bytes_worked = 0;
   ElementStats stats;     // counters as maintained during the run
 
   double pkts_per_sec() const {

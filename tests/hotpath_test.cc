@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "perfsight/agent.h"
 
 namespace perfsight {
@@ -65,21 +63,22 @@ TEST(HotpathTest, InstrumentationDoesNotChangeResults) {
 }
 
 TEST(HotpathTest, WorkKindsHaveDistinctCosts) {
-  // The payload-scanning kinds must be measurably slower than pure
+  // The payload-inspecting kinds do more work per packet than pure
   // forwarding (they are the "high utilization yet healthy" middleboxes).
-  // Wall-clock, so the comparison is made robust to a loaded host: the two
-  // kinds run interleaved and each keeps its best of five trials, so a
-  // stall must hit all five proxy trials to flip the verdict.
-  HotpathConfig proxy;
-  proxy.kind = MbWorkKind::kProxy;
-  HotpathConfig ips;
-  ips.kind = MbWorkKind::kIps;
-  double proxy_pps = 0, ips_pps = 0;
-  for (int trial = 0; trial < 5; ++trial) {
-    proxy_pps = std::max(proxy_pps, run_hotpath(proxy, 4000).pkts_per_sec());
-    ips_pps = std::max(ips_pps, run_hotpath(ips, 4000).pkts_per_sec());
-  }
-  EXPECT_GT(proxy_pps, ips_pps);
+  // Compared by the harness's deterministic work count, not wall-clock,
+  // so a loaded host cannot flip the verdict.
+  auto worked_per_packet = [](MbWorkKind kind) {
+    HotpathConfig cfg;
+    cfg.kind = kind;
+    const HotpathResult r = run_hotpath(cfg, 400);
+    return r.payload_bytes_worked / r.packets;
+  };
+  const uint64_t proxy = worked_per_packet(MbWorkKind::kProxy);
+  EXPECT_EQ(proxy, 1500u);  // the copy alone
+  EXPECT_GT(worked_per_packet(MbWorkKind::kIps), proxy);
+  EXPECT_GT(worked_per_packet(MbWorkKind::kCache), proxy);
+  EXPECT_GT(worked_per_packet(MbWorkKind::kRedundancyElim), proxy);
+  EXPECT_GT(worked_per_packet(MbWorkKind::kLoadBalancer), proxy);
 }
 
 TEST(HotpathTest, CounterCostProbesReturnSaneValues) {
