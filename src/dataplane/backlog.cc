@@ -38,16 +38,15 @@ void PCpuBacklog::step(SimTime /*now*/, Duration dt) {
   // CPU demand: cost of working off everything queued + newly arrived, but
   // a core can contribute at most `dt` of cpu time per tick.
   double want_cpu = 0;
-  std::vector<double> want_core(cores_.size(), 0);
+  want_core_.resize(cores_.size());
   uint64_t total_bytes = 0;
   for (size_t q = 0; q < cores_.size(); ++q) {
     const Core& c = cores_[q];
     double w = static_cast<double>(c.level_pkts + c.arrival_pkts) *
                cfg_.proc_cost_per_pkt;
-    want_core[q] = std::min(w, dt.sec());
-    want_cpu += want_core[q];
-    total_bytes += c.arrival_bytes;
-    for (const PacketBatch& b : c.level) total_bytes += b.bytes;
+    want_core_[q] = std::min(w, dt.sec());
+    want_cpu += want_core_[q];
+    total_bytes += c.arrival_bytes + c.level_bytes;
   }
   double cpu_grant = cpu_->request(cpu_consumer_, want_cpu);
   double cpu_scale = want_cpu > 0 ? cpu_grant / want_cpu : 1.0;
@@ -64,7 +63,7 @@ void PCpuBacklog::step(SimTime /*now*/, Duration dt) {
     if (backlog_pkts == 0) continue;
 
     // This core's service this tick, in packets.
-    double svc_cpu = want_core[q] * scale;
+    double svc_cpu = want_core_[q] * scale;
     uint64_t service =
         static_cast<uint64_t>(svc_cpu / cfg_.proc_cost_per_pkt + 0.5);
     service = std::min(service, backlog_pkts);
@@ -80,9 +79,15 @@ void PCpuBacklog::step(SimTime /*now*/, Duration dt) {
             ? static_cast<double>(dropped) / static_cast<double>(c.arrival_pkts)
             : 0.0;
 
+    // Serve FIFO: carried-over level first, then admitted arrivals.  The
+    // level moves into the serve list and the core keeps the list's old
+    // buffer for this tick's residue.
+    serve_.clear();
+    serve_.swap(c.level);
+    c.level_pkts = 0;
+    c.level_bytes = 0;
+
     // Trim arrivals by the drop fraction (drop-tail falls on new arrivals).
-    std::vector<PacketBatch> admitted;
-    admitted.reserve(c.arrivals.size());
     for (PacketBatch& b : c.arrivals) {
       double exact = static_cast<double>(b.packets) * drop_frac;
       uint64_t drop_p = static_cast<uint64_t>(exact);
@@ -93,20 +98,14 @@ void PCpuBacklog::step(SimTime /*now*/, Duration dt) {
         PacketBatch lost = take_front(b, drop_p, UINT64_MAX);
         note_drop(lost.packets, lost.bytes);
       }
-      if (!b.empty()) admitted.push_back(b);
+      if (!b.empty()) serve_.push_back(b);
     }
-
-    // Serve FIFO: carried-over level first, then admitted arrivals.
-    std::vector<PacketBatch> fifo = std::move(c.level);
-    fifo.insert(fifo.end(), admitted.begin(), admitted.end());
-    c.level.clear();
-    c.level_pkts = 0;
     c.arrivals.clear();
     c.arrival_pkts = 0;
     c.arrival_bytes = 0;
 
     uint64_t budget = service;
-    for (PacketBatch& b : fifo) {
+    for (PacketBatch& b : serve_) {
       if (budget > 0 && !b.empty()) {
         PacketBatch served = take_front(b, budget, UINT64_MAX);
         budget -= served.packets;
@@ -126,6 +125,7 @@ void PCpuBacklog::step(SimTime /*now*/, Duration dt) {
           b = keep;
         }
         c.level_pkts += b.packets;
+        c.level_bytes += b.bytes;
         c.level.push_back(b);
       }
     }

@@ -67,6 +67,7 @@ class PCpuBacklog : public Element, public sim::Steppable {
   struct Core {
     std::vector<PacketBatch> level;     // carried-over queue (within cap)
     uint64_t level_pkts = 0;
+    uint64_t level_bytes = 0;
     std::vector<PacketBatch> arrivals;  // offered since last step
     uint64_t arrival_pkts = 0;
     uint64_t arrival_bytes = 0;
@@ -79,6 +80,11 @@ class PCpuBacklog : public Element, public sim::Steppable {
   ResourcePool::ConsumerId mem_consumer_;
   PortIn* out_;
   std::vector<Core> cores_;
+  // step()'s working storage, reused every tick: each core's CPU demand,
+  // and the FIFO one core serves (swapped with that core's level, so the
+  // buffers trade places instead of being rebuilt).
+  std::vector<double> want_core_;
+  std::vector<PacketBatch> serve_;
   std::unordered_map<FlowId, int> pinned_;
   // Unbiased rounding of fractional per-batch drops: a small flow sharing a
   // core with a flood must lose its proportional share, not round up to

@@ -28,19 +28,17 @@ void StreamVm::step(SimTime /*now*/, Duration dt) {
 
   // Divide the ingress budget max-min fairly over the inbound connections
   // by last tick's offers; the remainder is spare, lent first-come.
-  std::vector<Demand> demands;
-  demands.reserve(conn_alloc_.size());
+  demands_.clear();
   for (size_t i = 0; i < conn_alloc_.size(); ++i) {
-    demands.push_back(
+    demands_.push_back(
         Demand{static_cast<double>(conn_offer_prev_[i]), 1.0, -1.0});
     conn_offer_prev_[i] = conn_offer_accum_[i];
     conn_offer_accum_[i] = 0;
   }
-  std::vector<double> alloc =
-      weighted_maxmin(static_cast<double>(budget), demands);
+  weighted_maxmin(static_cast<double>(budget), demands_, &alloc_, &maxmin_);
   uint64_t allotted = 0;
   for (size_t i = 0; i < conn_alloc_.size(); ++i) {
-    conn_alloc_[i] = static_cast<uint64_t>(alloc[i]);
+    conn_alloc_[i] = static_cast<uint64_t>(alloc_[i]);
     allotted += conn_alloc_[i];
   }
   ingress_spare_ = budget > allotted ? budget - allotted : 0;

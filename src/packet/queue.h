@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <unordered_map>
 
+#include "common/ring.h"
 #include "packet/batch.h"
 
 namespace perfsight {
@@ -73,16 +73,17 @@ class BoundedPacketQueue {
 
  private:
   void push(const PacketBatch& b) {
-    // Merge with tail if same flow — keeps the deque small under steady
+    // Merge with tail if same flow — keeps the ring small under steady
     // per-tick arrivals without changing FIFO semantics between flows that
     // never interleave within a tick.
     if (!q_.empty() && q_.back().flow == b.flow) {
-      q_.back().packets += b.packets;
-      q_.back().bytes += b.bytes;
+      PacketBatch& tail = q_.back();
+      tail.packets += b.packets;
+      tail.bytes += b.bytes;
       // A merged batch can carry only one INT tag; the tail keeps its own,
       // an untagged tail adopts the arrival's.  (A tag lost this way is an
       // orphaned flight the stamper expires — never a wrong counter.)
-      if (q_.back().int_tag == 0) q_.back().int_tag = b.int_tag;
+      if (tail.int_tag == 0) tail.int_tag = b.int_tag;
     } else {
       q_.push_back(b);
     }
@@ -96,7 +97,7 @@ class BoundedPacketQueue {
   }
 
   QueueCaps caps_;
-  std::deque<PacketBatch> q_;
+  Ring<PacketBatch> q_;  // grows on first use, never in the constructor
   uint64_t packets_ = 0;
   uint64_t bytes_ = 0;
   uint64_t dropped_packets_ = 0;

@@ -4,21 +4,24 @@
 
 namespace perfsight {
 
-std::vector<double> weighted_maxmin(double capacity,
-                                    const std::vector<Demand>& demands) {
+void weighted_maxmin(double capacity, const std::vector<Demand>& demands,
+                     std::vector<double>* alloc_out, MaxMinScratch* scratch) {
   const size_t n = demands.size();
-  std::vector<double> alloc(n, 0.0);
-  if (n == 0 || capacity <= 0) return alloc;
+  std::vector<double>& alloc = *alloc_out;
+  alloc.assign(n, 0.0);
+  if (n == 0 || capacity <= 0) return;
 
   // Effective demand = min(amount, cap); negative caps mean uncapped.
-  std::vector<double> want(n);
+  std::vector<double>& want = scratch->want;
+  want.resize(n);
   for (size_t i = 0; i < n; ++i) {
     double w = std::max(0.0, demands[i].amount);
     if (demands[i].cap >= 0) w = std::min(w, demands[i].cap);
     want[i] = w;
   }
 
-  std::vector<bool> done(n, false);
+  std::vector<unsigned char>& done = scratch->done;
+  done.assign(n, 0);
   double remaining = capacity;
   // Each pass satisfies at least one consumer, so <= n passes.
   for (size_t pass = 0; pass < n; ++pass) {
@@ -27,7 +30,7 @@ std::vector<double> weighted_maxmin(double capacity,
       if (!done[i] && want[i] > alloc[i]) {
         active_weight += std::max(1e-12, demands[i].weight);
       } else {
-        done[i] = true;
+        done[i] = 1;
       }
     }
     if (active_weight <= 0 || remaining <= 1e-12) break;
@@ -45,7 +48,7 @@ std::vector<double> weighted_maxmin(double capacity,
       alloc[i] += given;
       given_total += given;
       if (given >= need - 1e-12) {
-        done[i] = true;
+        done[i] = 1;
         any_satisfied = true;
       }
     }
@@ -54,6 +57,13 @@ std::vector<double> weighted_maxmin(double capacity,
     // share of the remaining capacity and we are finished.
     if (!any_satisfied) break;
   }
+}
+
+std::vector<double> weighted_maxmin(double capacity,
+                                    const std::vector<Demand>& demands) {
+  std::vector<double> alloc;
+  MaxMinScratch scratch;
+  weighted_maxmin(capacity, demands, &alloc, &scratch);
   return alloc;
 }
 

@@ -20,12 +20,25 @@ struct Demand {
   double cap = -1;     // hard per-consumer limit; <0 means uncapped
 };
 
-// Returns one allocation per demand.  Guarantees:
+// Working storage of weighted_maxmin.  A caller that divides capacity every
+// tick keeps one next to its output vector: both grow to the largest demand
+// set seen and are reused, so a steady-state call allocates nothing.
+struct MaxMinScratch {
+  std::vector<double> want;          // min(amount, cap) per demand
+  std::vector<unsigned char> done;   // satisfied (or idle) per demand
+};
+
+// Writes one allocation per demand into `*alloc` (resized to
+// demands.size()).  Guarantees:
 //   * sum(alloc) <= capacity (+ epsilon)
 //   * alloc[i] <= min(demand, cap) for every i
 //   * work conserving: if sum(min(demand,cap)) >= capacity, the full
 //     capacity is allocated
 //   * max-min fair w.r.t. weights among unsatisfied consumers
+void weighted_maxmin(double capacity, const std::vector<Demand>& demands,
+                     std::vector<double>* alloc, MaxMinScratch* scratch);
+
+// Convenience form with fresh storage; the result is bit-identical.
 std::vector<double> weighted_maxmin(double capacity,
                                     const std::vector<Demand>& demands);
 

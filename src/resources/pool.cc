@@ -61,8 +61,7 @@ void ResourcePool::step(SimTime now, Duration dt) {
 
   last_dt_ = dt;
   double cap_tick = capacity_per_sec_ * dt.sec();
-  std::vector<Demand> demands;
-  demands.reserve(consumers_.size());
+  demands_.clear();
   for (const State& c : consumers_) {
     double amount = c.demand_prev * dt.sec();
     double weight = c.cfg.weight;
@@ -70,15 +69,15 @@ void ResourcePool::step(SimTime now, Duration dt) {
       // Share follows issue rate: effective weight scales with demand.
       weight *= std::max(amount, 1e-9);
     }
-    demands.push_back(Demand{
+    demands_.push_back(Demand{
         amount, weight,
         c.cfg.cap_per_sec < 0 ? -1.0 : c.cfg.cap_per_sec * dt.sec()});
   }
-  std::vector<double> alloc = weighted_maxmin(cap_tick, demands);
+  weighted_maxmin(cap_tick, demands_, &alloc_, &maxmin_);
   double allotted = 0;
   for (size_t i = 0; i < consumers_.size(); ++i) {
-    consumers_[i].budget = alloc[i];
-    allotted += alloc[i];
+    consumers_[i].budget = alloc_[i];
+    allotted += alloc_[i];
   }
   spare_ = std::max(0.0, cap_tick - allotted);
 
@@ -89,18 +88,18 @@ void ResourcePool::step(SimTime now, Duration dt) {
   if (trace_enabled()) {
     for (size_t i = 0; i < consumers_.size(); ++i) {
       State& c = consumers_[i];
-      double want = demands[i].amount;
+      double want = demands_[i].amount;
       if (want <= 0) continue;
-      bool short_now = alloc[i] < 0.95 * want;
+      bool short_now = alloc_[i] < 0.95 * want;
       if (short_now == c.in_shortfall) continue;
       c.in_shortfall = short_now;
       ElementId id{name_ + "/" + c.cfg.name};
       if (short_now) {
         trace_event(id, now, TraceEventKind::kArbiterShortfall,
-                    alloc[i] / want, "grant below demand");
+                    alloc_[i] / want, "grant below demand");
       } else {
         trace_event(id, now, TraceEventKind::kArbiterRecovered,
-                    alloc[i] / want, "grant meets demand");
+                    alloc_[i] / want, "grant meets demand");
       }
     }
   }

@@ -117,6 +117,10 @@ class ResourcePool : public sim::Steppable {
   double utilization_ = 0;
   double utilization_ewma_ = 0;
   std::vector<State> consumers_;
+  // step()'s max-min input, output and working storage, reused every tick.
+  std::vector<Demand> demands_;
+  std::vector<double> alloc_;
+  MaxMinScratch maxmin_;
 };
 
 }  // namespace perfsight

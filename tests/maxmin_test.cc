@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "common/rng.h"
@@ -115,6 +116,65 @@ TEST(MaxMinTest, UnsatisfiedConsumersGetEqualPerWeightShares) {
   EXPECT_NEAR(a[2], 1, 1e-9);  // tiny demand satisfied
   EXPECT_NEAR(a[0] / 2.0, a[1] / 1.0, 1e-9);
   EXPECT_NEAR(a[0] + a[1], 30, 1e-9);
+}
+
+uint64_t bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// One output vector and one scratch reused across demand sets that grow,
+// shrink and go empty must give, bit for bit, what fresh storage gives:
+// nothing a previous call left behind may leak into the next.
+TEST(MaxMinScratchTest, ReusedStorageMatchesFreshCallsBitForBit) {
+  Pcg32 rng(20);
+  std::vector<double> alloc;
+  MaxMinScratch scratch;
+  const size_t sizes[] = {0, 1, 12, 3, 0, 40, 5, 40, 2, 0, 17, 1};
+  for (int round = 0; round < 40; ++round) {
+    for (size_t n : sizes) {
+      std::vector<Demand> d(n);
+      for (Demand& dem : d) {
+        // Zero and negative amounts, tiny and large weights, zero caps.
+        const uint32_t shape = rng.next_below(8);
+        dem.amount = shape == 0   ? 0.0
+                     : shape == 1 ? -rng.uniform(0.0, 5.0)
+                                  : rng.uniform(0.0, 40.0);
+        dem.weight = rng.next_below(6) == 0 ? 1e-13 : rng.uniform(0.05, 8.0);
+        const uint32_t cap = rng.next_below(4);
+        dem.cap = cap == 0 ? 0.0 : cap == 1 ? rng.uniform(0.0, 30.0) : -1.0;
+      }
+      const double capacity =
+          rng.next_below(10) == 0 ? 0.0 : rng.uniform(0.0, 200.0);
+      weighted_maxmin(capacity, d, &alloc, &scratch);
+      const std::vector<double> fresh = weighted_maxmin(capacity, d);
+      ASSERT_EQ(alloc.size(), n);
+      ASSERT_EQ(fresh.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits(alloc[i]), bits(fresh[i]))
+            << "round " << round << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+// Stale contents of the caller's output vector are overwritten, never
+// added to.
+TEST(MaxMinScratchTest, StaleOutputIsOverwritten) {
+  std::vector<double> alloc(5, 123.0);
+  MaxMinScratch scratch;
+  weighted_maxmin(15, {{2, 1, -1}, {8, 1, -1}, {10, 1, -1}}, &alloc,
+                  &scratch);
+  ASSERT_EQ(alloc.size(), 3u);
+  EXPECT_NEAR(alloc[0], 2, 1e-9);
+  EXPECT_NEAR(alloc[1], 6.5, 1e-9);
+  EXPECT_NEAR(alloc[2], 6.5, 1e-9);
+  weighted_maxmin(0, {{2, 1, -1}}, &alloc, &scratch);
+  ASSERT_EQ(alloc.size(), 1u);
+  EXPECT_EQ(alloc[0], 0.0);
+  weighted_maxmin(10, {}, &alloc, &scratch);
+  EXPECT_TRUE(alloc.empty());
 }
 
 }  // namespace
