@@ -197,7 +197,8 @@ TEST(IntStamperTest, SingleFlightWalksTheWholeChainInOrder) {
   rig.pnic.offer_rx(batch(1, 100));
   for (int t = 0; t < 10; ++t) rig.tick(&stamper);
 
-  std::vector<inband::Flight> flights = stamper.take_finished();
+  std::vector<inband::Flight> flights;
+  stamper.take_finished(&flights);
   ASSERT_EQ(flights.size(), 1u);
   const inband::Flight& f = flights[0];
   EXPECT_FALSE(f.dropped);
@@ -247,7 +248,8 @@ TEST(IntStamperTest, DropTailFinalizesFlightWithMarker) {
   stamper.set_now(SimTime::millis(6));
   EXPECT_EQ(stamper.arrive(b, tag, 4096), tag);  // arrival at the full queue
   stamper.mark_dropped(b, tag, 4096);
-  std::vector<inband::Flight> flights = stamper.take_finished();
+  std::vector<inband::Flight> flights;
+  stamper.take_finished(&flights);
   ASSERT_EQ(flights.size(), 1u);
   EXPECT_TRUE(flights[0].dropped);
   ASSERT_EQ(flights[0].hops.size(), 2u);
@@ -263,7 +265,42 @@ TEST(IntStamperTest, DropTailFinalizesFlightWithMarker) {
   stamper.set_now(SimTime::millis(600));
   stamper.expire(Duration::millis(500));
   EXPECT_EQ(stamper.stats().flights_expired, 1u);
-  EXPECT_TRUE(stamper.take_finished().empty());
+  stamper.take_finished(&flights);
+  EXPECT_TRUE(flights.empty());
+}
+
+TEST(IntStamperTest, RecycledHopStackIsReusedAndStartsClean) {
+  inband::IntStamper stamper(inband::IntStamper::Config{1, 16, 64});
+  int a = stamper.register_element(ElementId{"a"}, ElementKind::kPNic, -1);
+  int b = stamper.register_element(ElementId{"b"}, ElementKind::kTun, 0);
+  stamper.enable_all(true);
+  const uint64_t first = stamper.maybe_tag(a, batch(1, 10), 3);
+  ASSERT_NE(first, 0u);
+  EXPECT_EQ(stamper.arrive(b, first, 7), first);
+  stamper.mark_dropped(b, first, 7);
+  std::vector<inband::Flight> spent;
+  stamper.take_finished(&spent);
+  ASSERT_EQ(spent.size(), 1u);
+  const inband::Hop* stack = spent[0].hops.data();
+  stamper.recycle(&spent);
+  EXPECT_TRUE(spent.empty());
+
+  // The next flight stamps onto the same buffer, with nothing of the
+  // dropped flight left in it.
+  stamper.set_harvest(b, true);
+  const uint64_t second = stamper.maybe_tag(a, batch(1, 10), 5);
+  ASSERT_NE(second, 0u);
+  EXPECT_EQ(stamper.arrive(b, second, 1), 0u);
+  stamper.take_finished(&spent);
+  ASSERT_EQ(spent.size(), 1u);
+  EXPECT_EQ(spent[0].tag, second);
+  EXPECT_FALSE(spent[0].dropped);
+  EXPECT_EQ(spent[0].hops.data(), stack);
+  ASSERT_EQ(spent[0].hops.size(), 2u);
+  EXPECT_EQ(spent[0].hops[0].queue_pkts, 5u);
+  EXPECT_FALSE(spent[0].hops[0].drop_tail);
+  EXPECT_EQ(spent[0].hops[1].queue_pkts, 1u);
+  EXPECT_FALSE(spent[0].hops[1].drop_tail);
 }
 
 TEST(IntStamperTest, ExpireAgesOutTheOrphanAtTheFrontOnly) {
@@ -300,7 +337,8 @@ TEST(IntStamperTest, ExpireAgesOutTheOrphanAtTheFrontOnly) {
   // nothing.  The later flight survived and still harvests.
   EXPECT_EQ(stamper.arrive(h, orphan, 1), 0u);
   EXPECT_EQ(stamper.arrive(h, young, 1), 0u);
-  std::vector<inband::Flight> flights = stamper.take_finished();
+  std::vector<inband::Flight> flights;
+  stamper.take_finished(&flights);
   ASSERT_EQ(flights.size(), 2u);
   EXPECT_EQ(flights[0].tag, done);
   EXPECT_EQ(flights[1].tag, young);
