@@ -14,9 +14,14 @@
 // counters.  We sweep pool sizes {1, 2, 4, 8} over an 8-agent fleet and
 // gate on >= 2x wall-clock speedup at 4 workers, plus byte-identical wire
 // output between the sequential and parallel sweeps (the determinism
-// contract the diagnosis path relies on).
+// contract the diagnosis path relies on).  The pool sizes take turns over
+// several rounds and each keeps its fastest round, so a burst of load from
+// elsewhere on the host slows one round of one size, not the comparison.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,7 +41,8 @@ namespace {
 
 constexpr size_t kAgents = 8;
 constexpr size_t kElementsPerAgent = 4;
-constexpr int kSweepsPerConfig = 24;
+constexpr int kRounds = 6;
+constexpr int kSweepsPerRound = 12;
 // Stand-in for the per-element channel round trip.  Real /proc and socket
 // channels are 100-500 us (Fig. 9); net_device files are ~2 ms.
 constexpr auto kChannelRtt = std::chrono::microseconds(150);
@@ -100,13 +106,13 @@ struct Fleet {
   }
 };
 
-// Wall time of kSweepsPerConfig fleet sweeps, plus the concatenated wire
+// Wall time of kSweepsPerRound fleet sweeps, plus the concatenated wire
 // encoding of the last sweep (for the determinism check).
 double sweep_seconds(Fleet& fleet, std::string* wire_out) {
   auto start = std::chrono::steady_clock::now();
-  for (int s = 0; s < kSweepsPerConfig; ++s) {
+  for (int s = 0; s < kSweepsPerRound; ++s) {
     auto groups = fleet.dep.poll_sweep(SimTime::millis(s));
-    if (s == kSweepsPerConfig - 1 && wire_out != nullptr) {
+    if (s == kSweepsPerRound - 1 && wire_out != nullptr) {
       for (const auto& group : groups) {
         for (const QueryResponse& resp : group) {
           *wire_out += to_text(resp.record);
@@ -126,33 +132,46 @@ int main() {
   heading("Poll-sweep scaling across the collection pool",
           "PerfSight (IMC'15) Sec. 7.4 collection overhead, parallelised");
   Reporter report("poll_scaling");
-  note("%zu agents x %zu elements, %d sweeps per pool size", kAgents,
-       kElementsPerAgent, kSweepsPerConfig);
+  note("%zu agents x %zu elements, %d sweeps per pool size per round, "
+       "fastest of %d rounds",
+       kAgents, kElementsPerAgent, kSweepsPerRound, kRounds);
   note("per-element cost: %lld us channel RTT + /proc text parse",
        static_cast<long long>(kChannelRtt.count()));
 
-  row({"workers", "sweep(ms)", "speedup"});
-  double base_s = 0;
-  double speedup_at_4 = 0;
+  const size_t kWorkers[] = {1, 2, 4, 8};
+  constexpr size_t kConfigs = std::size(kWorkers);
+  std::vector<std::unique_ptr<Fleet>> fleets;
+  for (size_t workers : kWorkers) {
+    fleets.push_back(std::make_unique<Fleet>(workers));
+  }
+  std::vector<double> best(kConfigs, std::numeric_limits<double>::infinity());
   std::string wire_seq, wire_par;
-  for (size_t workers : {1u, 2u, 4u, 8u}) {
-    Fleet fleet(workers);
-    std::string* wire = workers == 1 ? &wire_seq
-                        : workers == 4 ? &wire_par
-                                       : nullptr;
-    double s = sweep_seconds(fleet, wire);
-    if (workers == 1) base_s = s;
-    double speedup = base_s / s;
-    if (workers == 4) speedup_at_4 = speedup;
-    row({fmt("%.0f", static_cast<double>(workers)),
-         fmt("%.2f", s * 1e3 / kSweepsPerConfig), fmt("%.2fx", speedup)});
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < kConfigs; ++i) {
+      std::string* wire = round > 0           ? nullptr
+                          : kWorkers[i] == 1 ? &wire_seq
+                          : kWorkers[i] == 4 ? &wire_par
+                                             : nullptr;
+      best[i] = std::min(best[i], sweep_seconds(*fleets[i], wire));
+    }
+  }
+
+  row({"workers", "sweep(ms)", "speedup"});
+  const double base_s = best[0];
+  double speedup_at_4 = 0;
+  for (size_t i = 0; i < kConfigs; ++i) {
+    const double speedup = base_s / best[i];
+    if (kWorkers[i] == 4) speedup_at_4 = speedup;
+    row({fmt("%.0f", static_cast<double>(kWorkers[i])),
+         fmt("%.2f", best[i] * 1e3 / kSweepsPerRound),
+         fmt("%.2fx", speedup)});
   }
 
   // The sweep's wire encoding is deterministic (fixed fleet, fixed seeds);
   // its byte count gates.  Wall-clock speedup depends on the runner's cores.
   report.gate("wire_bytes", static_cast<double>(wire_seq.size()));
   report.info("speedup_at_4", speedup_at_4);
-  report.info("sweep_ms_sequential", base_s * 1e3 / kSweepsPerConfig);
+  report.info("sweep_ms_sequential", base_s * 1e3 / kSweepsPerRound);
 
   shape_check(speedup_at_4 >= 2.0,
               "fleet sweep >= 2x faster with 4 workers than sequential");

@@ -144,6 +144,9 @@ int main() {
   // --- bytes on the wire ----------------------------------------------------
   World push_world;
   StreamCache cache;
+  // Detection below replays every window after the pump, so the cache
+  // keeps them all.
+  cache.set_retention(kWindows);
   StreamPipeline pipe(&cache);
   pipe.add_agent(&push_world.agent);
 

@@ -81,9 +81,8 @@ class Deployment {
   // controller.  The scatter-gather path then treats it exactly like an
   // in-process agent; transport loss degrades to kMissing blind spots.
   // The deployment-wide retry/breaker config drives its reconnect policy.
-  // `agent_name` binds the adapter to that entry of a fleet server's
-  // roster; empty binds the primary (the only agent of a single-agent
-  // server) over the pre-roster protocol.
+  // `agent_name` binds the adapter to that entry of the server's roster;
+  // empty binds the first entry (the only agent of a single-agent server).
   Result<RemoteAgent*> add_remote_agent(const std::string& endpoint_spec,
                                         const std::string& agent_name = {}) {
     Result<transport::Endpoint> ep = transport::Endpoint::parse(endpoint_spec);
@@ -96,14 +95,14 @@ class Deployment {
   // Fleet form: dials `endpoint_spec` once unbound to learn the server's
   // roster, then binds one adapter per hosted agent (each with its own
   // connection into the server's event loop) and registers them all.
-  // Returned pointers follow roster order (primary first).  Fails without
-  // registering anything if any dial fails.
+  // Returned pointers follow roster order.  Fails without registering
+  // anything if any dial fails.
   Result<std::vector<RemoteAgent*>> add_remote_agents(
       const std::string& endpoint_spec) {
     Result<transport::Endpoint> ep = transport::Endpoint::parse(endpoint_spec);
     if (!ep.ok()) return ep.status();
-    // A scout connection reads the roster off the hello; it binds the
-    // primary, so it is kept as the primary's adapter rather than redialed.
+    // A scout connection reads the roster off the hello; it binds the first
+    // entry, so it is kept as that agent's adapter rather than redialed.
     Result<std::unique_ptr<RemoteAgent>> scout = dial(ep.value(), {});
     if (!scout.ok()) return scout.status();
     const std::vector<std::string> roster = scout.value()->roster_names();
@@ -249,7 +248,8 @@ class Deployment {
 
  private:
   // Constructs a socket-backed adapter bound to `agent_name` ("" = the
-  // primary), applies the deployment's retry/breaker config and dials it.
+  // first roster entry), applies the deployment's retry/breaker config and
+  // dials it.
   Result<std::unique_ptr<RemoteAgent>> dial(const transport::Endpoint& ep,
                                             const std::string& agent_name) {
     auto remote = std::make_unique<RemoteAgent>(ep, agent_name);

@@ -12,16 +12,14 @@
 //   bytes accumulated nonblocking into a partial-read buffer until a whole
 //   PSM1 message lands, dispatch, replies drained through a per-connection
 //   write queue with deadline-bounded backpressure.  The server hosts MANY
-//   served agents: the hello advertises the roster, batch requests route by
-//   the agent name on their envelope, and requests without one (old
-//   clients) fall back to the primary (first-registered) agent.
+//   served agents: the hello advertises the roster, and every batch request
+//   and subscribe routes by the agent name it carries.
 //
 //   RemoteAgent — the controller-side adapter.  It implements AgentClient
 //   over one connection to a server, so the controller's scatter-gather path
 //   (controller.cc) treats socket-backed and in-process agents identically.
-//   Constructed with an agent name it binds to that roster entry and stamps
-//   the name on every request; constructed bare it speaks the old
-//   single-agent protocol and gets the primary.
+//   It binds the roster entry it is constructed with (the first entry when
+//   constructed bare) and stamps that name on every request.
 //
 // The contract the differential suite (transport_test) holds this pair to
 // is AgentClient's (agent.h): on a clean stream, every byte of a
@@ -104,16 +102,17 @@ class RemoteAgentServer {
       : RemoteAgentServer(std::vector<Agent*>{agent}, std::move(ep)) {}
 
   // Fleet form: one event-loop thread serves every agent in `agents`
-  // (none owned; all must outlive the server; at least one required).
-  // agents[0] is the primary — the one old-format requests route to and
-  // the one the hello's base fields describe.
+  // (none owned; all must outlive the server; at least one required).  The
+  // hello's roster lists them in this order.
   RemoteAgentServer(std::vector<Agent*> agents, transport::Endpoint ep);
   ~RemoteAgentServer() { stop(); }
   RemoteAgentServer(const RemoteAgentServer&) = delete;
   RemoteAgentServer& operator=(const RemoteAgentServer&) = delete;
 
   // Binds + starts the serve thread.  After success, endpoint() carries the
-  // resolved address (ephemeral tcp ports are filled in).
+  // resolved address (ephemeral tcp ports are filled in).  Requests route
+  // by agent name, so an empty, duplicate or over-long (> 65535 bytes)
+  // agent name is refused with kInvalidArgument.
   Status start();
   // Stops the serve thread, closes every live connection and the listener.
   // Idempotent.
@@ -199,11 +198,10 @@ class RemoteAgentServer {
   // Flushes c.wbuf as far as the socket buffer allows.  False = dead peer
   // or write deadline exceeded (backpressure bound).
   bool flush_writes(Conn& c);
-  // Fleet routing for every request kind: "" (the pre-roster form) is the
-  // primary, an unknown name nullptr.  The caller closes the connection on
-  // nullptr: bindings are validated at connect time, so this only happens
-  // when the agent set changed under the client, and a reconnect re-runs
-  // that validation.
+  // Fleet routing for every request kind: the agent of exactly that name,
+  // or nullptr.  The caller closes the connection on nullptr: bindings are
+  // validated at connect time, so this only happens when the agent set
+  // changed under the client, and a reconnect re-runs that validation.
   Agent* route(const std::string& agent_name);
   std::string hello_bytes() const;
   // This server's span clock: transport::span_clock_ns() plus the test skew.
@@ -212,7 +210,7 @@ class RemoteAgentServer {
   // `process` (the routed agent's name).
   std::string trace_data_bytes(const std::string& process);
 
-  std::vector<Agent*> agents_;  // agents_[0] is the primary
+  std::vector<Agent*> agents_;  // registration (roster) order
   transport::Endpoint ep_;
   transport::Listener listener_;
   std::thread thread_;
@@ -243,10 +241,9 @@ class RemoteAgentServer {
 
 class RemoteAgent : public AgentClient {
  public:
-  // Bare: binds to whatever single agent (or fleet primary) the endpoint's
-  // hello advertises — the pre-roster protocol, byte-identical on the wire.
-  // With `agent`: binds to that roster entry of a fleet server and stamps
-  // the name on every request so the event loop routes it.
+  // Binds to the roster entry named `agent`, or to the first entry of the
+  // endpoint's roster when `agent` is empty, and stamps the bound name on
+  // every request so the event loop routes it.
   explicit RemoteAgent(transport::Endpoint ep, std::string agent = {})
       : ep_(std::move(ep)), bind_(std::move(agent)) {}
 
@@ -257,7 +254,7 @@ class RemoteAgent : public AgentClient {
   // kFailedPrecondition when a bound name is missing from the roster.
   Status connect();
 
-  // Every agent the last hello advertised (primary first).  Lets a caller
+  // Every agent the last hello advertised, in roster order.  Lets a caller
   // discover a fleet server's roster through one dialed adapter and bind
   // further adapters by name (Deployment::add_remote_agents).
   std::vector<std::string> roster_names() const;
@@ -301,8 +298,6 @@ class RemoteAgent : public AgentClient {
     uint64_t batches = 0;     // batch round trips attempted
     uint64_t damaged = 0;     // batches that came back short/corrupt
     uint64_t fast_fails = 0;  // queries skipped while the breaker was open
-    uint64_t epoch_skips = 0;  // reconnects whose unchanged epoch skipped
-                               // the element-set diff
   };
   TransportStats transport_stats() const;
 
@@ -332,7 +327,7 @@ class RemoteAgent : public AgentClient {
   Status read_trace_data_locked();
 
   transport::Endpoint ep_;
-  std::string bind_;  // roster name to bind; empty = primary/single agent
+  std::string bind_;  // roster name to bind; empty = the first entry
   transport::WallDuration deadline_{2000};
 
   mutable std::mutex mu_;
@@ -342,7 +337,6 @@ class RemoteAgent : public AgentClient {
   std::vector<std::string> roster_names_;    // from the last hello
   std::vector<ElementId> elements_;          // ascending, from the hello
   std::unordered_set<ElementId> element_set_;
-  uint64_t epoch_ = 0;  // element-set epoch of the last hello (0: none)
   // Elements lost at a reconnect and not re-added since; queries to them
   // are answered locally with kFailedPrecondition (departed at reconnect).
   std::set<ElementId> departed_;

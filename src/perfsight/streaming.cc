@@ -54,11 +54,9 @@ void StreamCache::store_locked(Stream& s, SimTime window_start,
   Window& w = s.windows[window_start.ns()];
   w.provenance = provenance;
   w.responses = std::move(responses);
-  if (retention_ > 0) {
-    while (s.windows.size() > retention_) {
-      s.windows.erase(s.windows.begin());
-      ++stats_.windows_pruned;
-    }
+  while (s.windows.size() > retention_) {
+    s.windows.erase(s.windows.begin());
+    ++stats_.windows_pruned;
   }
 }
 
@@ -67,8 +65,8 @@ bool StreamCache::beyond_horizon_locked(const Stream& s,
   // A window older than everything retained would be inserted only to be
   // pruned back out — or worse, evict a live window to make room.  Only a
   // full cache has a horizon; a filling one accepts any boundary.
-  return retention_ > 0 && s.windows.size() >= retention_ &&
-         !s.windows.empty() && window_ns < s.windows.begin()->first;
+  return s.windows.size() >= retention_ &&
+         window_ns < s.windows.begin()->first;
 }
 
 Result<StreamCache::ApplyResult> StreamCache::apply(std::string_view body) {
@@ -228,9 +226,13 @@ uint64_t StreamCache::next_seq(const std::string& agent) const {
   return sit == streams_.end() ? 1 : sit->second.expected;
 }
 
-void StreamCache::set_retention(size_t windows) {
+Status StreamCache::set_retention(size_t windows) {
+  if (windows == 0) {
+    return Status::invalid_argument("stream cache: retention of 0 windows");
+  }
   std::lock_guard<std::mutex> lock(mu_);
   retention_ = windows;
+  return Status::ok();
 }
 
 StreamCache::Stats StreamCache::stats() const {
@@ -340,13 +342,12 @@ uint64_t StreamPipeline::frames_dropped() const {
 Status StreamSubscriber::connect(transport::WallDuration deadline,
                                  uint64_t from_seq, Duration window) {
   close();
-  Result<transport::Greeting> g = transport::dial_hello(ep_, deadline);
+  Result<transport::Greeting> g = transport::dial_hello(ep_, deadline, bind_);
   if (!g.ok()) return g.status();
+  wire::SubscribeMsg sub;
+  sub.agent = g.value().agent().name;
   sock_ = std::move(g.value().sock);
   hello_ = std::move(g.value().hello);
-
-  wire::SubscribeMsg sub;
-  sub.agent = bind_;
   sub.from_seq = from_seq;
   sub.window_ns = window.ns();
   Status sent = sock_.send_all(

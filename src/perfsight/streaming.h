@@ -173,8 +173,10 @@ class StreamCache {
   uint64_t next_seq(const std::string& agent) const;
 
   // Bounds memory: keep at most this many windows per agent (oldest pruned
-  // first).  0 (default) = unbounded.
-  void set_retention(size_t windows);
+  // first; kDefaultRetention until set).  0 is refused: an unbounded cache
+  // grows for as long as the stream runs.
+  static constexpr size_t kDefaultRetention = 5;
+  Status set_retention(size_t windows);
 
   struct Stats {
     uint64_t frames_applied = 0;
@@ -214,7 +216,7 @@ class StreamCache {
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, Stream> streams_;
-  size_t retention_ = 0;
+  size_t retention_ = kDefaultRetention;
   Stats stats_;
   MetricsRegistry::CounterMetric* m_frames_ = nullptr;
   MetricsRegistry::CounterMetric* m_gaps_ = nullptr;
@@ -286,7 +288,9 @@ class StreamPipeline {
 // --- remote subscriber -------------------------------------------------------
 
 // The client half of kSubscribe/kStreamData: dials a RemoteAgentServer,
-// reads the hello, opens a subscription for one agent, and reads frames.
+// reads the hello, opens a subscription for one agent (the roster entry
+// named `agent`, or the first entry when `agent` is empty), and reads
+// frames.
 // The connection is dedicated — after the subscribe, only kStreamData
 // arrives, so frames never interleave with request/reply traffic.
 // Feed the returned bodies to StreamCache::apply; after a reconnect, call
@@ -301,7 +305,9 @@ class StreamSubscriber {
   StreamSubscriber& operator=(const StreamSubscriber&) = delete;
 
   // Dial + hello + kSubscribe.  `from_seq`/`window` ride the subscribe as
-  // hints.  Reconnect by calling connect() again on the same object.
+  // hints.  Fails with kFailedPrecondition when the bound name is missing
+  // from the roster.  Reconnect by calling connect() again on the same
+  // object.
   Status connect(transport::WallDuration deadline, uint64_t from_seq = 0,
                  Duration window = {});
 

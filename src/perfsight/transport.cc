@@ -508,10 +508,11 @@ Result<wire::Message> read_message(Socket& s, WallDuration deadline) {
   return wire::decode_message(bytes);
 }
 
-Result<Greeting> dial_hello(const Endpoint& ep, WallDuration deadline) {
+Result<Greeting> dial_hello(const Endpoint& ep, WallDuration deadline,
+                            const std::string& bind) {
   Result<Socket> s = connect(ep, deadline);
   if (!s.ok()) return s.status();
-  Greeting g{std::move(s).take(), {}};
+  Greeting g{std::move(s).take(), {}, 0};
   Result<wire::Message> msg = read_message(g.sock, deadline);
   if (!msg.ok()) return msg.status();
   if (msg.value().kind != wire::MessageKind::kHello) {
@@ -522,7 +523,18 @@ Result<Greeting> dial_hello(const Endpoint& ep, WallDuration deadline) {
   Result<wire::HelloMsg> hello = wire::decode_hello(msg.value().body);
   if (!hello.ok()) return hello.status();
   g.hello = std::move(hello).take();
-  return g;
+  if (bind.empty()) return g;
+  std::string names;
+  for (size_t i = 0; i < g.hello.roster.size(); ++i) {
+    if (g.hello.roster[i].name == bind) {
+      g.bound = i;
+      return g;
+    }
+    names += (i == 0 ? "" : ", ") + g.hello.roster[i].name;
+  }
+  return Status::failed_precondition("transport: endpoint " + ep.to_string() +
+                                     " does not host agent '" + bind +
+                                     "' (roster: " + names + ")");
 }
 
 }  // namespace perfsight::transport

@@ -197,14 +197,22 @@ BatchReadResult read_batch(Socket& s, WallDuration deadline);
 // checksum.
 Result<wire::Message> read_message(Socket& s, WallDuration deadline);
 
-// A dialed connection whose server hello has been read and decoded.
+// A dialed connection whose server hello has been read and decoded, bound
+// to one roster entry.
 struct Greeting {
   Socket sock;
   wire::HelloMsg hello;
+  size_t bound = 0;  // index in hello.roster of the agent bound
+
+  wire::HelloMsg::AgentInfo& agent() { return hello.roster[bound]; }
 };
 // The first step of every client connection (the remote adapter, the
-// stream subscriber): dial `ep`, then read the hello the server sends on
-// accept.  Each step gets its own `deadline`.
-Result<Greeting> dial_hello(const Endpoint& ep, WallDuration deadline);
+// stream subscriber): dial `ep`, read the hello the server sends on accept
+// (each step gets its own `deadline`) and bind the roster entry named
+// `bind`, or the first entry when `bind` is empty.  A name the roster
+// lacks is a config error, not a transient: kFailedPrecondition naming the
+// roster.
+Result<Greeting> dial_hello(const Endpoint& ep, WallDuration deadline,
+                            const std::string& bind = {});
 
 }  // namespace perfsight::transport

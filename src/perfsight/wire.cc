@@ -480,51 +480,31 @@ Result<Message> decode_message(std::string_view bytes, size_t* consumed) {
 }
 
 std::string encode_hello(const HelloMsg& h) {
+  PS_CHECK(!h.roster.empty());
   Writer w;
-  w.str(h.agent_name, "agent name");
-  put_ids(w, h.elements);
   w.put<int64_t>(h.clock_ns);
-  // The roster section only exists when there is genuinely a fleet behind
-  // the endpoint: single-agent hellos stay byte-identical to the pre-roster
-  // encoding, so a roster-unaware peer decodes them unchanged.
-  if (h.roster.size() > 1) {
-    w.count<uint32_t>(h.roster.size(),
-                      [] { return "wire: roster exceeds u32"; });
-    for (const HelloMsg::AgentInfo& a : h.roster) {
-      w.str(a.name, "agent name");
-      put_ids(w, a.elements);
-    }
+  w.count<uint32_t>(h.roster.size(), [] { return "wire: roster exceeds u32"; });
+  for (const HelloMsg::AgentInfo& a : h.roster) {
+    w.str(a.name, "agent name");
+    put_ids(w, a.elements);
   }
-  // Element-set epoch, appended last and only when advertised: a pre-epoch
-  // hello stays byte-identical, and the 8-byte trailer cannot be mistaken
-  // for a roster section (which is at least 16 bytes).
-  if (h.epoch != 0) w.put<uint64_t>(h.epoch);
   return std::move(w).take();
 }
 
 Result<HelloMsg> decode_hello(std::string_view body) {
   HelloMsg h;
   Reader in(body);
-  h.agent_name = in.str();
-  h.elements = get_ids(in);
   h.clock_ns = in.get<int64_t>();
-  // Exactly one u64 left is the epoch trailer of a single-agent hello (a
-  // roster section is at least 16 bytes, so it cannot be one); anything
-  // longer is a roster, optionally followed by the trailer.
-  if (in.remaining() > 8) {
-    // A roster entry costs at least a name length (2) and an id count (4).
-    const auto n = in.count<uint32_t>(6);
-    h.roster.reserve(n);
-    for (uint32_t i = 0; i < n && in.ok(); ++i) {
-      HelloMsg::AgentInfo a;
-      a.name = in.str();
-      a.elements = get_ids(in);
-      h.roster.push_back(std::move(a));
-    }
+  // A roster entry costs at least a name length (2) and an id count (4).
+  const auto n = in.count<uint32_t>(6);
+  in.require(n > 0);
+  h.roster.reserve(n);
+  for (uint32_t i = 0; i < n && in.ok(); ++i) {
+    HelloMsg::AgentInfo a;
+    a.name = in.str();
+    a.elements = get_ids(in);
+    h.roster.push_back(std::move(a));
   }
-  // The only valid thing after the base fields or a roster is the 8-byte
-  // epoch trailer; finish() refuses anything else left over.
-  if (in.remaining() == 8) h.epoch = in.get<uint64_t>();
   return in.finish(std::move(h), "wire hello");
 }
 
@@ -534,10 +514,7 @@ std::string encode_batch_request(const BatchRequestMsg& r) {
   put_ids(w, r.ids);
   w.put<uint64_t>(r.trace_id);
   w.put<uint64_t>(r.parent_span);
-  // Routing name only when bound to a named agent: unbound requests stay
-  // byte-identical to the pre-fleet format, which is also what routes them
-  // to the primary agent on the far end.
-  if (!r.agent.empty()) w.str(r.agent, "agent name");
+  w.str(r.agent, "agent name");
   return std::move(w).take();
 }
 
@@ -548,7 +525,8 @@ Result<BatchRequestMsg> decode_batch_request(std::string_view body) {
   r.ids = get_ids(in);
   r.trace_id = in.get<uint64_t>();
   r.parent_span = in.get<uint64_t>();
-  if (in.remaining() != 0) r.agent = in.str();
+  r.agent = in.str();
+  in.require(!r.agent.empty());
   return in.finish(std::move(r), "wire batch request");
 }
 
@@ -612,6 +590,7 @@ Result<SubscribeMsg> decode_subscribe(std::string_view body) {
   SubscribeMsg s;
   Reader in(body);
   s.agent = in.str();
+  in.require(!s.agent.empty());
   s.from_seq = in.get<uint64_t>();
   s.window_ns = in.get<int64_t>();
   return in.finish(std::move(s), "wire subscribe");

@@ -123,7 +123,7 @@ BatchResponse reconcile(const std::vector<ElementId>& sorted_ids,
 // They keep their numbers so the live kinds do not renumber.  A single
 // query (query_attrs) is a kBatchRequest for one id.
 enum class MessageKind : uint8_t {
-  kHello = 1,           // server → client on accept: agent name + element ids
+  kHello = 1,           // server → client on accept: the agent roster
   kBatchRequest = 2,    // client → server: query_batch(ids, now)
   kSingleRequest = 3,   // retired (was the single-element query)
   kListElements = 4,    // retired (was the element listing)
@@ -177,63 +177,50 @@ struct Prefix {
 Result<Prefix> parse_frame_prefix(std::string_view bytes, size_t at = 0);
 Result<Prefix> parse_message_prefix(std::string_view bytes, size_t at = 0);
 
-// Connect-time handshake: which agent is on the far end and what it serves,
-// plus a sample of the server's span clock (monotonic wall nanoseconds) —
-// the client samples its own clock around the handshake and derives the
-// clock-offset estimate that aligns harvested trace timestamps.
+// Connect-time handshake: which agents sit behind the endpoint and which
+// elements each serves, plus a sample of the server's span clock (monotonic
+// wall nanoseconds) — the client samples its own clock around the handshake
+// and derives the clock-offset estimate that aligns harvested trace
+// timestamps.
 //
-// A fleet server (one event loop hosting many agents) appends its roster
-// after the base fields.  The base fields always describe the PRIMARY agent
-// (the first registered), so a client that predates rosters keeps working:
-// it reads the primary and ignores nothing (single-agent hellos carry no
-// roster section and are byte-identical to the pre-roster encoding).  A
-// roster-aware client binds to any named entry and routes its requests by
-// stamping that name on the request envelope.
+//   body  := i64 clock_ns | u32 agent_count | entry*
+//   entry := u16-str name | u32 id_count | u16-str*
+//
+// The roster lists every hosted agent in registration order and is never
+// empty.  A client binds one entry by name (an unnamed client the first)
+// and stamps that name on every request it sends.
 struct HelloMsg {
-  std::string agent_name;           // primary agent (single-agent fallback)
-  std::vector<ElementId> elements;  // primary's ids, ascending
-  int64_t clock_ns = 0;             // server span clock at hello encode time
-
   struct AgentInfo {
     std::string name;
     std::vector<ElementId> elements;  // ascending element-id order
   };
-  // Every hosted agent, registration order (roster[0] == the primary).
-  // Empty on a single-agent hello; encode emits the roster section only
-  // when it names more than one agent.
+  int64_t clock_ns = 0;  // server span clock at hello encode time
   std::vector<AgentInfo> roster;
-
-  // Element-set epoch: a fingerprint of the advertised roster (agent names
-  // + element ids).  A reconnecting client compares epochs to decide
-  // whether the element set changed while it was away — equal epochs skip
-  // the diff entirely.  0 means "not advertised" (pre-epoch server);
-  // encode emits the trailing epoch section only when nonzero, so legacy
-  // hellos stay byte-identical.  The 8-byte trailer is unambiguous: a
-  // roster section is at least 16 bytes (u32 count + two entries of
-  // name-length + id-count prefixes), so exactly 8 trailing bytes can only
-  // be an epoch.
-  uint64_t epoch = 0;
 };
+// `h.roster` must not be empty.
 std::string encode_hello(const HelloMsg& h);
+// Refuses an empty roster and any byte past the last entry.
 Result<HelloMsg> decode_hello(std::string_view body);
 
-// query_batch over the wire: the requested ids plus the (simulated) query
-// timestamp, so the remote agent samples the same instant the controller
-// asked for.  The trace context rides along: with trace_id != 0 the server
-// records a serve span whose parent is `parent_span` (the controller
-// scatter span) and piggybacks its drained rings after the batch reply;
-// with trace_id == 0 the reply is byte-identical to an untraced run.
+// query_batch over the wire: the hosted agent it is for, the requested ids
+// and the (simulated) query timestamp, so the remote agent samples the same
+// instant the controller asked for.  The trace context rides along: with
+// trace_id != 0 the server records a serve span whose parent is
+// `parent_span` (the controller scatter span) and piggybacks its drained
+// rings after the batch reply; with trace_id == 0 the reply is
+// byte-identical to an untraced run.
+//
+//   body := i64 now_ns | u32 id_count | u16-str* | u64 trace_id |
+//           u64 parent_span | u16-str agent
 struct BatchRequestMsg {
   SimTime now;
   std::vector<ElementId> ids;
   uint64_t trace_id = 0;
   uint64_t parent_span = 0;
-  // Fleet routing: which hosted agent this batch is for.  Empty — the old
-  // single-agent request format, not one extra wire byte — routes to the
-  // server's primary agent.
-  std::string agent;
+  std::string agent;  // roster name the server routes this batch to
 };
 std::string encode_batch_request(const BatchRequestMsg& r);
+// Refuses an empty agent name: every request names its agent.
 Result<BatchRequestMsg> decode_batch_request(std::string_view body);
 
 // Drained trace rings crossing the wire (kTraceData): the producing
@@ -263,12 +250,13 @@ Result<TraceDataMsg> decode_trace_data(std::string_view body);
 // frame after a subscribe is always a full snapshot (every attr absolute),
 // so a resubscribing client can rebase its delta state without history.
 struct SubscribeMsg {
-  std::string agent;      // roster entry to stream ("" = primary)
+  std::string agent;      // roster entry to stream
   uint64_t from_seq = 0;  // resume hint; 0 = whatever the publisher is at
   int64_t window_ns = 0;  // requested cadence (informational; the publisher
                           // owns the actual capture schedule)
 };
 std::string encode_subscribe(const SubscribeMsg& s);
+// Refuses an empty agent name, like decode_batch_request.
 Result<SubscribeMsg> decode_subscribe(std::string_view body);
 
 // One captured window: the publishing agent's full element set in ascending

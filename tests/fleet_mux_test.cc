@@ -2,7 +2,7 @@
 // hosting MANY agents, dialed by MANY concurrent controllers, must produce
 // controller output byte-identical to the same controllers talking to the
 // agents in-process.  Covers tcp + unix endpoints, traced + untraced
-// requests, the pre-roster (old-format) fallback to the primary agent, the
+// requests, unbound clients binding the first roster entry, the
 // Deployment::add_remote_agents discovery path, and a churn variant racing
 // connects/disconnects against live batches (TSan's beat).
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "perfsight/agent.h"
 #include "perfsight/controller.h"
 #include "perfsight/remote_agent.h"
+#include "perfsight/streaming.h"
 #include "perfsight/trace.h"
 #include "perfsight/transport.h"
 #include "perfsight/wire.h"
@@ -246,7 +247,7 @@ TEST(FleetMuxTest, TracedFleetBatchesStayByteIdenticalAndShipServeSpans) {
   size_t batch_spans = 0;
   for (const TraceRecorder::RemoteLane& lane : lanes) {
     // Lane attribution is always a hosted agent: the routed agent's name on
-    // piggybacks, the primary's on harvests.
+    // piggybacks, the first roster entry's on harvests.
     EXPECT_EQ(lane.process.rfind("fleet-", 0), 0u) << lane.process;
     for (const TraceEvent& e : lane.events) {
       if (e.kind == TraceEventKind::kSpanServerBatch) ++batch_spans;
@@ -258,7 +259,7 @@ TEST(FleetMuxTest, TracedFleetBatchesStayByteIdenticalAndShipServeSpans) {
 
 // --- protocol compatibility --------------------------------------------------
 
-// A bare (pre-roster) adapter dialing a fleet server binds the primary and
+// A bare adapter dialing a fleet server binds the first roster entry and
 // still sees the full roster; binding a name the server does not host is a
 // config error naming the roster, not a retryable transient.
 TEST(FleetMuxTest, BareAdapterGetsPrimaryAndBadBindingNamesTheRoster) {
@@ -266,13 +267,13 @@ TEST(FleetMuxTest, BareAdapterGetsPrimaryAndBadBindingNamesTheRoster) {
 
   RemoteAgent bare(fleet.server->endpoint());
   ASSERT_TRUE(bare.connect().is_ok());
-  EXPECT_EQ(bare.name(), "fleet-0");  // the primary
+  EXPECT_EQ(bare.name(), "fleet-0");  // the first roster entry
   EXPECT_EQ(bare.element_ids(), fleet.ids_of[0]);
   const std::vector<std::string> roster = bare.roster_names();
   ASSERT_EQ(roster.size(), 3u);
   EXPECT_EQ(roster[0], "fleet-0");
   EXPECT_EQ(roster[2], "fleet-2");
-  // Old-format requests (no agent on the envelope) route to the primary.
+  // Its requests carry the name it bound.
   BatchResponse b = bare.query_batch(fleet.ids_of[0], SimTime::millis(1));
   ASSERT_EQ(b.responses.size(), fleet.ids_of[0].size());
   EXPECT_EQ(b.responses[0].quality, DataQuality::kFresh);
@@ -285,8 +286,7 @@ TEST(FleetMuxTest, BareAdapterGetsPrimaryAndBadBindingNamesTheRoster) {
       << st.message();
   EXPECT_NE(st.message().find("fleet-1"), std::string::npos) << st.message();
 
-  // A single-agent server keeps the pre-roster hello: the roster a bare
-  // adapter reports is just that agent.
+  // A single-agent server's roster is just that agent.
   Agent solo("solo", 1);
   ConstSource s0("solo/el0", ChannelKind::kProcFs, {{attr::kRxPkts, 1.0}});
   ASSERT_TRUE(solo.add_element(&s0).is_ok());
@@ -295,6 +295,39 @@ TEST(FleetMuxTest, BareAdapterGetsPrimaryAndBadBindingNamesTheRoster) {
   RemoteAgent single(server.endpoint());
   ASSERT_TRUE(single.connect().is_ok());
   EXPECT_EQ(single.roster_names(), std::vector<std::string>{"solo"});
+}
+
+// Both clients resolve their binding the same way: unbound, the remote
+// adapter and the stream subscriber each bind the first roster entry (the
+// subscriber's frames come from that agent), and a name the roster lacks
+// fails both with the same config error.
+TEST(FleetMuxTest, UnboundClientsBindTheFirstRosterEntry) {
+  Fleet fleet(3, 2, /*unix_mode=*/false);
+
+  RemoteAgent remote(fleet.server->endpoint());
+  ASSERT_TRUE(remote.connect().is_ok());
+  EXPECT_EQ(remote.name(), "fleet-0");
+  EXPECT_EQ(remote.element_ids(), fleet.ids_of[0]);
+
+  StreamSubscriber sub(fleet.server->endpoint());
+  ASSERT_TRUE(sub.connect(WallDuration(2000)).is_ok());
+  ASSERT_EQ(sub.hello().roster.size(), 3u);
+  fleet.server->request_publish(SimTime::millis(10));
+  Result<std::string> body = sub.next_body(WallDuration(5000));
+  ASSERT_TRUE(body.ok()) << body.status().message();
+  Result<wire::StreamFrameInfo> info = wire::peek_stream_data(body.value());
+  ASSERT_TRUE(info.ok()) << info.status().message();
+  EXPECT_EQ(info.value().agent, "fleet-0");
+  EXPECT_EQ(info.value().record_count, fleet.ids_of[0].size());
+
+  RemoteAgent wrong_remote(fleet.server->endpoint(), "nobody");
+  StreamSubscriber wrong_sub(fleet.server->endpoint(), "nobody");
+  const Status a = wrong_remote.connect();
+  const Status b = wrong_sub.connect(WallDuration(2000));
+  EXPECT_EQ(a.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(b.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(a.message(), b.message());
+  EXPECT_FALSE(wrong_sub.connected());
 }
 
 // Deployment::add_remote_agents: one endpoint spec discovers the roster and

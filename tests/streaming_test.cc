@@ -645,6 +645,32 @@ TEST(StreamCacheTest, RetentionPrunesOldestWindows) {
   EXPECT_TRUE(cache.window_present("a0", SimTime::millis(800)));
 }
 
+// A cache nobody configures is bounded all the same, and a retention of 0
+// (unbounded) is refused, leaving the bound in place.
+TEST(StreamCacheTest, DefaultRetentionIsBoundedAndZeroIsRefused) {
+  auto sources = make_scenario();
+  Agent a0("a0", 11);
+  for (const auto& s : sources) {
+    if (starts_with(s->id().name, "m0/")) {
+      ASSERT_TRUE(a0.add_element(s.get()).is_ok());
+    }
+  }
+  StreamCache cache;
+  EXPECT_EQ(cache.set_retention(0).code(), StatusCode::kInvalidArgument);
+  const int windows = static_cast<int>(StreamCache::kDefaultRetention) + 2;
+  StreamPublisher pub(&a0);
+  for (int k = 1; k <= windows; ++k) {
+    Result<StreamPublisher::Published> p =
+        pub.publish(SimTime::millis(100 * k));
+    ASSERT_TRUE(p.ok());
+    ASSERT_TRUE(cache.apply(p.value().body).ok());
+  }
+  EXPECT_EQ(cache.stats().windows_pruned, 2u);
+  EXPECT_FALSE(cache.window_present("a0", SimTime::millis(200)));
+  EXPECT_TRUE(cache.window_present("a0", SimTime::millis(300)));
+  EXPECT_TRUE(cache.window_present("a0", SimTime::millis(100 * windows)));
+}
+
 // --- the AgentClient contract -----------------------------------------------
 
 // One agent's m0/* elements, served in process, over a socket and from a
@@ -756,7 +782,7 @@ TEST(RemoteStreamingTest, UnsubscribedPublishesShipZeroBytes) {
   // compiled in but unused does not disturb the pull path).
   StreamSubscriber sub(server.endpoint());
   ASSERT_TRUE(sub.connect(transport::WallDuration(2000)).is_ok());
-  EXPECT_EQ(sub.hello().agent_name, "ra");
+  EXPECT_EQ(sub.hello().roster[0].name, "ra");
   server.request_publish(SimTime::millis(150));
   Result<std::string> body = sub.next_body(transport::WallDuration(5000));
   ASSERT_TRUE(body.ok()) << body.status().message();

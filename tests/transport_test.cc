@@ -1263,6 +1263,67 @@ TEST(TransportProtocolTest, RetiredAndServerKindsCloseOnlyThatConnection) {
   EXPECT_EQ(remote.transport_stats().connects, 1u);
 }
 
+// Every request names its agent: a batch request without the agent field
+// (the layout before routing by name), one naming "" and a subscribe
+// naming "" each close the connection that sent it, and the others keep
+// being served.
+TEST(TransportProtocolTest, NamelessRequestsCloseOnlyThatConnection) {
+  Agent agent("agent-p", 3);
+  ScriptedSource el("p/el0", ChannelKind::kProcFs);
+  el.set_attrs({{attr::kRxPkts, 5.0}});
+  ASSERT_TRUE(agent.add_element(&el).is_ok());
+  RemoteAgentServer server(&agent, transport::Endpoint::tcp("127.0.0.1", 0));
+  ASSERT_TRUE(server.start().is_ok());
+  RemoteAgent remote(server.endpoint());
+  ASSERT_TRUE(remote.connect().is_ok());
+
+  const std::string empty_name = wire::encode_batch_request(
+      {SimTime::millis(1), {el.id()}, 0, 0, ""});
+  const std::string requests[] = {
+      wire::encode_message(wire::MessageKind::kBatchRequest,
+                           empty_name.substr(0, empty_name.size() - 2)),
+      wire::encode_message(wire::MessageKind::kBatchRequest, empty_name),
+      wire::encode_message(wire::MessageKind::kSubscribe,
+                           wire::encode_subscribe({"", 0, 0})),
+  };
+  const transport::WallDuration deadline{2000};
+  for (const std::string& request : requests) {
+    Result<transport::Greeting> raw =
+        transport::dial_hello(server.endpoint(), deadline);
+    ASSERT_TRUE(raw.ok()) << raw.status().message();
+    transport::Socket& sock = raw.value().sock;
+    ASSERT_TRUE(sock.send_all(request, deadline).is_ok());
+    Result<wire::Message> reply = transport::read_message(sock, deadline);
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
+        << reply.status().message();
+
+    BatchResponse b = remote.query_batch({el.id()}, SimTime::millis(1));
+    ASSERT_EQ(b.responses.size(), 1u);
+    EXPECT_EQ(b.responses[0].quality, DataQuality::kFresh);
+  }
+  EXPECT_EQ(remote.transport_stats().connects, 1u);
+  EXPECT_EQ(server.batches_served(), 3u);
+}
+
+// Names are the only routing key: start() refuses an agent no request
+// could reach — the second of two with one name, or one with no name.
+TEST(RemoteAgentServerStartTest, DuplicateAndEmptyAgentNamesAreRefused) {
+  Agent a("twin", 1), b("twin", 2), unnamed("", 3);
+  RemoteAgentServer twins({&a, &b}, transport::Endpoint::tcp("127.0.0.1", 0));
+  Status st = twins.start();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("'twin' is registered twice"), std::string::npos)
+      << st.message();
+  EXPECT_FALSE(twins.running());
+
+  RemoteAgentServer nameless(&unnamed,
+                             transport::Endpoint::tcp("127.0.0.1", 0));
+  st = nameless.start();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(nameless.running());
+}
+
 // --- accept-error backoff ----------------------------------------------------
 
 namespace {

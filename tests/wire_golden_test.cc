@@ -93,6 +93,16 @@ std::string damage_table(const std::string& name, const std::string& bytes,
   return out;
 }
 
+// Bytes of a hex string (the retired layouts, frozen as they were sent).
+std::string unhex(std::string_view digits) {
+  std::string out;
+  for (size_t i = 0; i + 1 < digits.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(digits.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
 // Overwrites the little-endian T at `at` (the over-count probes).
 template <typename T>
 std::string patched(std::string bytes, size_t at, T v) {
@@ -132,16 +142,14 @@ BatchResponse sample_batch() {
 }
 
 wire::HelloMsg single_hello() {
-  return wire::HelloMsg{"agent-7", {ElementId{"a"}, ElementId{"b/c"}},
-                        987654321, {}, 0};
+  return wire::HelloMsg{987654321,
+                        {{"agent-7", {ElementId{"a"}, ElementId{"b/c"}}}}};
 }
 
 wire::HelloMsg roster_hello() {
   wire::HelloMsg h;
-  h.agent_name = "primary";
-  h.elements = {ElementId{"p/0"}, ElementId{"p/1"}};
   h.clock_ns = -1234;
-  h.roster.push_back({"primary", h.elements});
+  h.roster.push_back({"first", {ElementId{"p/0"}, ElementId{"p/1"}}});
   h.roster.push_back({"second", {ElementId{"s/0"}}});
   h.roster.push_back({"third", {}});
   return h;
@@ -255,15 +263,10 @@ std::string encoder_transcript() {
        hex(wire::encode_message(wire::MessageKind::kTraceHarvest, "")));
   line("hello_single", hex(wire::encode_hello(single_hello())));
   line("hello_roster", hex(wire::encode_hello(roster_hello())));
-  wire::HelloMsg epoch_single = single_hello();
-  epoch_single.epoch = 0x0123456789abcdefULL;
-  line("hello_epoch", hex(wire::encode_hello(epoch_single)));
-  wire::HelloMsg epoch_roster = roster_hello();
-  epoch_roster.epoch = 42;
-  line("hello_roster_epoch", hex(wire::encode_hello(epoch_roster)));
-  line("batch_request_plain",
-       hex(wire::encode_batch_request(
-           {SimTime::millis(12), {ElementId{"x"}, ElementId{"y"}}, 0, 0, ""})));
+  line("batch_request_untraced",
+       hex(wire::encode_batch_request({SimTime::millis(12),
+                                       {ElementId{"x"}, ElementId{"y"}},
+                                       0, 0, "first"})));
   line("batch_request_routed_traced",
        hex(wire::encode_batch_request({SimTime::millis(12),
                                        {ElementId{"x"}, ElementId{"y"}},
@@ -366,10 +369,7 @@ std::string decoder_transcript() {
   const Decoder hello = [](std::string_view b) {
     return status_of<wire::HelloMsg>(
         wire::decode_hello(b), [](const wire::HelloMsg& h) {
-          std::string s = h.agent_name + " n=" +
-                          std::to_string(h.elements.size()) +
-                          " clock=" + std::to_string(h.clock_ns) +
-                          " epoch=" + std::to_string(h.epoch) + " roster=";
+          std::string s = "clock=" + std::to_string(h.clock_ns) + " roster=";
           for (const auto& a : h.roster) {
             s += a.name + ":" + std::to_string(a.elements.size()) + ",";
           }
@@ -378,9 +378,8 @@ std::string decoder_transcript() {
   };
   out += damage_table("hello_single", wire::encode_hello(single_hello()),
                       hello);
-  wire::HelloMsg er = roster_hello();
-  er.epoch = 42;
-  out += damage_table("hello_roster_epoch", wire::encode_hello(er), hello);
+  out += damage_table("hello_roster", wire::encode_hello(roster_hello()),
+                      hello);
 
   const Decoder batch_req = [](std::string_view b) {
     return status_of<wire::BatchRequestMsg>(
@@ -419,6 +418,27 @@ std::string decoder_transcript() {
   out += damage_table("subscribe",
                       wire::encode_subscribe({"second", 17, 100000000}),
                       subscribe);
+
+  // Retired layouts are refused, never misread: the pre-roster hello (the
+  // bytes it carried for single_hello()), a hello followed by the 8-byte
+  // epoch, an empty roster, a batch request without its agent field and
+  // requests naming "".
+  out += "old hello_pre_roster: " +
+         hello(unhex("07006167656e742d37020000000100610300622f63b168de3a000"
+                     "00000")) +
+         "\n";
+  out += "old hello_epoch: " +
+         hello(wire::encode_hello(single_hello()) + unhex("efcdab8967452301")) +
+         "\n";
+  out += "old hello_empty_roster: " + hello(unhex("d20400000000000000000000")) +
+         "\n";
+  const std::string empty_name = wire::encode_batch_request(
+      {SimTime::millis(12), {ElementId{"x"}, ElementId{"y"}}, 0, 0, ""});
+  out += "old batch_request_nameless: " +
+         batch_req(empty_name.substr(0, empty_name.size() - 2)) + "\n";
+  out += "old batch_request_empty_name: " + batch_req(empty_name) + "\n";
+  out += "old subscribe_empty_name: " +
+         subscribe(wire::encode_subscribe({"", 17, 100000000})) + "\n";
 
   const std::vector<wire::StreamDataMsg> chain = stream_chain();
   const std::string delta =
@@ -473,16 +493,16 @@ std::string decoder_transcript() {
   // remaining bytes could hold is refused before anything is reserved.
   const std::string hello_bytes = wire::encode_hello(single_hello());
   out += "over hello_ids: " +
-         hello(patched<uint32_t>(hello_bytes, 2 + 7, 0xffffffffu)) + "\n";
-  const std::string roster_bytes = wire::encode_hello(roster_hello());
-  const size_t roster_at = wire::encode_hello(wire::HelloMsg{
-      "primary", roster_hello().elements, -1234, {}, 0}).size();
+         hello(patched<uint32_t>(hello_bytes, 8 + 4 + 2 + 7, 0xffffffffu)) +
+         "\n";
   out += "over hello_roster: " +
-         hello(patched<uint32_t>(roster_bytes, roster_at, 0x7fffffffu)) + "\n";
+         hello(patched<uint32_t>(wire::encode_hello(roster_hello()), 8,
+                                 0x7fffffffu)) +
+         "\n";
   out += "over batch_request_ids: " +
          batch_req(patched<uint32_t>(
              wire::encode_batch_request(
-                 {SimTime(), {ElementId{"x"}}, 0, 0, ""}),
+                 {SimTime(), {ElementId{"x"}}, 0, 0, "a"}),
              8, 0x40000000u)) +
          "\n";
   out += "over trace_events: " +

@@ -400,8 +400,8 @@ TEST(WireCodecTest, PrimitiveReadsGuardOffsetPastEnd) {
 // The PSM1 control-message envelope: round trip + damage refusal for every
 // message the transport speaks.
 TEST(WireMessageTest, ControlMessagesRoundTrip) {
-  wire::HelloMsg hello{"agent-7", {ElementId{"a"}, ElementId{"b/c"}},
-                       987654321, /*roster=*/{}};
+  wire::HelloMsg hello{987654321,
+                       {{"agent-7", {ElementId{"a"}, ElementId{"b/c"}}}}};
   std::string m = wire::encode_message(wire::MessageKind::kHello,
                                        wire::encode_hello(hello));
   size_t consumed = 0;
@@ -411,15 +411,16 @@ TEST(WireMessageTest, ControlMessagesRoundTrip) {
   EXPECT_EQ(got.value().kind, wire::MessageKind::kHello);
   Result<wire::HelloMsg> h = wire::decode_hello(got.value().body);
   ASSERT_TRUE(h.ok());
-  EXPECT_EQ(h.value().agent_name, "agent-7");
-  ASSERT_EQ(h.value().elements.size(), 2u);
-  EXPECT_EQ(h.value().elements[1].name, "b/c");
+  ASSERT_EQ(h.value().roster.size(), 1u);
+  EXPECT_EQ(h.value().roster[0].name, "agent-7");
+  ASSERT_EQ(h.value().roster[0].elements.size(), 2u);
+  EXPECT_EQ(h.value().roster[0].elements[1].name, "b/c");
   EXPECT_EQ(h.value().clock_ns, 987654321);
 
   wire::BatchRequestMsg req{SimTime::millis(12),
                             {ElementId{"x"}, ElementId{"y"}},
                             /*trace_id=*/0xdeadbeefcafef00dULL,
-                            /*parent_span=*/42, /*agent=*/""};
+                            /*parent_span=*/42, /*agent=*/"agent-7"};
   Result<wire::BatchRequestMsg> r = wire::decode_batch_request(
       wire::encode_batch_request(req));
   ASSERT_TRUE(r.ok());
@@ -427,6 +428,7 @@ TEST(WireMessageTest, ControlMessagesRoundTrip) {
   ASSERT_EQ(r.value().ids.size(), 2u);
   EXPECT_EQ(r.value().trace_id, 0xdeadbeefcafef00dULL);
   EXPECT_EQ(r.value().parent_span, 42u);
+  EXPECT_EQ(r.value().agent, "agent-7");
 
   // Damage: every strict prefix of the envelope is refused, and a body bit
   // flip fails the checksum.
@@ -438,44 +440,30 @@ TEST(WireMessageTest, ControlMessagesRoundTrip) {
   EXPECT_FALSE(wire::decode_message(flipped).ok());
 }
 
-// Fleet extensions ride BEHIND the original fields, and only when present:
-// a single-agent hello and an unrouted request encode byte-identical to the
-// pre-fleet protocol, so old and new peers interoperate in both directions.
-TEST(WireMessageTest, FleetRosterAndRoutingRoundTripBackCompatible) {
-  // Multi-agent hello: the roster round-trips, names and element sets.
+// A fleet hello: the roster round-trips, names and element sets, and a
+// routed batch request carries its agent name.
+TEST(WireMessageTest, FleetRosterAndRoutingRoundTrip) {
   wire::HelloMsg fleet;
-  fleet.agent_name = "primary";
-  fleet.elements = {ElementId{"p/0"}, ElementId{"p/1"}};
   fleet.clock_ns = 1234;
-  fleet.roster.push_back({"primary", fleet.elements});
+  fleet.roster.push_back({"first", {ElementId{"p/0"}, ElementId{"p/1"}}});
   fleet.roster.push_back({"second", {ElementId{"s/0"}}});
   fleet.roster.push_back({"third", {}});
   Result<wire::HelloMsg> fd = wire::decode_hello(wire::encode_hello(fleet));
   ASSERT_TRUE(fd.ok());
-  EXPECT_EQ(fd.value().agent_name, "primary");
+  EXPECT_EQ(fd.value().clock_ns, 1234);
   ASSERT_EQ(fd.value().roster.size(), 3u);
+  EXPECT_EQ(fd.value().roster[0].name, "first");
+  EXPECT_EQ(fd.value().roster[0].elements.size(), 2u);
   EXPECT_EQ(fd.value().roster[1].name, "second");
   ASSERT_EQ(fd.value().roster[1].elements.size(), 1u);
   EXPECT_EQ(fd.value().roster[1].elements[0].name, "s/0");
   EXPECT_TRUE(fd.value().roster[2].elements.empty());
 
-  // Single-agent hello: the roster section is NOT emitted — the bytes are
-  // exactly the pre-roster encoding, and decode yields an empty roster.
-  wire::HelloMsg solo;
-  solo.agent_name = "primary";
-  solo.elements = fleet.elements;
-  solo.clock_ns = 1234;
-  wire::HelloMsg solo_with_self = solo;
-  solo_with_self.roster.push_back({"primary", solo.elements});
-  EXPECT_EQ(wire::encode_hello(solo_with_self), wire::encode_hello(solo));
-  Result<wire::HelloMsg> sd = wire::decode_hello(wire::encode_hello(solo));
-  ASSERT_TRUE(sd.ok());
-  EXPECT_TRUE(sd.value().roster.empty());
-
-  // A torn roster section is damage, not an empty roster.
-  std::string torn = wire::encode_hello(fleet);
-  torn.resize(torn.size() - 3);
-  EXPECT_FALSE(wire::decode_hello(torn).ok());
+  // Every strict prefix of the hello is damage, never a shorter roster.
+  const std::string bytes = wire::encode_hello(fleet);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(wire::decode_hello(bytes.substr(0, cut)).ok()) << cut;
+  }
 
   // Routed batch request: the agent name rides behind the trace context.
   wire::BatchRequestMsg routed{SimTime::millis(5),
@@ -487,20 +475,64 @@ TEST(WireMessageTest, FleetRosterAndRoutingRoundTripBackCompatible) {
       wire::decode_batch_request(wire::encode_batch_request(routed));
   ASSERT_TRUE(rd.ok());
   EXPECT_EQ(rd.value().agent, "second");
-
-  // Unrouted: not one extra byte versus the old format, and the old decoder
-  // semantics (empty agent = primary) fall out of decode.
-  wire::BatchRequestMsg unrouted = routed;
-  unrouted.agent.clear();
-  const std::string old_format = wire::encode_batch_request(unrouted);
-  EXPECT_LT(old_format.size(), wire::encode_batch_request(routed).size());
-  Result<wire::BatchRequestMsg> od = wire::decode_batch_request(old_format);
-  ASSERT_TRUE(od.ok());
-  EXPECT_TRUE(od.value().agent.empty());
   // Trailing garbage after the agent field is damage, not ignored.
   EXPECT_FALSE(
       wire::decode_batch_request(wire::encode_batch_request(routed) + "!")
           .ok());
+}
+
+// Little-endian field writers for hand-built bodies.
+template <typename T>
+void put_le(std::string* out, T v) {
+  char buf[sizeof(T)];
+  std::memcpy(buf, &v, sizeof(T));
+  out->append(buf, sizeof(T));
+}
+void put_str(std::string* out, const std::string& s) {
+  put_le<uint16_t>(out, static_cast<uint16_t>(s.size()));
+  *out += s;
+}
+
+// The layouts the handshake and requests had before every request named
+// its agent decode to a refusal, never to a misread message: the hello
+// that led with one agent's name and ids, a hello followed by an 8-byte
+// epoch, a batch request without an agent name, and a subscribe naming "".
+TEST(WireMessageTest, PreRosterEpochAndNamelessFormsAreRefused) {
+  // u16-str agent | u32 count | u16-str* | i64 clock
+  std::string pre_roster;
+  put_str(&pre_roster, "agent-7");
+  put_le<uint32_t>(&pre_roster, 2);
+  put_str(&pre_roster, "a");
+  put_str(&pre_roster, "b/c");
+  put_le<int64_t>(&pre_roster, 987654321);
+  Result<wire::HelloMsg> h = wire::decode_hello(pre_roster);
+  ASSERT_FALSE(h.ok());
+  EXPECT_EQ(h.status().code(), StatusCode::kInvalidArgument);
+
+  wire::HelloMsg hello{5, {{"solo", {ElementId{"a"}}}}};
+  std::string with_epoch = wire::encode_hello(hello);
+  put_le<uint64_t>(&with_epoch, 0x0123456789abcdefULL);
+  EXPECT_FALSE(wire::decode_hello(with_epoch).ok());
+
+  // An empty roster is refused too.
+  std::string no_agents;
+  put_le<int64_t>(&no_agents, 5);
+  put_le<uint32_t>(&no_agents, 0);
+  EXPECT_FALSE(wire::decode_hello(no_agents).ok());
+
+  // i64 now | u32 count | u16-str* | u64 trace | u64 parent: no agent.
+  std::string nameless;
+  put_le<int64_t>(&nameless, SimTime::millis(12).ns());
+  put_le<uint32_t>(&nameless, 1);
+  put_str(&nameless, "x");
+  put_le<uint64_t>(&nameless, 0);
+  put_le<uint64_t>(&nameless, 0);
+  EXPECT_FALSE(wire::decode_batch_request(nameless).ok());
+  EXPECT_FALSE(wire::decode_batch_request(wire::encode_batch_request(
+                   {SimTime::millis(12), {ElementId{"x"}}, 0, 0, ""}))
+                   .ok());
+
+  EXPECT_FALSE(wire::decode_subscribe(wire::encode_subscribe({"", 1, 2})).ok());
 }
 
 // Harvested trace rings cross the wire losslessly — span links, durations,
@@ -633,6 +665,10 @@ TEST(StreamCodecTest, SubscribeRoundTrips) {
     s.window_ns = static_cast<int64_t>(rng.next_u32());
     Result<wire::SubscribeMsg> got =
         wire::decode_subscribe(wire::encode_subscribe(s));
+    if (s.agent.empty()) {  // every subscribe names its agent
+      EXPECT_FALSE(got.ok());
+      continue;
+    }
     ASSERT_TRUE(got.ok()) << got.status().message();
     EXPECT_EQ(got.value().agent, s.agent);
     EXPECT_EQ(got.value().from_seq, s.from_seq);
