@@ -10,10 +10,10 @@
 // until the largest per-agent batch dominates.
 //
 // Gates: >= 2x wall-clock speedup at 4 workers for a 64-element sweep,
-// byte-identical records between the sequential per-element oracle and the
-// pooled batch path, and a strictly smaller modelled channel bill for the
-// batch path (one round trip per channel kind per agent instead of one per
-// element).
+// byte-identical records between the sequential oracle (one get_attr_q per
+// element) and the pooled batch path, and a strictly smaller modelled
+// channel bill for the batch path (one round trip per channel kind per
+// agent instead of one per element).
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -106,11 +106,20 @@ const std::vector<std::string> kAttrs = {"rx_packets", "rx_bytes",
 
 // Wall time of kSweepsPerConfig 64-element queries, plus the concatenated
 // wire encoding of the last sweep's records (for the determinism check).
-double sweep_seconds(Fleet& fleet, std::string* wire_out) {
+// With `per_id` each sweep is the sequential oracle: one get_attr_q per
+// element, in input order.
+double sweep_seconds(Fleet& fleet, std::string* wire_out, bool per_id) {
   Controller* c = fleet.dep.controller();
   auto start = std::chrono::steady_clock::now();
   for (int s = 0; s < kSweepsPerConfig; ++s) {
-    auto got = c->get_attr_many(kTenant, fleet.ids, kAttrs);
+    std::vector<Result<Controller::QualifiedRecord>> got;
+    if (per_id) {
+      for (const ElementId& id : fleet.ids) {
+        got.push_back(c->get_attr_q(kTenant, id, kAttrs));
+      }
+    } else {
+      got = c->get_attr_many(kTenant, fleet.ids, kAttrs);
+    }
     if (s == kSweepsPerConfig - 1 && wire_out != nullptr) {
       for (const auto& r : got) {
         PS_CHECK(r.ok());
@@ -135,14 +144,12 @@ int main() {
   note("per-element cost: %lld us channel RTT + /proc text parse",
        static_cast<long long>(kChannelRtt.count()));
 
-  // Sequential oracle: batching off degrades get_attr_many to the
-  // per-element get_attr_q loop.
+  // Sequential oracle: the per-element get_attr_q loop.
   std::string wire_seq;
   Controller::CostSnapshot seq_cost;
   {
     Fleet fleet(1);
-    fleet.dep.controller()->set_batching(false);
-    double s = sweep_seconds(fleet, &wire_seq);
+    double s = sweep_seconds(fleet, &wire_seq, /*per_id=*/true);
     seq_cost = fleet.dep.controller()->cost();
     row({"oracle", fmt("%.2f", s * 1e3 / kSweepsPerConfig), "-"});
   }
@@ -155,7 +162,7 @@ int main() {
   for (size_t workers : {1u, 2u, 4u, 8u}) {
     Fleet fleet(workers);
     std::string* wire = workers == 4 ? &wire_par : nullptr;
-    double s = sweep_seconds(fleet, wire);
+    double s = sweep_seconds(fleet, wire, /*per_id=*/false);
     if (workers == 1) base_s = s;
     if (workers == 4) {
       speedup_at_4 = base_s / s;

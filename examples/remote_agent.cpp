@@ -8,12 +8,14 @@
 // hello handshake advertises the roster, and Deployment::add_remote_agents
 // dials once and binds one adapter per fleet member.  After that the
 // controller cannot tell either apart from an in-process agent.  The second
-// half tears a batch mid-frame to show the degradation contract: lost frames
-// come back as kMissing blind spots ("unavailable after 1 attempt(s)"),
-// never as silent absence.  The finale turns on fleet tracing: a traced
-// query scatters with a trace context on the envelope, each agent's serve
-// spans come back on its replies under its own process lane, and the merged
-// Chrome trace lands in a file you can open at ui.perfetto.dev.
+// half darkens one element's channel on the agents' machine to show the
+// degradation contract across the socket: the lost read comes back as a
+// kMissing blind spot ("unavailable after 1 attempt(s)"), never as silent
+// absence.  (tests/transport_test.cc tears, corrupts and drops replies on
+// the wire itself, through a relay.)  The finale turns on fleet tracing: a
+// traced query scatters with a trace context on the envelope, each agent's
+// serve spans come back on its replies under its own process lane, and the
+// merged Chrome trace lands in a file you can open at ui.perfetto.dev.
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -23,12 +25,12 @@
 
 #include "cluster/deployment.h"
 #include "perfsight/agent.h"
+#include "perfsight/faults.h"
 #include "perfsight/remote_agent.h"
 #include "perfsight/stats.h"
 #include "perfsight/stats_source.h"
 #include "perfsight/trace.h"
 #include "perfsight/transport.h"
-#include "perfsight/wire.h"
 #include "sim/simulator.h"
 
 using namespace perfsight;
@@ -97,10 +99,9 @@ int main() {
               rchain->name().c_str());
 
   const TenantId tenant{1};
-  std::vector<ElementId> edge_ids, all_ids;
+  std::vector<ElementId> all_ids;
   for (ConstSource* s : {&tun, &vnic, &pnic}) {
     PS_CHECK(dep.assign_remote(tenant, s->id(), redge).is_ok());
-    edge_ids.push_back(s->id());
     all_ids.push_back(s->id());
   }
   for (ConstSource* s : {&lb, &nfs}) {
@@ -120,15 +121,16 @@ int main() {
     }
   }
 
-  // --- a torn stream: lost frames become blind spots -----------------------
-  // Keep the header and the first frame; kill the connection mid-batch.
-  BatchResponse probe = redge->query_batch(edge_ids, sim.now());
-  Result<std::string> f0 = wire::encode_frame(probe.responses[0]);
-  PS_CHECK(f0.ok());
-  server.inject_reply_damage(
-      {ReplyDamage::kTruncate, wire::kBatchHeaderSize + f0.value().size()});
+  // --- a dark channel: the lost read becomes a blind spot ------------------
+  // The tun's channel fails every attempt on the agents' machine; the
+  // failure crosses the wire as payload.
+  FaultPlan dark(1);
+  ChannelFaultSpec always;
+  always.transient_p = 1.0;
+  dark.set_element_faults(tun.id(), always);
+  edge.set_fault_plan(&dark);
 
-  std::printf("\nsame query over a torn connection:\n");
+  std::printf("\nsame query with the tun's channel dark:\n");
   for (const auto& r : dep.controller()->get_attr_many(
            tenant, all_ids, {attr::kRxPkts, attr::kDropPkts})) {
     if (r.ok()) {
@@ -137,6 +139,7 @@ int main() {
       std::printf("  blind spot: %s\n", r.status().message().c_str());
     }
   }
+  edge.set_fault_plan(nullptr);
 
   RemoteAgent::TransportStats stats = redge->transport_stats();
   std::printf(

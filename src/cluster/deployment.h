@@ -57,8 +57,9 @@ class Deployment {
   // out).
   ThreadPool* pool() { return &pool_; }
 
-  // Deployment-wide metrics registry: every agent added below is scraped by
-  // expose(), so one endpoint covers the whole cluster.
+  // Deployment-wide metrics registry.  expose() scrapes the element stats of
+  // every in-process agent added below; a remote adapter contributes only
+  // its perfsight_transport_* counters (its elements are not scraped).
   MetricsRegistry* metrics() { return &metrics_; }
 
   Agent* add_agent(const std::string& name) {

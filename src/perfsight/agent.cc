@@ -573,14 +573,6 @@ Result<QueryResponse> Agent::query(const ElementId& id, SimTime now) {
                        collect(&one, now, nullptr, Billing::kTripPerElement));
 }
 
-Result<QueryResponse> Agent::query_attrs(const ElementId& id,
-                                         const std::vector<std::string>& attrs,
-                                         SimTime now) {
-  const std::vector<ElementId> one{id};
-  return single_answer(
-      name_, id, collect(&one, now, nullptr, Billing::kTripPerElement), &attrs);
-}
-
 Result<QueryResponse> Agent::query_cached(const ElementId& id, SimTime now,
                                           Duration max_age) {
   {

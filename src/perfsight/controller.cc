@@ -103,7 +103,7 @@ AgentClient* Controller::locate(TenantId tenant, const ElementId& id) const {
 void Controller::set_metrics(MetricsRegistry* m) {
   metrics_ = m;
   if (m == nullptr) {
-    m_queries_single_ = m_queries_batch_ = nullptr;
+    m_queries_batch_ = nullptr;
     m_scatters_ = m_scatter_agents_ = nullptr;
     m_batch_channel_s_ = nullptr;
     return;
@@ -112,9 +112,6 @@ void Controller::set_metrics(MetricsRegistry* m) {
   // vectors (not thread-safe), but the instruments themselves have stable
   // addresses, so the query paths only touch these pointers — under
   // cost_mu_.
-  m_queries_single_ =
-      &m->counter("perfsight_controller_queries_total",
-                  "Element queries the controller issued", "path=\"single\"");
   m_queries_batch_ =
       &m->counter("perfsight_controller_queries_total",
                   "Element queries the controller issued", "path=\"batch\"");
@@ -126,55 +123,6 @@ void Controller::set_metrics(MetricsRegistry* m) {
   m_batch_channel_s_ =
       &m->histogram("perfsight_controller_batch_channel_seconds",
                     "Modelled channel time per scatter-gather fan-out");
-}
-
-void Controller::account(uint64_t queries, Duration channel_time,
-                         bool batch) const {
-  std::lock_guard<std::mutex> lock(cost_mu_);
-  queries_issued_ += queries;
-  channel_time_ns_ += channel_time.ns();
-  if (batch) {
-    if (m_queries_batch_ != nullptr) m_queries_batch_->add(queries);
-    if (m_scatters_ != nullptr) m_scatters_->increment();
-    if (m_batch_channel_s_ != nullptr) {
-      m_batch_channel_s_->observe(static_cast<double>(channel_time.ns()) /
-                                  1e9);
-    }
-  } else {
-    if (m_queries_single_ != nullptr) m_queries_single_->add(queries);
-  }
-}
-
-Result<Controller::QualifiedRecord> Controller::query_one(
-    TenantId tenant, const ElementId& id,
-    const std::vector<std::string>& attrs) const {
-  AgentClient* agent = locate(tenant, id);
-  if (agent == nullptr) {
-    return Status::not_found("no agent serves element " + id.name);
-  }
-  Result<QueryResponse> resp = agent->query_attrs(id, attrs, now_());
-  if (!resp.ok()) {
-    // Quorum fallback: a collection failure (not a config error) on a
-    // mirrored element earns one read from the replica before the blind
-    // spot stands.  The answer is annotated kReplica; a double failure
-    // re-raises the PRIMARY's Status so unmirrored and double-failed runs
-    // are byte-identical.
-    if (resp.status().code() != StatusCode::kNotFound) {
-      AgentClient* mirror = mirror_of(tenant, id);
-      if (mirror != nullptr) {
-        Result<QueryResponse> mr = mirror->query_attrs(id, attrs, now_());
-        if (mr.ok()) {
-          account(1, mr.value().response_time, /*batch=*/false);
-          return QualifiedRecord{
-              mr.value().record,
-              worse(DataQuality::kReplica, mr.value().quality)};
-        }
-      }
-    }
-    return resp.status();
-  }
-  account(1, resp.value().response_time, /*batch=*/false);
-  return QualifiedRecord{resp.value().record, resp.value().quality};
 }
 
 Result<Controller::QualifiedRecord> Controller::get_attr_q(
@@ -308,9 +256,10 @@ struct ScatterPlan {
 
 }  // namespace
 
-std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
+std::vector<Result<Controller::QualifiedRecord>> Controller::get_attr_many(
     TenantId tenant, const std::vector<ElementId>& ids,
     const std::vector<std::string>& attrs) const {
+  if (ids.empty()) return {};
   std::vector<Result<QualifiedRecord>> out(
       ids.size(),
       Result<QualifiedRecord>(Status::unavailable("unresolved scatter slot")));
@@ -329,8 +278,7 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
   plan.seal(ids);
 
   // One timestamp for the whole fan-out: every per-agent batch samples the
-  // same instant, exactly like the sequential loop (which cannot advance
-  // time between queries either — only the interval utilities advance).
+  // same instant (only the interval utilities advance time).
   const SimTime now = now_();
   trace_event(controller_trace_id(), now, TraceEventKind::kControllerScatter,
               static_cast<double>(ids.size()), "scatter");
@@ -390,7 +338,7 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
       }
       if (resp->quality == DataQuality::kMissing) {
         // Retries exhausted / budget hit / breaker open: reconstruct the
-        // Status the single-query path returns for this failure.  It stays
+        // Status single_answer returns for this failure.  It stays
         // the answer unless a replica can serve the element below.
         Status fail = query_failure_status(agent_name, id, resp->attempts,
                                            resp->fail_code);
@@ -428,9 +376,16 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
     }
   }
 
-  account(ok_slots, total_channel, /*batch=*/true);
   {
     std::lock_guard<std::mutex> lock(cost_mu_);
+    queries_issued_ += ok_slots;
+    channel_time_ns_ += total_channel.ns();
+    if (m_queries_batch_ != nullptr) m_queries_batch_->add(ok_slots);
+    if (m_scatters_ != nullptr) m_scatters_->increment();
+    if (m_batch_channel_s_ != nullptr) {
+      m_batch_channel_s_->observe(static_cast<double>(total_channel.ns()) /
+                                  1e9);
+    }
     if (m_scatter_agents_ != nullptr) {
       m_scatter_agents_->add(plan.groups.size() + mirrors.groups.size());
     }
@@ -446,23 +401,6 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
                static_cast<double>(ids.size()), "scatter");
   }
   return out;
-}
-
-std::vector<Result<Controller::QualifiedRecord>> Controller::get_attr_many(
-    TenantId tenant, const std::vector<ElementId>& ids,
-    const std::vector<std::string>& attrs) const {
-  // A batch of one takes the element's own trip; the sequential
-  // per-element loop is also the oracle the differential suite holds the
-  // scatter-gather path to, and batching off selects it explicitly.
-  if (!batching_ || ids.size() <= 1) {
-    std::vector<Result<QualifiedRecord>> out;
-    out.reserve(ids.size());
-    for (const ElementId& id : ids) {
-      out.push_back(query_one(tenant, id, attrs));
-    }
-    return out;
-  }
-  return scatter_gather(tenant, ids, attrs);
 }
 
 // --- the measurement window -------------------------------------------------

@@ -99,17 +99,13 @@ class Controller {
   // the registry's family vectors; not owned.
   void set_metrics(MetricsRegistry* m);
 
-  // Batching toggle: with batching off, get_attr_many degrades to the
-  // sequential per-element loop — the oracle the differential test suite
-  // compares the scatter-gather path against.  Defaults to on.
-  void set_batching(bool on) { batching_ = on; }
-  bool batching() const { return batching_; }
-
   // --- self-profiling --------------------------------------------------------
   // Cumulative cost of the queries this controller has issued: how many,
   // and how much modelled channel time they spent (the per-query latencies
   // of Fig. 9, summed — batched queries add one amortised round trip per
-  // channel kind, which is the saving).  Diagnosis applications read deltas
+  // channel kind, which is the saving).  `queries` counts answered slots;
+  // `channel_time` bills every trip paid, a failed element's included,
+  // whatever the batch size.  Diagnosis applications read deltas
   // around a run to report what the run itself cost.  The two tallies are
   // kept under one mutex so a snapshot is never torn: the old pair of
   // independent relaxed atomics let a reader observe the query count of one
@@ -196,11 +192,12 @@ class Controller {
 
   // --- scatter-gather fan-ins ----------------------------------------------
   // GETATTR over many elements at once: groups the ids by owning agent,
-  // issues one Agent::query_batch per agent (amortising channel round trips
-  // per kind), fans the agents out over the pool, and merges the responses
-  // back into input order.  Output is byte-identical to calling get_attr_q
-  // per element: same records, same qualities, same Status text for
-  // failures.
+  // issues one AgentClient::query_batch per agent (amortising channel round
+  // trips per kind), fans the agents out over the pool, and merges the
+  // responses back into input order.  This is the controller's only read
+  // path: every size runs it, a batch of one included, and an empty `ids`
+  // returns at once.  Output is byte-identical to asking each id as a batch
+  // of one: same records, same qualities, same Status text for failures.
   std::vector<Result<QualifiedRecord>> get_attr_many(
       TenantId tenant, const std::vector<ElementId>& ids,
       const std::vector<std::string>& attrs) const;
@@ -223,16 +220,6 @@ class Controller {
   AgentClient* locate(TenantId tenant, const ElementId& id) const;
   // The registered read replica, or null.
   AgentClient* mirror_of(TenantId tenant, const ElementId& id) const;
-  // One element over the agent's single-query path, with the quorum
-  // fallback: what a batch of one (or batching off) resolves to.
-  Result<QualifiedRecord> query_one(TenantId tenant, const ElementId& id,
-                                    const std::vector<std::string>& attrs)
-      const;
-  // The scatter-gather core: one Result per id, in input order.
-  std::vector<Result<QualifiedRecord>> scatter_gather(
-      TenantId tenant, const std::vector<ElementId>& ids,
-      const std::vector<std::string>& attrs) const;
-  void account(uint64_t queries, Duration channel_time, bool batch) const;
 
   AdvanceFn advance_;
   NowFn now_;
@@ -243,13 +230,11 @@ class Controller {
   mutable uint64_t queries_issued_ = 0;
   mutable int64_t channel_time_ns_ = 0;
   ThreadPool* pool_ = nullptr;
-  bool batching_ = true;
   MetricsRegistry* metrics_ = nullptr;
   // Instruments cached at set_metrics time: creation mutates the registry's
   // family vectors (not thread-safe), but the instruments themselves have
   // stable addresses, so the hot paths only ever touch these pointers —
   // under cost_mu_.
-  MetricsRegistry::CounterMetric* m_queries_single_ = nullptr;
   MetricsRegistry::CounterMetric* m_queries_batch_ = nullptr;
   MetricsRegistry::CounterMetric* m_scatters_ = nullptr;
   MetricsRegistry::CounterMetric* m_scatter_agents_ = nullptr;

@@ -58,7 +58,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -84,16 +83,6 @@ struct StreamDataMsg;
 }
 
 // --- server stub -------------------------------------------------------------
-
-// One fault for a server's next batch reply (tests).  kTruncate sends only
-// the first `at` bytes of the encoded batch and then kills the connection (a
-// torn stream); kCorrupt XORs the byte at `at` (a checksum failure); kDrop
-// closes the connection without replying at all.
-struct ReplyDamage {
-  enum Kind { kTruncate, kCorrupt, kDrop };
-  Kind kind = kDrop;
-  size_t at = 0;
-};
 
 class RemoteAgentServer {
  public:
@@ -157,11 +146,6 @@ class RemoteAgentServer {
     return stream_frames_.load(std::memory_order_relaxed);
   }
 
-  // --- damage injection (tests) --------------------------------------------
-  // Arms the *next* batch reply, once; a later call replaces an unconsumed
-  // one.
-  void inject_reply_damage(ReplyDamage d);
-
  private:
   // One multiplexed connection's state machine.  Owned exclusively by the
   // serve thread; no locks.
@@ -170,8 +154,7 @@ class RemoteAgentServer {
     std::string rbuf;        // partial-read buffer: bytes toward a message
     std::string wbuf;        // reply bytes awaiting the socket buffer
     size_t woff = 0;         // bytes of wbuf already sent
-    bool close_after_flush = false;  // injected truncate: torn stream
-    bool dead = false;               // marked for reaping this tick
+    bool dead = false;       // marked for reaping this tick
     // Deadline anchors: when the current partial read / undrained write
     // started.  time_point{} (epoch) = nothing pending.
     transport::Clock::time_point read_since{};
@@ -188,7 +171,7 @@ class RemoteAgentServer {
   // per boundary, frames delta-coded per connection.  Serve thread only.
   void publish_tick(SimTime at, std::vector<std::unique_ptr<Conn>>& conns);
   // Parses + dispatches every complete message in c.rbuf.  False when the
-  // connection must close (protocol damage, injected drop, dead peer).
+  // connection must close (protocol damage, dead peer).
   bool drain_messages(Conn& c);
   // Dispatches one decoded message; replies append to c.wbuf.  False = close.
   bool handle_message(Conn& c, const wire::Message& msg);
@@ -232,9 +215,6 @@ class RemoteAgentServer {
   std::mutex publish_mu_;
   std::vector<SimTime> pending_publishes_;
   std::atomic<uint64_t> stream_frames_{0};
-
-  std::mutex inject_mu_;
-  std::optional<ReplyDamage> damage_next_;
 };
 
 // --- controller-side adapter -------------------------------------------------

@@ -26,6 +26,7 @@
 #include "perfsight/controller.h"
 #include "perfsight/faults.h"
 #include "perfsight/trace.h"
+#include "per_id_reference.h"
 
 namespace perfsight {
 namespace {
@@ -256,25 +257,36 @@ std::string controller_transcript() {
   ScopedTraceRecorder scoped(1 << 14);
   Fleet f;
   SimTime now;
-  Controller c([&](Duration d) { return now = now + d; }, [&] { return now; });
-  c.register_agent(&f.a0);
-  c.register_agent(&f.a1);
   // A fault-free replica of two a0 elements, for the quorum fallback.
   Agent a2("a2", 13);
   EXPECT_TRUE(a2.add_element(f.s0[2].get()).is_ok());
   EXPECT_TRUE(a2.add_element(f.s0[3].get()).is_ok());
-  c.register_agent(&a2);
+  // Even rounds read the agents directly; odd rounds read them through the
+  // per-id reference, every id its own batch of one.  Both controllers
+  // share the clock and the agents.
+  PerIdReference r0(&f.a0), r1(&f.a1), r2(&a2);
+  const auto advance = [&](Duration d) { return now = now + d; };
+  const auto clock = [&] { return now; };
+  Controller direct(advance, clock), reference(advance, clock);
   const TenantId tenant{3};
-  for (size_t i = 0; i < 6; ++i) {
-    EXPECT_TRUE(c.register_element(tenant, f.id0(i), &f.a0).is_ok());
-  }
-  for (size_t i = 0; i < f.s1.size(); ++i) {
-    EXPECT_TRUE(c.register_element(tenant, f.id1(i), &f.a1).is_ok());
-  }
-  for (size_t i : {2, 3}) {
-    EXPECT_TRUE(c.register_mirror(tenant, f.id0(i), &a2).is_ok());
-  }
-  std::vector<ElementId> ids = c.elements_of(tenant);
+  const auto wire = [&](Controller& c, AgentClient* c0, AgentClient* c1,
+                        AgentClient* c2) {
+    c.register_agent(c0);
+    c.register_agent(c1);
+    c.register_agent(c2);
+    for (size_t i = 0; i < 6; ++i) {
+      EXPECT_TRUE(c.register_element(tenant, f.id0(i), c0).is_ok());
+    }
+    for (size_t i = 0; i < f.s1.size(); ++i) {
+      EXPECT_TRUE(c.register_element(tenant, f.id1(i), c1).is_ok());
+    }
+    for (size_t i : {2, 3}) {
+      EXPECT_TRUE(c.register_mirror(tenant, f.id0(i), c2).is_ok());
+    }
+  };
+  wire(direct, &f.a0, &f.a1, &a2);
+  wire(reference, &r0, &r1, &r2);
+  std::vector<ElementId> ids = direct.elements_of(tenant);
   ids.push_back(ElementId{"ghost"});
   ids.push_back(f.id0(9));  // a stack-style element resolved via the agents
   ids.push_back(f.id0(1));  // duplicate slot
@@ -284,7 +296,7 @@ std::string controller_transcript() {
   };
   std::string out;
   for (int round = 0; round < 10; ++round) {
-    c.set_batching(round % 2 == 0);
+    const Controller& c = round % 2 == 0 ? direct : reference;
     out += "round " + std::to_string(round) + " t=" +
            std::to_string(now.ns()) + "\n";
     out += "get_attr " +
@@ -342,9 +354,11 @@ std::string controller_transcript() {
          c.get_avg_pkt_size_many(tenant, ids, Duration::millis(3), &q)) {
       out += " " + fmt(r, [](double v) { return num(v); });
     }
-    const Controller::CostSnapshot cost = c.cost();
-    out += quality_of(q) + "\ncost queries=" + std::to_string(cost.queries) +
-           " channel=" + std::to_string(cost.channel_time.ns()) + "\n";
+    // Both controllers' tallies together: the cost of every round so far.
+    const Controller::CostSnapshot d = direct.cost(), r = reference.cost();
+    out += quality_of(q) + "\ncost queries=" +
+           std::to_string(d.queries + r.queries) + " channel=" +
+           std::to_string((d.channel_time + r.channel_time).ns()) + "\n";
     out += fmt_state(f.a0) + fmt_state(f.a1) + fmt_state(a2);
   }
   out += fmt_histograms(f.a0) + fmt_histograms(f.a1) + fmt_histograms(a2);

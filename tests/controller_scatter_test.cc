@@ -1,9 +1,11 @@
 // Controller scatter-gather: every multi-element query path must produce
-// byte-identical output whether it runs as the sequential per-element loop
-// (the oracle), as per-agent batches merged inline, or fanned out over a
-// thread pool of any size — with or without every batch round-tripped
-// through the wire codec, and under a seeded fault plan.  Plus the cost-bookkeeping fix (mutex instead
-// of torn atomics) and a TSan churn target for the shared pool.
+// byte-identical output whether each agent answers per id (the sequential
+// reference, tests/per_id_reference.h), as per-agent batches merged inline,
+// or fanned out over a thread pool of any size — with or without every
+// batch round-tripped through the wire codec, and under a seeded fault
+// plan.  Plus the one cost rule (a failed read bills its trips at any batch
+// size), the cost-bookkeeping fix (mutex instead of torn atomics) and a
+// TSan churn target for the shared pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +25,7 @@
 #include "perfsight/rootcause.h"
 #include "perfsight/trace.h"
 #include "perfsight/wire.h"
+#include "per_id_reference.h"
 
 namespace perfsight {
 namespace {
@@ -65,11 +68,6 @@ class WireLoopback : public AgentClient {
   std::vector<ElementId> element_ids() const override {
     return inner_->element_ids();
   }
-  Result<QueryResponse> query_attrs(const ElementId& id,
-                                    const std::vector<std::string>& attrs,
-                                    SimTime now) override {
-    return inner_->query_attrs(id, attrs, now);
-  }
   BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
                             ThreadPool* pool) override {
     Result<std::string> bytes =
@@ -85,14 +83,16 @@ class WireLoopback : public AgentClient {
   AgentClient* inner_;
 };
 
+// How the controller reaches each agent: directly, through a WireLoopback,
+// or through the PerIdReference.
+enum class Via { kDirect, kWireLoopback, kReference };
+
 // A multi-agent cluster driven by a manual clock: `agents` machines, each
 // hosting `per_agent` packet-path elements (Algorithm 1 food) plus one
 // middlebox, the middleboxes chained across machines (Algorithm 2 food).
-// With `wire_loopback` the controller reaches every agent through a
-// WireLoopback.
 class ScatterRig {
  public:
-  ScatterRig(size_t agents, size_t per_agent, bool wire_loopback = false)
+  ScatterRig(size_t agents, size_t per_agent, Via via = Via::kDirect)
       : controller_([this](Duration d) { return advance(d); },
                     [this] { return now_; }) {
     const ChannelKind kinds[] = {ChannelKind::kProcFs, ChannelKind::kMbSocket,
@@ -102,9 +102,12 @@ class ScatterRig {
       agents_.push_back(
           std::make_unique<Agent>("agent-" + std::to_string(a), a + 1));
       AgentClient* agent = agents_.back().get();
-      if (wire_loopback) {
-        loopbacks_.push_back(std::make_unique<WireLoopback>(agent));
-        agent = loopbacks_.back().get();
+      if (via == Via::kWireLoopback) {
+        wrappers_.push_back(std::make_unique<WireLoopback>(agent));
+        agent = wrappers_.back().get();
+      } else if (via == Via::kReference) {
+        wrappers_.push_back(std::make_unique<PerIdReference>(agent));
+        agent = wrappers_.back().get();
       }
       clients_.push_back(agent);
       controller_.register_agent(agent);
@@ -204,7 +207,7 @@ class ScatterRig {
   SimTime now_;
   Controller controller_;
   std::vector<std::unique_ptr<Agent>> agents_;
-  std::vector<std::unique_ptr<WireLoopback>> loopbacks_;
+  std::vector<std::unique_ptr<AgentClient>> wrappers_;
   std::vector<AgentClient*> clients_;  // what the controller dials, per agent
   std::vector<std::unique_ptr<ScriptedSource>> sources_;
   std::vector<ScriptedSource*> mbs_;
@@ -238,12 +241,11 @@ std::string fmt_val(const Result<T>& r, DataQuality q) {
 }
 
 // Runs the full diagnosis workload once and folds every output into one
-// string: the sequential run of this script is the oracle the pooled /
+// string: the run over a Via::kReference rig is the oracle the pooled /
 // wire-looped runs must reproduce byte-for-byte.
-std::string run_script(ScatterRig& rig, ThreadPool* pool, bool batching) {
+std::string run_script(ScatterRig& rig, ThreadPool* pool) {
   Controller& c = rig.controller_;
   c.set_pool(pool);
-  c.set_batching(batching);
 
   std::string out;
 
@@ -259,7 +261,7 @@ std::string run_script(ScatterRig& rig, ThreadPool* pool, bool batching) {
 
   // The same fan-in shuffled, with repeats: duplicate slots of one id (the
   // mirrored element and the unserved id among them) must each get the
-  // answer the per-element loop gives.
+  // answer the per-id reference gives.
   std::vector<ElementId> mixed = ids;
   for (size_t i = 0; i < ids.size(); i += 3) mixed.push_back(ids[i]);
   if (rig.mirrored_) {
@@ -323,9 +325,8 @@ std::string run_script(ScatterRig& rig, ThreadPool* pool, bool batching) {
 }
 
 TEST(ScatterDifferentialTest, PooledPathsMatchSequentialOracle) {
-  ScatterRig oracle_rig(4, 4);
-  const std::string oracle =
-      run_script(oracle_rig, nullptr, /*batching=*/false);
+  ScatterRig oracle_rig(4, 4, Via::kReference);
+  const std::string oracle = run_script(oracle_rig, nullptr);
   ASSERT_NE(oracle.find("=== Algorithm 1"), std::string::npos);
   ASSERT_NE(oracle.find("=== Algorithm 2"), std::string::npos);
   ASSERT_NE(oracle.find("ALERT ["), std::string::npos);
@@ -335,13 +336,13 @@ TEST(ScatterDifferentialTest, PooledPathsMatchSequentialOracle) {
   // Batched but inline (no pool).
   {
     ScatterRig rig(4, 4);
-    EXPECT_EQ(run_script(rig, nullptr, true), oracle);
+    EXPECT_EQ(run_script(rig, nullptr), oracle);
   }
   // Batched over pools of 1, 2 and 8 workers.
   for (size_t workers : {1u, 2u, 8u}) {
     ScatterRig rig(4, 4);
     ThreadPool pool(workers);
-    EXPECT_EQ(run_script(rig, &pool, true), oracle)
+    EXPECT_EQ(run_script(rig, &pool), oracle)
         << "divergence at pool size " << workers;
   }
 }
@@ -349,11 +350,11 @@ TEST(ScatterDifferentialTest, PooledPathsMatchSequentialOracle) {
 TEST(ScatterDifferentialTest, WireLoopbackIsTransparent) {
   ScatterRig plain_rig(3, 3);
   ThreadPool plain_pool(4);
-  const std::string plain = run_script(plain_rig, &plain_pool, true);
+  const std::string plain = run_script(plain_rig, &plain_pool);
 
-  ScatterRig looped_rig(3, 3, /*wire_loopback=*/true);
+  ScatterRig looped_rig(3, 3, Via::kWireLoopback);
   ThreadPool looped_pool(4);
-  EXPECT_EQ(run_script(looped_rig, &looped_pool, true), plain);
+  EXPECT_EQ(run_script(looped_rig, &looped_pool), plain);
 }
 
 TEST(ScatterDifferentialTest, FaultPlanPreservesDifferential) {
@@ -380,10 +381,10 @@ TEST(ScatterDifferentialTest, FaultPlanPreservesDifferential) {
     return plan;
   };
 
-  ScatterRig oracle_rig(4, 4);
+  ScatterRig oracle_rig(4, 4, Via::kReference);
   FaultPlan oracle_plan = make_plan();
   oracle_rig.install_faults(&oracle_plan, retry);
-  const std::string oracle = run_script(oracle_rig, nullptr, false);
+  const std::string oracle = run_script(oracle_rig, nullptr);
   // The plan must actually bite for the differential to mean anything.
   ASSERT_TRUE(oracle.find("q=stale") != std::string::npos ||
               oracle.find("q=torn") != std::string::npos ||
@@ -396,23 +397,22 @@ TEST(ScatterDifferentialTest, FaultPlanPreservesDifferential) {
     FaultPlan plan = make_plan();
     rig.install_faults(&plan, retry);
     ThreadPool pool(workers);
-    EXPECT_EQ(run_script(rig, &pool, true), oracle)
+    EXPECT_EQ(run_script(rig, &pool), oracle)
         << "fault differential divergence at pool size " << workers;
   }
   // And with the wire loopback on top.
   {
-    ScatterRig rig(4, 4, /*wire_loopback=*/true);
+    ScatterRig rig(4, 4, Via::kWireLoopback);
     FaultPlan plan = make_plan();
     rig.install_faults(&plan, retry);
     ThreadPool pool(4);
-    EXPECT_EQ(run_script(rig, &pool, true), oracle);
+    EXPECT_EQ(run_script(rig, &pool), oracle);
   }
 }
 
 // The quorum round under the run-length merge: agent-1 is down while the
 // opening fan-ins run, so every repeat of its mirrored element must come
-// back from the replica, exactly as the per-element loop's fallback
-// answers it.  Breakers stay closed: how a breaker counts failures differs
+// back from the replica, exactly as it does over the per-id reference.  Breakers stay closed: how a breaker counts failures differs
 // between one trip per element and one per kind, and this test is about
 // the merge.
 TEST(ScatterDifferentialTest, MirrorRoundMatchesSequentialOracle) {
@@ -427,10 +427,10 @@ TEST(ScatterDifferentialTest, MirrorRoundMatchesSequentialOracle) {
     return plan;
   };
 
-  ScatterRig oracle_rig(4, 4);
+  ScatterRig oracle_rig(4, 4, Via::kReference);
   FaultPlan oracle_plan = make_plan();
   oracle_rig.install_faults(&oracle_plan, retry, no_breakers);
-  const std::string oracle = run_script(oracle_rig, nullptr, false);
+  const std::string oracle = run_script(oracle_rig, nullptr);
   ASSERT_NE(oracle.find("OK <0, shared/el, (dropPkts, 7), (rxPkts, 4000)> "
                         "q=replica"),
             std::string::npos)
@@ -442,14 +442,14 @@ TEST(ScatterDifferentialTest, MirrorRoundMatchesSequentialOracle) {
     rig.install_faults(&plan, retry, no_breakers);
     std::unique_ptr<ThreadPool> pool;
     if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
-    EXPECT_EQ(run_script(rig, pool.get(), true), oracle)
+    EXPECT_EQ(run_script(rig, pool.get()), oracle)
         << "mirror differential divergence at pool size " << workers;
   }
   {
-    ScatterRig rig(4, 4, /*wire_loopback=*/true);
+    ScatterRig rig(4, 4, Via::kWireLoopback);
     FaultPlan plan = make_plan();
     rig.install_faults(&plan, retry, no_breakers);
-    EXPECT_EQ(run_script(rig, nullptr, true), oracle);
+    EXPECT_EQ(run_script(rig, nullptr), oracle);
   }
 }
 
@@ -500,20 +500,20 @@ TEST(ScatterCostTest, BatchingAmortizesChannelTimeWithoutChangingResults) {
   std::vector<ElementId> ids =
       seq_rig.controller_.elements_of(seq_rig.tenant_);
 
-  seq_rig.controller_.set_batching(false);
-  auto seq = seq_rig.controller_.get_attr_many(seq_rig.tenant_, ids,
-                                               {attr::kRxPkts});
   auto bat = bat_rig.controller_.get_attr_many(bat_rig.tenant_, ids,
                                                {attr::kRxPkts});
-  ASSERT_EQ(seq.size(), bat.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    ASSERT_TRUE(seq[i].ok());
+  ASSERT_EQ(bat.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto seq = seq_rig.controller_.get_attr_q(seq_rig.tenant_, ids[i],
+                                              {attr::kRxPkts});
+    ASSERT_TRUE(seq.ok());
     ASSERT_TRUE(bat[i].ok());
-    EXPECT_EQ(to_text(seq[i].value().record), to_text(bat[i].value().record));
+    EXPECT_EQ(to_text(seq.value().record), to_text(bat[i].value().record));
   }
 
   // Identical query tallies, strictly cheaper channel bill: the batch pays
-  // one round trip per channel kind per agent, the loop one per element.
+  // one round trip per channel kind per agent, the per-id loop one per
+  // element.
   Controller::CostSnapshot sc = seq_rig.controller_.cost();
   Controller::CostSnapshot bc = bat_rig.controller_.cost();
   EXPECT_EQ(sc.queries, ids.size());
@@ -523,6 +523,86 @@ TEST(ScatterCostTest, BatchingAmortizesChannelTimeWithoutChangingResults) {
   // Accessors read through the same snapshot.
   EXPECT_EQ(bat_rig.controller_.queries_issued(), bc.queries);
   EXPECT_EQ(bat_rig.controller_.channel_time().ns(), bc.channel_time.ns());
+}
+
+// One read path, one cost rule: a failed single-element read bills the
+// channel time its trips spent, exactly as a failed slot of a multi-element
+// scatter does, and counts no query.
+TEST(ScatterOnePathTest, FailedSingleReadBillsItsChannelTime) {
+  RetryPolicy retry;
+  retry.max_attempts = 2;
+  auto make_plan = [] {
+    FaultPlan plan(3);
+    ChannelFaultSpec dead;
+    dead.transient_p = 1.0;
+    plan.set_element_faults(ElementId{"a0/el1"}, dead);
+    return plan;
+  };
+  const ElementId bad{"a0/el1"};
+
+  ScatterRig single_rig(2, 3);
+  FaultPlan single_plan = make_plan();
+  single_rig.install_faults(&single_plan, retry);
+  auto single = single_rig.controller_.get_attr_q(single_rig.tenant_, bad,
+                                                  {attr::kRxPkts});
+  ASSERT_FALSE(single.ok());
+  EXPECT_NE(single.status().message().find("unavailable after 2 attempt(s)"),
+            std::string::npos)
+      << single.status().message();
+  const Controller::CostSnapshot sc = single_rig.controller_.cost();
+  EXPECT_EQ(sc.queries, 0u);
+  EXPECT_GT(sc.channel_time.ns(), 0);
+
+  // The same failure as one slot of a two-id scatter (the other id is
+  // served by no agent and costs nothing) bills the same time.
+  ScatterRig multi_rig(2, 3);
+  FaultPlan multi_plan = make_plan();
+  multi_rig.install_faults(&multi_plan, retry);
+  auto multi = multi_rig.controller_.get_attr_many(
+      multi_rig.tenant_, {bad, ElementId{"ghost"}}, {attr::kRxPkts});
+  ASSERT_EQ(multi.size(), 2u);
+  ASSERT_FALSE(multi[0].ok());
+  EXPECT_EQ(multi[0].status().message(), single.status().message());
+  const Controller::CostSnapshot mc = multi_rig.controller_.cost();
+  EXPECT_EQ(mc.queries, 0u);
+  EXPECT_EQ(sc.channel_time.ns(), mc.channel_time.ns());
+}
+
+// An empty read is free: no answer, no trace event, no metric, no window.
+TEST(ScatterOnePathTest, EmptyReadIsFree) {
+  ScopedTraceRecorder scoped;
+  ScatterRig rig(2, 3);
+  MetricsRegistry reg;
+  rig.controller_.set_metrics(&reg);
+  Controller& c = rig.controller_;
+  const SimTime t0 = rig.now_;
+
+  EXPECT_TRUE(c.get_attr_many(rig.tenant_, {}, {attr::kRxPkts}).empty());
+  std::vector<DataQuality> q{DataQuality::kFresh};
+  EXPECT_TRUE(
+      c.get_throughput_many(rig.tenant_, {}, Duration::millis(100), &q)
+          .empty());
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(c.sample_window(rig.tenant_, {}, kLossAttrs,
+                              Duration::millis(100))
+                  .empty());
+
+  EXPECT_EQ(rig.now_.ns(), t0.ns());  // no window waited out
+  EXPECT_TRUE(scoped.recorder().events_for(ElementId{"controller"}).empty());
+  const Controller::CostSnapshot cost = c.cost();
+  EXPECT_EQ(cost.queries, 0u);
+  EXPECT_EQ(cost.channel_time.ns(), 0);
+  EXPECT_EQ(reg.counter("perfsight_controller_batch_scatters_total", "").value,
+            0u);
+  EXPECT_EQ(reg.counter("perfsight_controller_batch_agents_total", "").value,
+            0u);
+  EXPECT_EQ(reg.counter("perfsight_controller_queries_total", "",
+                        "path=\"batch\"")
+                .value,
+            0u);
+  EXPECT_EQ(reg.histogram("perfsight_controller_batch_channel_seconds", "")
+                .count(),
+            0u);
 }
 
 // TSan target: concurrent get_attr_q / get_attr_many callers racing agent

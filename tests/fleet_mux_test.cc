@@ -124,7 +124,6 @@ std::string run_fleet_script(const Fleet& fleet,
         return now;
       },
       [&now] { return now; });
-  c.set_batching(true);
   const TenantId tenant{1};
   for (size_t a = 0; a < clients.size(); ++a) {
     c.register_agent(clients[a]);
@@ -231,9 +230,9 @@ TEST(FleetMuxTest, TracedFleetBatchesStayByteIdenticalAndShipServeSpans) {
   // drains exactly the serve span its own batch recorded.
   EXPECT_EQ(run_fleet_script(fleet, clients), oracle);
 
-  // A single query is a batch of one: under an active caller context (the
-  // controller's get_attr_q carries none) it records a batch serve span and
-  // piggybacks it like any traced batch.  The harvest finds nothing left.
+  // A single query is a batch of one: under an active caller context it
+  // records a batch serve span and piggybacks it like any traced batch.  The
+  // harvest finds nothing left.
   {
     ScopedTraceContext ctx(TraceContext{77, 5});
     Result<QueryResponse> r = remotes[1]->query_attrs(
@@ -253,8 +252,9 @@ TEST(FleetMuxTest, TracedFleetBatchesStayByteIdenticalAndShipServeSpans) {
       if (e.kind == TraceEventKind::kSpanServerBatch) ++batch_spans;
     }
   }
-  // One per routed batch, plus the traced query_attrs' batch of one.
-  EXPECT_EQ(batch_spans, fleet.agents.size() + 1);
+  // One per routed batch of the fan-in, one per get_attr_q of the script (a
+  // traced scatter of one), plus the traced query_attrs' batch of one.
+  EXPECT_EQ(batch_spans, fleet.agents.size() + 2 + 1);
 }
 
 // --- protocol compatibility --------------------------------------------------
@@ -363,7 +363,6 @@ TEST(FleetMuxTest, DeploymentBindsWholeRosterFromOneEndpoint) {
           return now;
         },
         [&now] { return now; });
-    c.set_batching(true);
     for (size_t a = 0; a < fleet.agents.size(); ++a) {
       c.register_agent(fleet.agents[a].get());
       for (const ElementId& id : fleet.ids_of[a]) {
