@@ -1,4 +1,4 @@
-// Socket transport round trips: what one PSB1 batch costs over loopback.
+// Socket transport round trips: what one PSB2 batch costs over loopback.
 //
 // A RemoteAgentServer wraps an in-process agent; a RemoteAgent dials it over
 // tcp (127.0.0.1) and a unix-domain socket, and we measure query_batch wall
@@ -8,6 +8,10 @@
 // single-element round trips by a wide margin (the length-chained framing
 // amortises the per-trip syscall + poll cost exactly like the controller's
 // batching amortises modelled channel time).
+//
+// A second, deterministic gate prices the batch reply on real traffic: one
+// Fig. 8 machine agent's mixed-kind query_batch (pNIC, TUNs, vNICs,
+// vswitch...), PSB2-encoded, in bytes per record.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -16,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "cluster/scenarios.h"
 #include "perfsight/agent.h"
 #include "perfsight/remote_agent.h"
 #include "perfsight/stats.h"
@@ -75,10 +80,33 @@ double sweep_seconds(RemoteAgent& remote, const std::vector<ElementId>& ids) {
       .count();
 }
 
+// PSB2 bytes per record of one Fig. 8 machine agent's full sweep, and what
+// the same batch costs with every frame carrying its attr names (each frame
+// in its standalone form).
+struct BatchBytes {
+  double per_record = 0;
+  double names_every_frame = 0;
+};
+BatchBytes fig8_batch_bytes() {
+  cluster::Fig8Scenario s;
+  s.sim().run_for(Duration::millis(100));
+  AgentClient* agent = s.deployment().controller()->agents().front();
+  const BatchResponse b =
+      agent->query_batch(agent->element_ids(), s.sim().now());
+  PS_CHECK(!b.responses.empty());
+  size_t names_every_frame = wire::kBatchHeaderSize;
+  for (const QueryResponse& r : b.responses) {
+    names_every_frame += wire::encode_frame(r).value().size();
+  }
+  const auto n = static_cast<double>(b.responses.size());
+  return {static_cast<double>(wire::encode_batch(b).value().size()) / n,
+          static_cast<double>(names_every_frame) / n};
+}
+
 }  // namespace
 
 int main() {
-  heading("PSB1 batch round trips over real sockets",
+  heading("PSB2 batch round trips over real sockets",
           "PerfSight (IMC'15) Sec. 3 distributed agents; transport layer");
   Reporter report("transport_roundtrip");
   note("%zu elements on one agent, %d sweeps per config", kElements, kSweeps);
@@ -141,6 +169,12 @@ int main() {
   // The oracle's wire rendering is a pure function of the fixed fleet, so
   // its size gates; round-trip timings are loopback wall clock, info only.
   report.gate("oracle_record_bytes", static_cast<double>(oracle.size()));
+  const BatchBytes fig8 = fig8_batch_bytes();
+  note("Fig. 8 agent batch: %.1f B/record (%.1f with names in every frame)",
+       fig8.per_record, fig8.names_every_frame);
+  report.gate("psb_bytes_per_record", fig8.per_record);
+  report.info("psb_bytes_per_record_names_every_frame",
+              fig8.names_every_frame);
   report.info("tcp_amortisation_64", amortisation);
   report.info("tcp_batch64_sweep_us", tcp_batch64_s * 1e6 / kSweeps);
 

@@ -1,5 +1,5 @@
 // Remote agents over a real socket: the controller side of PerfSight talking
-// to a per-server fleet stub through the PSB1/PSM1 wire protocol.
+// to a per-server fleet stub through the PSB2/PSM2 wire protocol.
 //
 // One process plays both roles for the demo: two Agents — the machine's edge
 // dataplane and its middlebox chain — share a single RemoteAgentServer on a

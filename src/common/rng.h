@@ -53,8 +53,9 @@ class Pcg32 {
   uint64_t inc_;
 };
 
-// FNV-1a 64-bit: the wire's frame checksum, the hello's element-set epoch,
-// the fault plan's per-name decision key and the trace span domain.
+// FNV-1a 64-bit: the fault plan's per-name decision key, the trace span
+// domain and the golden tests' digests.  Changing it would move every fault
+// decision and golden.  (Wire frames carry wire::checksum instead.)
 inline uint64_t fnv1a64(std::string_view bytes) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (char c : bytes) {

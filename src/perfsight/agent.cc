@@ -108,7 +108,7 @@ const char* to_string(BreakerState s) {
 
 Status Agent::add_element(const StatsSource* source) {
   PS_CHECK(source != nullptr);
-  // Ids travel in hellos and PSB1 frames as u16-length strings: refuse one
+  // Ids travel in hellos and PSB2 frames as u16-length strings: refuse one
   // the wire cannot carry here, where it enters, instead of failing every
   // later encode that names it.
   const std::string& name = source->id().name;

@@ -233,7 +233,7 @@ Result<QueryResponse> single_answer(const std::string& agent_name,
 
 // The query surface the controller scatters over.  In-process `Agent`
 // implements it directly, `RemoteAgent` (remote_agent.h) over a socket
-// speaking the PSB1/PSM1 wire codec, and `StreamCacheAgent` (streaming.h)
+// speaking the PSB2/PSM2 wire codec, and `StreamCacheAgent` (streaming.h)
 // from a cache of pushed windows.  The contract all three uphold, built
 // from the helpers above so it exists once:
 //   - query_batch plans the request with plan_request: one response per

@@ -54,7 +54,7 @@ const char* to_string(FaultKind k);
 
 // Trustworthiness of one returned record, reported per element by the
 // collection layer and propagated through every diagnosis verdict.
-// Enumerator values are pinned on the wire (PSB1 response quality byte), so
+// Enumerator values are pinned on the wire (PSB2 response quality byte), so
 // kReplica is appended after kMissing even though it is *less* severe;
 // worse() ranks by severity, not enumerator value.
 enum class DataQuality {

@@ -1,6 +1,8 @@
 #include "perfsight/remote_agent.h"
 
+#include <fcntl.h>
 #include <poll.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -23,8 +25,9 @@ const ElementId& transport_trace_id() {
   return kId;
 }
 
-// The event loop's poll() timeout: how promptly stop(), accept backoff
-// expiry and per-connection I/O deadlines are noticed.
+// The event loop's poll() timeout: how promptly accept backoff expiry and
+// per-connection I/O deadlines are noticed.  stop() and request_publish()
+// wake the loop at once through its wake pipe.
 constexpr int kServePollMs = 200;
 
 // Accept-error backoff bounds: a persistent accept failure (EMFILE, ...)
@@ -94,6 +97,10 @@ Status RemoteAgentServer::start() {
   }
   Result<transport::Listener> l = transport::Listener::listen(ep_);
   if (!l.ok()) return l.status();
+  if (::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
+    return Status::unavailable("remote agent server: cannot create its wake "
+                               "pipe");
+  }
   listener_ = std::move(l).take();
   ep_ = listener_.bound_endpoint();  // ephemeral tcp port resolved
   stop_ = false;
@@ -104,14 +111,31 @@ Status RemoteAgentServer::start() {
 
 void RemoteAgentServer::stop() {
   stop_ = true;
+  {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    wake_locked();
+  }
   if (thread_.joinable()) thread_.join();
   listener_.close();
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  for (int& fd : wake_fds_) {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
   running_ = false;
 }
 
 void RemoteAgentServer::request_publish(SimTime at) {
   std::lock_guard<std::mutex> lock(publish_mu_);
   pending_publishes_.push_back(at);
+  wake_locked();
+}
+
+void RemoteAgentServer::wake_locked() {
+  if (wake_fds_[1] < 0) return;
+  // A full pipe already holds a pending wake, so a failed write loses none.
+  const char byte = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
 }
 
 void RemoteAgentServer::publish_tick(
@@ -203,8 +227,14 @@ void RemoteAgentServer::serve() {
       if (c->woff < c->wbuf.size()) events |= POLLOUT;
       fds.push_back({c->sock.fd(), events, 0});
     }
+    fds.push_back({wake_fds_[0], POLLIN, 0});
     ::poll(fds.data(), fds.size(), kServePollMs);
     if (stop_) break;
+    if (fds.back().revents & POLLIN) {
+      char drain[64];
+      while (::read(wake_fds_[0], drain, sizeof drain) > 0) {
+      }
+    }
 
     // Service the existing connections first (indices still line up with
     // the pollfd set built above), then reap, then accept.
@@ -296,7 +326,7 @@ void RemoteAgentServer::serve() {
   conns.clear();  // closes every socket
 }
 
-// Parses and dispatches every complete PSM1 message buffered in c.rbuf,
+// Parses and dispatches every complete PSM2 message buffered in c.rbuf,
 // leaving any trailing partial message in place for the next read.
 // Returns false when the connection must close (framing damage or protocol
 // confusion).
@@ -304,7 +334,7 @@ bool RemoteAgentServer::drain_messages(Conn& c) {
   while (c.rbuf.size() >= wire::kMessagePrefixSize) {
     // Validate the prefix before waiting on the body: bad magic, an unknown
     // kind or an oversize length means the stream is not (or no longer)
-    // PSM1, and waiting for more bytes could never repair it.
+    // PSM2, and waiting for more bytes could never repair it.
     Result<wire::Prefix> prefix = wire::parse_message_prefix(c.rbuf);
     if (!prefix.ok()) return false;
     const size_t total = wire::kMessagePrefixSize + prefix.value().body_len;

@@ -10,7 +10,7 @@
 //   connection ever waits in the backlog behind another being served.  Each
 //   connection is a small state machine: hello queued on accept, request
 //   bytes accumulated nonblocking into a partial-read buffer until a whole
-//   PSM1 message lands, dispatch, replies drained through a per-connection
+//   PSM2 message lands, dispatch, replies drained through a per-connection
 //   write queue with deadline-bounded backpressure.  The server hosts MANY
 //   served agents: the hello advertises the roster, and every batch request
 //   and subscribe routes by the agent name it carries.
@@ -133,10 +133,9 @@ class RemoteAgentServer {
   // Captures one window at `at` for every agent with at least one subscribed
   // connection and queues the kStreamData frames on those connections' write
   // buffers.  Callable from any thread: the serve loop (which owns the
-  // connections) performs the capture + enqueue on its next tick, so a
-  // subscriber sees the frame within one poll interval.  With no subscribers
-  // the request is free — nothing is captured and not one stream byte is
-  // queued, keeping unsubscribed deployments byte-identical.  Per-agent
+  // connections), woken at once, performs the capture + enqueue.  With no
+  // subscribers the request is free — nothing is captured and not one
+  // stream byte is queued, keeping unsubscribed deployments byte-identical.  Per-agent
   // sequence numbers advance once per published window (shared by every
   // subscriber of that agent), giving clients cross-connection gap
   // detection; each connection's first frame is a full snapshot.
@@ -167,6 +166,8 @@ class RemoteAgentServer {
   };
 
   void serve();
+  // Makes the serve loop's poll() return now.  Caller holds publish_mu_.
+  void wake_locked();
   // Drains request_publish() boundaries: one capture per subscribed agent
   // per boundary, frames delta-coded per connection.  Serve thread only.
   void publish_tick(SimTime at, std::vector<std::unique_ptr<Conn>>& conns);
@@ -189,7 +190,7 @@ class RemoteAgentServer {
   std::string hello_bytes() const;
   // This server's span clock: transport::span_clock_ns() plus the test skew.
   int64_t clock_ns() const;
-  // PSM1 kTraceData message draining trace_recorder_, attributed to
+  // PSM2 kTraceData message draining trace_recorder_, attributed to
   // `process` (the routed agent's name).
   std::string trace_data_bytes(const std::string& process);
 
@@ -214,6 +215,10 @@ class RemoteAgentServer {
   std::unordered_map<std::string, uint64_t> stream_seq_;
   std::mutex publish_mu_;
   std::vector<SimTime> pending_publishes_;
+  // Self-pipe in the serve loop's poll set: stop() and request_publish()
+  // write a byte to [1] so the loop wakes without waiting out a poll tick.
+  // Open from start() to stop(); guarded by publish_mu_.
+  int wake_fds_[2] = {-1, -1};
   std::atomic<uint64_t> stream_frames_{0};
 };
 

@@ -5,7 +5,7 @@
 // Agents return element statistics in this one format regardless of the
 // element kind; the controller and every diagnostic application consume
 // only records, never element internals — that decoupling is the point of
-// the framework.  Records cross the agent→controller channel as PSB1 frames
+// the framework.  Records cross the agent→controller channel as PSB2 frames
 // (wire.h); to_text renders one in the paper's notation for logs and test
 // transcripts.
 #pragma once

@@ -74,7 +74,7 @@ class StreamPublisher {
     uint64_t seq = 0;
     bool dropped = false;  // the plan lost this frame in transit: the
                            // capture was paid, the bytes never arrive
-    std::string body;      // encoded kStreamData body (PSM1 payload)
+    std::string body;      // encoded kStreamData body (PSM2 payload)
   };
 
   // Captures the window at `at` and encodes the next frame.  Sequence

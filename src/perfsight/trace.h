@@ -46,7 +46,7 @@
 // socket-backed agents — a transport round-trip span client-side plus a
 // serve span recorded in the remote process.  The trace context (trace id +
 // parent span id) crosses threads via ScopedTraceContext and crosses
-// processes on the PSM1 request envelope (wire.h); harvested remote rings
+// processes on the PSM2 request envelope (wire.h); harvested remote rings
 // come back as RemoteLanes, exported as separate Perfetto processes with a
 // clock-offset correction negotiated in the hello handshake.
 #pragma once
@@ -131,7 +131,7 @@ struct TraceEvent {
 // The causal context a span-recording site inherits: which trace it belongs
 // to and which span caused it.  Propagated across pool threads with
 // ScopedTraceContext (thread-local, so each fan-out worker carries its own)
-// and across processes on the PSM1 request envelope.
+// and across processes on the PSM2 request envelope.
 
 struct TraceContext {
   uint64_t trace_id = 0;  // 0 = no active trace: record no spans

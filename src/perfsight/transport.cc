@@ -461,7 +461,7 @@ BatchReadResult read_batch(Socket& s, WallDuration deadline) {
   }
   wire::DecodeStats header;
   if (!wire::parse_batch_header(out.bytes, &header).ok()) {
-    out.status = Status::invalid_argument("transport: stream is not a PSB1 batch");
+    out.status = Status::invalid_argument("transport: stream is not a PSB2 batch");
     return out;
   }
 
@@ -501,7 +501,7 @@ Result<wire::Message> read_message(Socket& s, WallDuration deadline) {
   if (!st.is_ok()) return st;
   Result<wire::Prefix> prefix = wire::parse_message_prefix(bytes);
   if (!prefix.ok()) {
-    return Status::invalid_argument("transport: stream is not a PSM1 message");
+    return Status::invalid_argument("transport: stream is not a PSM2 message");
   }
   st = s.recv_exact_until(prefix.value().body_len, &bytes, until);
   if (!st.is_ok()) return st;

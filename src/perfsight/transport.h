@@ -1,4 +1,4 @@
-// Socket transport for the PSB1/PSM1 wire codec (ROADMAP: "Real sockets
+// Socket transport for the PSB2/PSM2 wire codec (ROADMAP: "Real sockets
 // under the wire codec").
 //
 // This is the first layer where PerfSight's bytes cross a process boundary:
@@ -10,7 +10,7 @@
 //   - Deadlines on every blocking call.  The collection runtime owns its
 //     sweep budget; a wedged peer must cost a bounded wall-clock wait, not a
 //     hung controller.  recv/send/accept/connect all poll() with a deadline
-//     and report kDeadlineExceeded on expiry.  Multi-step reads (the PSB1
+//     and report kDeadlineExceeded on expiry.  Multi-step reads (the PSB2
 //     length-chain walk) thread ONE absolute deadline through every step, so
 //     a trickling peer costs at most one configured deadline of wall clock —
 //     never frames × deadline.
@@ -20,10 +20,10 @@
 //     half-received sweep.
 //   - Few syscalls per reply.  A Socket reads into its own receive buffer
 //     (up to kRecvBufferSize per recv) and serves recv_exact from it, so a
-//     PSB1 batch of small frames costs one recv per 64 KiB, not two polls
+//     PSB2 batch of small frames costs one recv per 64 KiB, not two polls
 //     and two recvs per frame.  Bytes past what a read asked for stay
 //     buffered for the next read on the same Socket.
-//   - Length-chain-aware reads.  read_batch walks the PSB1 structure (header
+//   - Length-chain-aware reads.  read_batch walks the PSB2 structure (header
 //     frame-count, per-frame payload_len) with wire's prefix parsers, so a
 //     corrupted length prefix caps out at kMaxPayload and never makes the
 //     reader trust a multi-gigabyte allocation.
@@ -170,7 +170,7 @@ class Listener {
 // the peer's backlog is full or the host is black-holing SYNs).
 Result<Socket> connect(const Endpoint& ep, WallDuration deadline);
 
-// What a stream read of one PSB1 batch yielded.  `bytes` always holds
+// What a stream read of one PSB2 batch yielded.  `bytes` always holds
 // everything that arrived — on a clean read the whole batch, on a torn one
 // the surviving prefix (which wire::decode_batch turns into verified frames
 // and wire::reconcile turns into kMissing blind spots).
@@ -180,7 +180,7 @@ struct BatchReadResult {
   bool clean() const { return status.is_ok(); }
 };
 
-// Reads one PSB1 batch off the stream by walking its length chain: the
+// Reads one PSB2 batch off the stream by walking its length chain: the
 // 20-byte header yields the frame count; each frame's 12-byte prefix yields
 // its payload length.  `deadline` is the budget for the WHOLE batch — one
 // absolute deadline threads through every header/prefix/payload step, so a
@@ -190,7 +190,7 @@ struct BatchReadResult {
 // returned for reconciliation.
 BatchReadResult read_batch(Socket& s, WallDuration deadline);
 
-// Reads and decodes one PSM1 control message (17-byte prefix, then body).
+// Reads and decodes one PSM2 control message (17-byte prefix, then body).
 // `deadline` covers prefix + body together (one absolute budget, like
 // read_batch).  kDeadlineExceeded / kUnavailable on transport failure,
 // kInvalidArgument on a malformed envelope or a body that fails its

@@ -10,21 +10,50 @@
 // Stream layout (all integers little-endian):
 //
 //   batch  := header frame*
-//   header := u32 magic ("PSB1") | u32 frame_count | u64 channel_time_ns |
+//   header := u32 magic ("PSB2") | u32 frame_count | u64 channel_time_ns |
 //             u32 unknown_ids
-//   frame  := u32 payload_len | u64 fnv1a64(payload) | payload
-//   payload:= record | u16 attr_count | { u16-str name | f64 value }*
+//   frame  := u32 payload_len | u64 checksum(payload) | payload
+//   payload:= record | u16 attr_field | attrs
 //   record := i64 timestamp_ns | u8 quality | u8 fail_code | u32 attempts |
 //             i64 response_time_ns | u16-str element
 //   u16-str:= u16 len | bytes
 //
 // The record header is shared with push-mode stream records (below).
 //
+// Schema table.  Records of one kind name the same attrs in the same
+// order, and an agent's batch (sorted by element id) interleaves a few
+// kinds, so each batch keeps a table of the attr-name lists its frames
+// carried.  With bit 15 of attr_field clear, the field is the attr count
+// (at most kMaxAttrs) and the frame carries its names,
+//
+//   attrs  := { u16-str name | f64 value }*
+//
+// which appends that name list to the table.  With bit 15 set, the low 15
+// bits index the table and the frame carries its values alone, one f64 per
+// name of that entry, in order:
+//
+//   attrs  := f64 value*
+//
+// The encoder finds an earlier entry by hashing the name list and confirms
+// it by comparing the names.  A standalone frame (encode_frame) always
+// carries its names; decode_frame refuses a reference, and decode_batch
+// refuses a reference to an entry not yet defined or a frame whose value
+// count differs from its entry's name count.
+//
+// Integrity check.  checksum() is a 64-bit check that folds eight bytes
+// per multiply step (a bijection of the running state, so a change of any
+// one word always changes the result), then mixes the state once more.  It
+// guards every frame and every message body.
+//
 // Control messages (the requests, the connect-time hello and trace data)
 // travel in a separate checksummed envelope:
 //
-//   message := u32 magic ("PSM1") | u8 kind | u32 body_len |
-//              u64 fnv1a64(body) | body
+//   message := u32 magic ("PSM2") | u8 kind | u32 body_len |
+//              u64 checksum(body) | body
+//
+// The magics name the layout: a peer speaking the earlier PSB1/PSM1 (names
+// in every frame, FNV-1a checks) is refused as "bad magic", not as a
+// checksum mismatch.
 //
 // There are no error replies: a failed element query travels inside the
 // batch reply as a blind spot, from which the client rebuilds its Status.
@@ -32,14 +61,15 @@
 // Damage contract (what the property/fuzz suite locks down): decoding
 // arbitrary bytes never crashes and never yields a silently wrong record.
 // Every frame is guarded by a checksum over its payload; a frame that fails
-// the checksum — or whose length prefix runs past the buffer — poisons the
-// remainder of the stream (the length chain is untrustworthy past it), so
-// the decoder stops and reports how much survived.  Callers map the damage
-// to DataQuality with reconcile(): every element they asked for comes back,
+// the checksum, whose length prefix runs past the buffer, or that names a
+// schema it cannot use, poisons the remainder of the stream (the length
+// chain and the schema table are untrustworthy past it), so the decoder
+// stops and reports how much survived.  Callers map the damage to
+// DataQuality with reconcile(): every element they asked for comes back,
 // lost ones as kMissing blind spots.
 //
 // The encode side upholds the mirror contract: input that cannot travel
-// losslessly (names longer than a u16, more than 65535 attrs, a payload
+// losslessly (names longer than a u16, more than kMaxAttrs attrs, a payload
 // past the structural cap) is *rejected* with a Status — never clamped to
 // fit.  A frame that encodes always decodes back byte-identical.
 #pragma once
@@ -51,14 +81,13 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/rng.h"
 #include "common/status.h"
 #include "perfsight/agent.h"
 #include "perfsight/trace.h"
 
 namespace perfsight::wire {
 
-inline constexpr uint32_t kMagic = 0x31425350;  // "PSB1"
+inline constexpr uint32_t kMagic = 0x32425350;  // "PSB2"
 
 // Structural sizes the stream transport's length-chain reader walks.
 inline constexpr size_t kBatchHeaderSize = 4 + 4 + 8 + 4;
@@ -68,16 +97,23 @@ inline constexpr size_t kMessagePrefixSize = 4 + 1 + 4 + 8;
 // not data: it caps what a corrupted length prefix can make a reader trust.
 inline constexpr uint32_t kMaxPayload = 1u << 24;
 
-// FNV-1a 64-bit (common/rng.h), the frame integrity check.
-using perfsight::fnv1a64;
+// The most attrs one frame or stream record carries: bit 15 of the count
+// field is the schema bit.
+inline constexpr size_t kMaxAttrs = 0x7fff;
 
-// One element response as a self-delimiting frame.  Fails (instead of
-// truncating) when a name exceeds 64 KiB, the record has more than 65535
-// attrs, or the payload would exceed kMaxPayload — a successful encode is
-// guaranteed to decode back byte-identical.
+// The integrity check of every PSB2 frame and PSM2 message body.
+uint64_t checksum(std::string_view bytes);
+
+// One element response as a self-delimiting frame that carries its attr
+// names.  Fails (instead of truncating) when a name exceeds 64 KiB, the
+// record has more than kMaxAttrs attrs, or the payload would exceed
+// kMaxPayload — a successful encode is guaranteed to decode back
+// byte-identical.
 Result<std::string> encode_frame(const QueryResponse& r);
-// Header plus one frame per response, in the batch's (element-id) order.
-// Fails if any response is unencodable; never emits a shrunken batch.
+// Header plus one frame per response, in the batch's (element-id) order;
+// a frame whose attr names an earlier frame carried refers to that schema
+// table entry instead.  Fails if any response is unencodable; never emits
+// a shrunken batch.
 Result<std::string> encode_batch(const BatchResponse& b);
 
 // What the decoder saw, beyond the records themselves.
@@ -87,6 +123,9 @@ struct DecodeStats {
   bool truncated = false;      // stream ended mid-frame (or before count)
   bool corrupt = false;        // checksum/structure failure; decoding stopped
   size_t trailing_bytes = 0;   // bytes left after the last expected frame
+  // Why decoding stopped: the refusal text of the frame that failed, or
+  // empty when none did.
+  std::string damage;
 
   bool complete() const {
     return !truncated && !corrupt && frames_ok == frames_expected &&
@@ -96,7 +135,8 @@ struct DecodeStats {
 
 // Decodes the frame at the head of `bytes`; `*consumed` receives how many
 // bytes the frame occupied.  Fails (without crashing) on truncation,
-// checksum mismatch, or structural damage.
+// checksum mismatch, structural damage, or a reference to a batch schema
+// table (a frame outside its batch cannot resolve one).
 Result<QueryResponse> decode_frame(std::string_view bytes, size_t* consumed);
 
 // Decodes a whole batch.  Only a bad header is a hard error; damaged frames
@@ -115,8 +155,8 @@ BatchResponse reconcile(const std::vector<ElementId>& sorted_ids,
                         const BatchResponse& decoded, SimTime now);
 
 // --- transport control messages ---------------------------------------------
-// Everything except batch responses (which stream as raw PSB1 above) rides
-// the PSM1 envelope.  Bodies are checksummed; decoders are total functions
+// Everything except batch responses (which stream as raw PSB2 above) rides
+// the PSM2 envelope.  Bodies are checksummed; decoders are total functions
 // over arbitrary bytes.
 
 // Kinds 3 to 6 are retired: a server closes a connection that sends one.
@@ -145,7 +185,7 @@ struct Message {
   std::string body;
 };
 
-// Wraps `body` in the PSM1 envelope.
+// Wraps `body` in the PSM2 envelope.
 std::string encode_message(MessageKind kind, std::string_view body);
 // Decodes the message at the head of `bytes`; `*consumed` receives its full
 // size.  Fails on truncation, bad magic/kind, oversize body, or checksum
@@ -161,16 +201,16 @@ Result<Message> decode_message(std::string_view bytes,
 // Status text of the matching decoder, on a short input, a bad magic or
 // kind, or a length past kMaxPayload (no later bytes could make that whole).
 
-// PSB1 batch header (always at the head of the stream): an empty batch
+// PSB2 batch header (always at the head of the stream): an empty batch
 // carrying the header's channel time and unknown-id count, with the frame
 // count in `stats->frames_expected`.
 Result<BatchResponse> parse_batch_header(std::string_view bytes,
                                          DecodeStats* stats);
 
-// A PSB1 frame prefix or PSM1 message prefix: the length and checksum of
+// A PSB2 frame prefix or PSM2 message prefix: the length and checksum of
 // the body behind it (and, for a message, its kind).
 struct Prefix {
-  MessageKind kind = MessageKind::kHello;  // PSM1 messages only
+  MessageKind kind = MessageKind::kHello;  // PSM2 messages only
   uint32_t body_len = 0;
   uint64_t checksum = 0;
 };
@@ -283,7 +323,7 @@ Result<SubscribeMsg> decode_subscribe(std::string_view body);
 //
 //   body   := u16-str agent | u64 seq | i64 window_start_ns |
 //             i64 channel_time_ns | u32 record_count | srecord*
-//   srecord:= record (as in PSB1 payloads) | u16 attr_count |
+//   srecord:= record (as in PSB2 payloads) | u16 attr_count |
 //             { u8 mode [| u16-str name] [| payload] }*
 //
 // attr_count bit 15 is the schema-elision bit (names omitted, inherited in

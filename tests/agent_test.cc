@@ -138,7 +138,7 @@ TEST(AgentTest, CachedQueryServesWithinMaxAge) {
   EXPECT_EQ(agent.cache_hits(), 1u);
 }
 
-// An agent's batch crosses the wire as one PSB1 stream and decodes back
+// An agent's batch crosses the wire as one PSB2 stream and decodes back
 // record for record.
 TEST(WireBatchTest, RoundTripsMultipleRecords) {
   Agent agent("a0");

@@ -155,7 +155,7 @@ TEST_P(WireRoundTrip, RandomRecordsSurvive) {
     EXPECT_EQ(back.element, r.element);
     EXPECT_EQ(back.timestamp.ns(), r.timestamp.ns());
     ASSERT_EQ(back.attrs.size(), r.attrs.size());
-    // The PSB1 frame carries IEEE-754 bits: values survive exactly.
+    // The PSB2 frame carries IEEE-754 bits: values survive exactly.
     for (size_t a = 0; a < r.attrs.size(); ++a) {
       EXPECT_EQ(back.attrs[a].name, r.attrs[a].name);
       EXPECT_EQ(back.attrs[a].value, r.attrs[a].value);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cluster/scenarios.h"
+#include "common/rng.h"
 #include "perfsight/inband.h"
 #include "perfsight/stats.h"
 #include "perfsight/streaming.h"
@@ -93,7 +94,7 @@ std::string fig8_transcript() {
     }
     out += "window " + std::to_string(w.ns()) + " flights=" +
            std::to_string(flights) + " records=" + std::to_string(records) +
-           " digest=" + hex(wire::fnv1a64(text)) + "\n";
+           " digest=" + hex(fnv1a64(text)) + "\n";
     if (std::find(std::begin(full_text), std::end(full_text), w) !=
         std::end(full_text)) {
       out += text;

@@ -53,7 +53,7 @@ TEST(WireFormatTest, SerializesPaperFormat) {
   EXPECT_EQ(to_text(r), "<1234000, eth0, (Rx bytes, 100), (Tx bytes, 200)>");
 }
 
-// Records cross the agent→controller channel as PSB1 frames: every field
+// Records cross the agent→controller channel as PSB2 frames: every field
 // survives bit-exactly, non-integral values included.
 TEST(WireFormatTest, RoundTrips) {
   QueryResponse q;

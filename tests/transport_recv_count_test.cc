@@ -1,4 +1,4 @@
-// Syscall budget of the batch reader: a PSB1 batch of many small frames,
+// Syscall budget of the batch reader: a PSB2 batch of many small frames,
 // already queued in the kernel, must be read in a handful of recv calls —
 // one per receive-buffer fill — not two per frame.
 //
@@ -38,7 +38,7 @@ void append_le(std::string* s, uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i) s->push_back(static_cast<char>(v >> (8 * i)));
 }
 
-// A structurally valid PSB1 batch; read_batch only walks the length chain,
+// A structurally valid PSB2 batch; read_batch only walks the length chain,
 // so the checksums need not verify.
 std::string synthetic_batch(uint32_t frames, uint32_t payload) {
   std::string b;

@@ -1080,7 +1080,7 @@ void append_u64(std::string* s, uint64_t v) {
   for (int i = 0; i < 8; ++i) s->push_back(static_cast<char>(v >> (8 * i)));
 }
 
-// A structurally valid PSB1 batch of `frames` frames, `payload` bytes each.
+// A structurally valid PSB2 batch of `frames` frames, `payload` bytes each.
 // read_batch only walks the length chain, so checksums need not verify.
 std::string synthetic_batch(uint32_t frames, uint32_t payload) {
   std::string b;
@@ -1199,7 +1199,7 @@ TEST(TransportDeadlineTest, SendAllHonorsDeadlineAgainstAStalledPeer) {
 
 // --- the socket receive buffer ----------------------------------------------
 
-// A traced batch reply is a PSB1 batch with a PSM1 trace-data message right
+// A traced batch reply is a PSB2 batch with a PSM2 trace-data message right
 // behind it, and one recv can pull both into the buffer: read_batch must
 // hand back exactly the batch and leave the message for read_message.
 TEST(SocketBufferTest, BatchThenMessageInOneSendSplitCleanly) {
