@@ -1,5 +1,5 @@
 // Frozen transcripts of the collection paths.  Every agent query surface
-// (single query, projection, cached fetch, batch, poll sweep) and every
+// (single query, projection, batch, poll sweep) and every
 // Fig. 6 controller utility, single-element and `_many`, is driven through a
 // seeded fault campaign with the flight recorder on.  The rendered transcript
 // is compared byte for byte against a golden file checked in beside this
@@ -121,8 +121,7 @@ std::string fmt_state(const Agent& a) {
                   " opened=" + std::to_string(f.breaker_opened) +
                   " closed=" + std::to_string(f.breaker_closed) +
                   " fastfail=" + std::to_string(f.breaker_fast_fails) +
-                  " crashes=" + std::to_string(f.crashes) +
-                  " hits=" + std::to_string(a.cache_hits()) + " breakers=";
+                  " crashes=" + std::to_string(f.crashes) + " breakers=";
   for (size_t k = 0; k < kNumChannelKinds; ++k) {
     s += std::string(k ? "," : "") +
          to_string(a.breaker_state(static_cast<ChannelKind>(k)));
@@ -152,7 +151,7 @@ std::string fmt_trace(const TraceRecorder& rec) {
 // The faulty fleet both transcripts run over: a0 under a mixed Bernoulli
 // plan with two crashes and one channel kind that always fails (so its
 // breaker opens, fast-fails, and half-opens); a1 under a scheduled outage
-// with an adaptive budget and a latency override.
+// and a latency override.
 struct Fleet {
   Fleet() : a0("a0", 7), a1("a1", 11), plan(5) {
     s0 = make_sources("m0", 12);
@@ -189,7 +188,6 @@ struct Fleet {
       a->set_fault_plan(&plan);
       a->set_retry_policy(retry);
     }
-    a1.set_adaptive_budget(true);
     a1.set_latency(ChannelKind::kProcFs,
                    {Duration::micros(700), Duration::micros(300)});
   }
@@ -224,16 +222,13 @@ std::string agent_transcript() {
                                 {attr::kDropPkts, "nope", attr::kRxPkts},
                                 now)) +
            "\n";
-    out += "cached " +
-           fmt(f.a0.query_cached(f.id0(2), now, Duration::millis(6))) + "\n";
-    out += "cached " +
-           fmt(f.a0.query_cached(f.id0(5), now, Duration::millis(6))) + "\n";
     out += fmt(f.a0.query_batch(batch_ids, now, round % 2 ? &pool : nullptr));
     out += "poll\n";
-    for (const QueryResponse& r :
-         f.a0.poll_all(now, round % 3 ? &pool : nullptr)) {
+    for (const QueryResponse& r : f.a0.poll_all(now)) {
       out += "  " + fmt(r) + "\n";
     }
+    out += "sweep " + fmt(f.a0.query_batch(f.a0.element_ids(), now,
+                                           round % 3 ? &pool : nullptr));
     out += "query " + fmt(f.a1.query(f.id1(round % 4), now)) + "\n";
     out += fmt(f.a1.query_batch(all1, now));
     out += "poll1\n";
