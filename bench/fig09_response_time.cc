@@ -5,7 +5,9 @@
 // everything else (QEMU log, backlog /proc, middlebox socket, OVS channel)
 // completes within 500 us; the agent↔controller RTT is similar.  The
 // channel latency models are calibrated to those numbers; this bench
-// queries each channel kind 1000 times and reports the distribution.
+// queries each channel kind 1000 times and reports the distribution.  The
+// modelled response times are seeded, so BENCH_fig09_response_time.json
+// gates each channel's min/mean/max.
 #include <algorithm>
 #include <vector>
 
@@ -64,26 +66,37 @@ int main() {
   Agent agent("agent-m0", /*seed=*/7);
   struct Probe {
     const char* label;
+    const char* key;  // BENCH json metric prefix
     StubSource src;
   };
   std::vector<Probe> probes;
-  probes.push_back({"Agent-Qemu", {"m0/vm0/qemu-io", ChannelKind::kQemuLog}});
-  probes.push_back({"Agent-Backlog", {"m0/pcpu-backlog", ChannelKind::kProcFs}});
-  probes.push_back({"Agent-VM", {"m0/vm0/app", ChannelKind::kMbSocket}});
-  probes.push_back({"Agent-pNIC", {"m0/pnic", ChannelKind::kNetDeviceFile}});
-  probes.push_back({"Agent-TUN", {"m0/vm0/tun", ChannelKind::kNetDeviceFile}});
-  probes.push_back({"Agent-vSwitch", {"m0/vswitch", ChannelKind::kOvsChannel}});
+  probes.push_back(
+      {"Agent-Qemu", "qemu", {"m0/vm0/qemu-io", ChannelKind::kQemuLog}});
+  probes.push_back(
+      {"Agent-Backlog", "backlog", {"m0/pcpu-backlog", ChannelKind::kProcFs}});
+  probes.push_back({"Agent-VM", "vm", {"m0/vm0/app", ChannelKind::kMbSocket}});
+  probes.push_back(
+      {"Agent-pNIC", "pnic", {"m0/pnic", ChannelKind::kNetDeviceFile}});
+  probes.push_back(
+      {"Agent-TUN", "tun", {"m0/vm0/tun", ChannelKind::kNetDeviceFile}});
+  probes.push_back(
+      {"Agent-vSwitch", "vswitch", {"m0/vswitch", ChannelKind::kOvsChannel}});
   for (Probe& p : probes) {
     Status st = agent.add_element(&p.src);
     PS_CHECK(st.is_ok());
   }
 
+  Reporter report("fig09_response_time");
   row({"channel", "min(us)", "mean(us)", "max(us)"});
   double netdev_mean = 0, other_max = 0;
   for (Probe& p : probes) {
     Stats s = measure(agent, p.src.id(), 1000);
     row({p.label, fmt("%.0f", s.min_us), fmt("%.0f", s.mean_us),
          fmt("%.0f", s.max_us)});
+    const std::string key = p.key;
+    report.gate(key + "_min_us", s.min_us);
+    report.gate(key + "_mean_us", s.mean_us);
+    report.gate(key + "_max_us", s.max_us);
     if (p.src.channel_kind() == ChannelKind::kNetDeviceFile) {
       netdev_mean = s.mean_us;
     } else {
