@@ -72,7 +72,6 @@ class Deployment {
     if (fault_plan_ != nullptr) a->set_fault_plan(fault_plan_);
     a->set_retry_policy(retry_);
     a->set_breaker_config(breaker_);
-    a->set_adaptive_budget(adaptive_);
     return a;
   }
 
@@ -147,13 +146,6 @@ class Deployment {
   void set_breaker_config(CircuitBreakerConfig c) {
     breaker_ = c;
     for (auto& a : agents_) a->set_breaker_config(c);
-  }
-  // Adaptive retry budgets (observed per-kind p99 × max attempts) on every
-  // in-process agent, current and future.  Off by default; the fixed-budget
-  // path is byte-identical when disabled.
-  void set_adaptive_budget(bool on) {
-    adaptive_ = on;
-    for (auto& a : agents_) a->set_adaptive_budget(on);
   }
   // Adopts PERFSIGHT_FAULTS from the environment (CI fault matrix; scenario
   // binaries call this so operators can rerun any scenario under faults).
@@ -280,7 +272,6 @@ class Deployment {
   std::optional<FaultPlan> env_plan_;
   RetryPolicy retry_;
   CircuitBreakerConfig breaker_;
-  bool adaptive_ = false;
 };
 
 }  // namespace perfsight::cluster

@@ -11,17 +11,15 @@
 // behaviour can be studied in simulated time.
 //
 // Collection runtime (this layer's concurrency contract): the agent is
-// safe to use from multiple threads — registry/cache/RNG/histogram state is
-// guarded by one internal mutex, cache_hits_ is a relaxed atomic.  Every
-// query surface (query, query_attrs, query_cached, query_batch, poll_all)
-// runs through one collection core: plan in element-id order under the lock
-// (crash absorption, channel jitter, fault decisions, retry chains), fan the
-// element collect() calls out over an optional ThreadPool, then merge
-// self-profiling and trace events sequentially.  The surfaces differ only in
-// which elements they name and how channel time is billed — one shared
-// round trip per channel kind (query_batch, and query_attrs over it) or one
-// trip per element (query and the poll sweep) — so their output is
-// byte-identical at any pool size and the paths cannot drift apart.
+// safe to use from multiple threads — registry/RNG/histogram state is
+// guarded by one internal mutex.  query_batch is the one collection core:
+// plan in element-id order under the lock (crash absorption, one shared
+// round trip per channel kind, fault decisions, retry chains billed on
+// top), fan the element collect() calls out over an optional ThreadPool,
+// then merge self-profiling and trace events sequentially, so its output is
+// byte-identical at any pool size.  Every other surface is batches of one:
+// query and query_attrs read one id, and the poll sweep reads each id in
+// turn, so each element still pays its own trip (Figs. 9 and 16).
 // Element objects are not owned: a remove_element racing an in-flight poll
 // only deregisters the element — the poll may still observe it once, and
 // the caller must keep the StatsSource alive until in-flight polls drain.
@@ -42,7 +40,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <iterator>
 #include <mutex>
 #include <string>
@@ -322,33 +319,24 @@ class Agent : public AgentClient {
   }
   std::vector<ElementId> element_ids() const override;
 
-  // Fetches all counters of one element, billed its own channel trip
-  // (Fig. 9).
-  Result<QueryResponse> query(const ElementId& id, SimTime now);
-
-  // Cached fetch: reuses the last record if it is no older than `max_age`,
-  // saving the channel round trip (response_time 0 on a hit).  No
-  // diagnosis path calls it (the controller reads through query_batch
-  // only); the agent tests exercise it.
-  Result<QueryResponse> query_cached(const ElementId& id, SimTime now,
-                                     Duration max_age);
-  uint64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
+  // Fetches all counters of one element: a batch of one, so the element
+  // pays its own channel trip (Fig. 9).
+  Result<QueryResponse> query(const ElementId& id, SimTime now) {
+    return single_answer(name_, id, query_batch({id}, now));
   }
 
   // Batched fetch: one channel round trip amortized across every requested
   // element sharing a channel kind (a real agent reads one /proc file and
-  // parses many counters out of it).  With a parallel `pool`, collect()
-  // calls fan out across workers; output is byte-identical to the pool-less
-  // call.
+  // parses many counters out of it); retries pay their own trips on top.
+  // With a parallel `pool`, collect() calls fan out across workers; output
+  // is byte-identical to the pool-less call.
   BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
                             ThreadPool* pool = nullptr) override;
 
   // Fetches every element on this server (one poll sweep, Fig. 16
-  // workload); per-element channel cost.  With a parallel `pool` the
-  // collect() calls fan out; jitter is pre-drawn in element-id order and
-  // results merge by id, so output is byte-identical at any pool size.
-  std::vector<QueryResponse> poll_all(SimTime now, ThreadPool* pool = nullptr);
+  // workload): one batch of one per element, in ascending id order, so
+  // each element pays its own channel trip.
+  std::vector<QueryResponse> poll_all(SimTime now);
 
   // Overrides the latency model for a channel kind (tests / calibration).
   void set_latency(ChannelKind kind, ChannelLatencyModel m) {
@@ -372,15 +360,6 @@ class Agent : public AgentClient {
     std::lock_guard<std::mutex> lock(mu_);
     breaker_cfg_ = c;
   }
-  // Adaptive per-element budgets: derive the retry budget from the observed
-  // per-kind channel-latency p99 (× max attempts) instead of the fixed
-  // element_budget constant, clamped to the configured budget (the sweep
-  // deadline) when one is set.  Off by default; the fixed-constant path is
-  // byte-identical when disabled.
-  void set_adaptive_budget(bool on) {
-    std::lock_guard<std::mutex> lock(mu_);
-    adaptive_budget_ = on;
-  }
   BreakerState breaker_state(ChannelKind kind) const {
     std::lock_guard<std::mutex> lock(mu_);
     return breakers_[static_cast<size_t>(kind)].state();
@@ -392,18 +371,13 @@ class Agent : public AgentClient {
 
   // Self-profiling: distribution of modelled channel delays this agent has
   // paid, per channel kind (the live Fig. 9 data).  Always on; one observe
-  // per channel round trip.  Read when no poll is in flight.
+  // per batch for each kind's shared first trip — retries are not
+  // observed.  Read when no poll is in flight.
   const LatencyHistogram& channel_latency(ChannelKind kind) const {
     return channel_hist_[static_cast<size_t>(kind)];
   }
 
  private:
-  // How a collection bills channel time: every element pays its own round
-  // trip (query, a poll sweep), or one round trip per channel kind
-  // present is shared by all the kind's elements (a batch — a real agent
-  // reads one /proc file and parses many counters out of it).
-  enum class Billing { kTripPerElement, kSharedTripPerKind };
-
   struct PlannedQuery {
     ElementId id;
     const StatsSource* source = nullptr;
@@ -431,20 +405,20 @@ class Agent : public AgentClient {
   };
 
   Duration channel_delay_locked(ChannelKind kind);
-  // Consumes crashes the plan scheduled since the last query: caches are
-  // lost, every element's counters restart from zero on its next collect.
+  // Consumes crashes the plan scheduled since the last query: last-good
+  // records are lost, every element's counters restart from zero on its
+  // next collect.
   void absorb_crashes_locked(SimTime now, std::vector<PendingTrace>* traces);
   // Models the full retry chain of one element query: fault decisions,
   // channel delays, backoff, budget clamp, breaker bookkeeping.  Must run
-  // with mu_ held, pre-fan-out, in element-id order.  When `shared_first`
-  // is set the first attempt rides a batch's per-kind round trip instead of
-  // drawing its own delay.  When `agent_down` is set (a scheduled campaign
+  // with mu_ held, pre-fan-out, in element-id order.  The first attempt
+  // rides the batch's `first_trip` for the element's kind; retries draw
+  // their own delays.  When `agent_down` is set (a scheduled campaign
   // window covers `now`), every attempt fails unavailable without
   // consulting the Bernoulli draw — delays, backoff and breakers behave as
-  // for real transient failures, so outcomes match in every query path.
-  void plan_outcome_locked(PlannedQuery& q, SimTime now, bool shared_first,
-                           Duration shared_delay, bool agent_down,
-                           std::vector<PendingTrace>* traces);
+  // for real transient failures.
+  void plan_outcome_locked(PlannedQuery& q, SimTime now, Duration first_trip,
+                           bool agent_down, std::vector<PendingTrace>* traces);
   // Post-collect bookkeeping in fault mode: applies crash counter resets
   // and (when the plan can serve stale reads) refreshes the last-good
   // record.  Callers skip it entirely when neither applies, so an inert
@@ -452,25 +426,18 @@ class Agent : public AgentClient {
   void apply_fault_bookkeeping(const ElementId& id, StatsRecord& record,
                                bool track_last_good);
   void emit_pending(const std::vector<PendingTrace>& traces);
-  // The collection core every query surface runs through: `ids` (null =
-  // every registered element; unknown ids are counted, duplicates kept) are
-  // planned in element-id order, collected over `pool`, and merged.
-  BatchResponse collect(const std::vector<ElementId>* ids, SimTime now,
-                        ThreadPool* pool, Billing billing);
-  // A shared-billing collection's flight-recorder events: one issued /
-  // completed pair (and, under an active trace context, one channel-trip
-  // span) per kind paid, plus the degraded-batch marker.
+  // A batch's flight-recorder events: one issued / completed pair (and,
+  // under an active trace context, one channel-trip span) per kind paid,
+  // plus the degraded-batch marker.
   void trace_batch(const std::vector<PlannedQuery>& plan,
                    const std::array<bool, kNumChannelKinds>& kind_used,
                    const std::array<Duration, kNumChannelKinds>& kind_delay,
                    const BatchResponse& batch, SimTime now);
 
   std::string name_;
-  mutable std::mutex mu_;  // guards rng_, sources_, cache_, overrides, hists
+  mutable std::mutex mu_;  // guards rng_, sources_, overrides, hists
   Pcg32 rng_;
   std::unordered_map<ElementId, const StatsSource*> sources_;
-  std::unordered_map<ElementId, QueryResponse> cache_;
-  std::atomic<uint64_t> cache_hits_{0};
   std::array<ChannelLatencyModel, kNumChannelKinds> latency_override_ = {};
   std::array<bool, kNumChannelKinds> has_override_ = {};
   std::array<LatencyHistogram, kNumChannelKinds> channel_hist_ = {};
@@ -478,7 +445,6 @@ class Agent : public AgentClient {
   // last-good records for stale serving, crash reset bookkeeping, tallies.
   const FaultPlan* plan_ = nullptr;
   RetryPolicy retry_;
-  bool adaptive_budget_ = false;
   CircuitBreakerConfig breaker_cfg_;
   std::array<CircuitBreaker<SimTime>, kNumChannelKinds> breakers_ = {};
   std::unordered_map<ElementId, StatsRecord> last_good_;

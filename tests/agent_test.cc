@@ -108,36 +108,6 @@ TEST(AgentTest, PollAllCoversEveryElement) {
 }
 
 
-TEST(AgentTest, CachedQueryServesWithinMaxAge) {
-  Agent agent("a0");
-  FakeSource s("e", ChannelKind::kNetDeviceFile);
-  s.attrs = {{"rxPkts", 1}};
-  ASSERT_TRUE(agent.add_element(&s).is_ok());
-
-  auto first = agent.query_cached(ElementId{"e"}, SimTime::millis(0),
-                                  Duration::millis(100));
-  ASSERT_TRUE(first.ok());
-  EXPECT_GT(first.value().response_time.us(), 0);
-  EXPECT_EQ(agent.cache_hits(), 0u);
-
-  // The element's counters move, but a fresh-enough cache entry is served
-  // without touching the channel.
-  s.attrs[0].value = 2;
-  auto hit = agent.query_cached(ElementId{"e"}, SimTime::millis(50),
-                                Duration::millis(100));
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(hit.value().record.get("rxPkts"), 1.0);
-  EXPECT_EQ(hit.value().response_time.ns(), 0);
-  EXPECT_EQ(agent.cache_hits(), 1u);
-
-  // Past max_age the channel is used again.
-  auto refetch = agent.query_cached(ElementId{"e"}, SimTime::millis(200),
-                                    Duration::millis(100));
-  ASSERT_TRUE(refetch.ok());
-  EXPECT_EQ(refetch.value().record.get("rxPkts"), 2.0);
-  EXPECT_EQ(agent.cache_hits(), 1u);
-}
-
 // An agent's batch crosses the wire as one PSB2 stream and decodes back
 // record for record.
 TEST(WireBatchTest, RoundTripsMultipleRecords) {

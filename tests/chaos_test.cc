@@ -3,8 +3,7 @@
 // rolling-upgrade differential gate (pooled scatter byte-identical to the
 // sequential oracle while agents go down and come back), reconnect-aware
 // hello diffing (departed / added element sets), controller
-// quorum reads over mirrored elements, adaptive retry budgets, and a churn
-// variant for TSan.  ChaosMatrixTest is the CI chaos-matrix entry point.
+// quorum reads over mirrored elements, and a churn variant for TSan.  ChaosMatrixTest is the CI chaos-matrix entry point.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -902,105 +901,6 @@ TEST(ReconnectDiffTest, ControllerMergeCarriesDepartureStatusBothPaths) {
   EXPECT_NE(batched.find("ERR(4)"), std::string::npos) << batched;
 }
 
-// --- adaptive retry budgets --------------------------------------------------
-
-TEST(AdaptiveBudgetTest, DerivedBudgetClampsChainsAndDisabledIsByteIdentical) {
-  // One channel kind keeps the p99 story simple: after a fault-free warm-up
-  // the derived budget (p99 × max_attempts) is a few ms at most, far below
-  // the 50 ms timeout spike the plan charges per attempt.
-  std::vector<std::unique_ptr<FakeSource>> sources;
-  for (int i = 0; i < 4; ++i) {
-    auto s = std::make_unique<FakeSource>("m0/el" + std::to_string(i),
-                                          ChannelKind::kProcFs);
-    s->attrs = {{attr::kRxPkts, static_cast<double>(i)}};
-    sources.push_back(std::move(s));
-  }
-
-  RetryPolicy p;
-  p.max_attempts = 3;  // element_budget stays 0: the fixed path is unbounded
-  Agent fixed("a0", 7), adaptive("a0", 7), off("a0", 7), capped("a0", 7);
-  for (Agent* a : {&fixed, &adaptive, &off, &capped}) {
-    for (const auto& s : sources) ASSERT_TRUE(a->add_element(s.get()).is_ok());
-    a->set_retry_policy(p);
-    a->set_breaker_config(no_breakers());
-  }
-  RetryPolicy pc = p;
-  pc.element_budget = Duration::micros(300);
-  capped.set_retry_policy(pc);
-  adaptive.set_adaptive_budget(true);
-  capped.set_adaptive_budget(true);
-  off.set_adaptive_budget(true);
-  off.set_adaptive_budget(false);  // toggled off again: must match `fixed`
-
-  // Fault-free warm-up: every agent makes the identical calls, so all four
-  // channel histograms are identical when the faults arrive.
-  for (int t = 0; t < 30; ++t) {
-    for (Agent* a : {&fixed, &adaptive, &off, &capped}) {
-      (void)a->poll_all(SimTime::millis(t));
-    }
-  }
-  const double p99 =
-      fixed.channel_latency(ChannelKind::kProcFs).approx_quantile(0.99);
-  ASSERT_GT(p99, 0.0);
-  const int64_t derived_ns =
-      (Duration::seconds(p99) * static_cast<double>(p.max_attempts)).ns();
-
-  // Every attempt now times out with a 50 ms spike.
-  FaultPlan plan(7);
-  ChannelFaultSpec spec;
-  spec.timeout_p = 1.0;
-  plan.set_channel_faults(ChannelKind::kProcFs, spec);
-  plan.set_timeout_spike(Duration::millis(50));
-  for (Agent* a : {&fixed, &adaptive, &off, &capped}) a->set_fault_plan(&plan);
-
-  // First faulted query per agent: the budget derives from the pristine
-  // warmed histogram.
-  const ElementId el0 = sources[0]->id();
-  BatchResponse bf = fixed.query_batch({el0}, SimTime::millis(100));
-  BatchResponse bo = off.query_batch({el0}, SimTime::millis(100));
-  BatchResponse ba = adaptive.query_batch({el0}, SimTime::millis(100));
-  BatchResponse bc = capped.query_batch({el0}, SimTime::millis(100));
-  ASSERT_EQ(bf.responses.size(), 1u);
-  ASSERT_EQ(bo.responses.size(), 1u);
-  ASSERT_EQ(ba.responses.size(), 1u);
-  ASSERT_EQ(bc.responses.size(), 1u);
-
-  // Fixed: unbudgeted — the full three-spike chain, far past the derived cap.
-  EXPECT_EQ(bf.responses[0].quality, DataQuality::kMissing);
-  EXPECT_GT(bf.responses[0].response_time.ns(), derived_ns);
-  // Adaptive: the derived budget clamps the chain and records a deadline hit.
-  EXPECT_EQ(ba.responses[0].quality, DataQuality::kMissing);
-  EXPECT_LE(ba.responses[0].response_time.ns(), derived_ns);
-  EXPECT_LT(ba.responses[0].response_time.ns(),
-            bf.responses[0].response_time.ns());
-  EXPECT_GE(adaptive.fault_stats().deadline_hits, 1u);
-  EXPECT_EQ(fixed.fault_stats().deadline_hits, 0u);
-  // Capped: a configured sweep deadline tighter than the derived budget wins
-  // (the adaptive budget never *extends* past the configured clamp).
-  EXPECT_LE(bc.responses[0].response_time.ns(), Duration::micros(300).ns());
-
-  // Disabled == never-enabled, byte for byte, through faulted rounds (the
-  // `off` twin mirrors every call `fixed` makes, keeping RNG in lockstep).
-  EXPECT_EQ(to_text(bf.responses[0].record), to_text(bo.responses[0].record));
-  EXPECT_EQ(bf.responses[0].response_time.ns(),
-            bo.responses[0].response_time.ns());
-  EXPECT_EQ(bf.responses[0].attempts, bo.responses[0].attempts);
-  for (int t = 101; t < 121; ++t) {
-    std::vector<QueryResponse> rf = fixed.poll_all(SimTime::millis(t));
-    std::vector<QueryResponse> ro = off.poll_all(SimTime::millis(t));
-    ASSERT_EQ(rf.size(), ro.size());
-    for (size_t i = 0; i < rf.size(); ++i) {
-      EXPECT_EQ(to_text(rf[i].record), to_text(ro[i].record));
-      EXPECT_EQ(rf[i].response_time.ns(), ro[i].response_time.ns());
-      EXPECT_EQ(static_cast<int>(rf[i].quality),
-                static_cast<int>(ro[i].quality));
-      EXPECT_EQ(rf[i].attempts, ro[i].attempts);
-      EXPECT_EQ(static_cast<int>(rf[i].fail_code),
-                static_cast<int>(ro[i].fail_code));
-    }
-  }
-}
-
 // --- CI chaos matrix ---------------------------------------------------------
 
 // CI runs this test under the three campaign presets (brownout,
@@ -1054,8 +954,10 @@ TEST(ChaosMatrixTest, CampaignSweepInvariantsHoldUnderAnyPlan) {
     const SimTime now = SimTime::millis(round * 50);
     if (plan.campaign_active(now)) saw_outage = true;
     for (size_t a = 0; a < kAgents; ++a) {
-      std::vector<QueryResponse> rs = seq[a]->poll_all(now);
-      std::vector<QueryResponse> rp = par[a]->poll_all(now, &pool);
+      std::vector<QueryResponse> rs =
+          seq[a]->query_batch(seq[a]->element_ids(), now).responses;
+      std::vector<QueryResponse> rp =
+          par[a]->query_batch(par[a]->element_ids(), now, &pool).responses;
       ASSERT_EQ(rs.size(), kPerAgent);
       ASSERT_EQ(rp.size(), rs.size());
       const bool down =

@@ -730,6 +730,70 @@ TEST(TornTest, TornReadDeliversPartialRecord) {
   EXPECT_EQ(agent.fault_stats().torn_reads, 1u);
 }
 
+// --- one billing rule ------------------------------------------------------
+
+// A poll sweep, a batch of one per id and a single query are the same read:
+// under retries they return the same records and observe the same per-kind
+// histogram — one observe of the first trip per batch, whichever surface
+// ran, so no later decision can depend on which one did.
+TEST(BillingTest, PollBatchesOfOneAndQueryAgreeUnderRetries) {
+  auto sources = make_sources(12);
+  FaultPlan plan(3);
+  ChannelFaultSpec flaky;
+  flaky.transient_p = 0.5;
+  for (size_t k = 0; k < kNumChannelKinds; ++k) {
+    plan.set_channel_faults(static_cast<ChannelKind>(k), flaky);
+  }
+  RetryPolicy p;
+  p.max_attempts = 3;
+  Agent poll("a0", 7), batch("a0", 7), single("a0", 7);
+  for (Agent* a : {&poll, &batch, &single}) {
+    for (const auto& s : sources) ASSERT_TRUE(a->add_element(s.get()).is_ok());
+    a->set_fault_plan(&plan);
+    a->set_retry_policy(p);
+  }
+
+  for (int round = 0; round < 20; ++round) {
+    const SimTime now = SimTime::millis(round);
+    const std::vector<QueryResponse> polled = poll.poll_all(now);
+    ASSERT_EQ(polled.size(), sources.size());
+    for (const QueryResponse& want : polled) {
+      const ElementId& id = want.record.element;
+      const BatchResponse one = batch.query_batch({id}, now);
+      ASSERT_EQ(one.responses.size(), 1u);
+      const QueryResponse& got = one.responses[0];
+      EXPECT_EQ(to_text(got.record), to_text(want.record));
+      EXPECT_EQ(got.response_time.ns(), want.response_time.ns());
+      EXPECT_EQ(got.quality, want.quality);
+      EXPECT_EQ(got.attempts, want.attempts);
+      EXPECT_EQ(got.fail_code, want.fail_code);
+
+      const Result<QueryResponse> q = single.query(id, now);
+      if (want.quality == DataQuality::kMissing) {
+        ASSERT_FALSE(q.ok());
+        EXPECT_EQ(q.status().to_string(),
+                  query_failure_status("a0", id, want.attempts, want.fail_code)
+                      .to_string());
+      } else {
+        ASSERT_TRUE(q.ok());
+        EXPECT_EQ(to_text(q.value().record), to_text(want.record));
+        EXPECT_EQ(q.value().response_time.ns(), want.response_time.ns());
+        EXPECT_EQ(q.value().attempts, want.attempts);
+      }
+    }
+  }
+  EXPECT_GT(poll.fault_stats().retries, 0u);  // the chains were retried
+  for (size_t k = 0; k < kNumChannelKinds; ++k) {
+    const ChannelKind kind = static_cast<ChannelKind>(k);
+    const LatencyHistogram& h = poll.channel_latency(kind);
+    for (const Agent* a : {&batch, &single}) {
+      EXPECT_EQ(a->channel_latency(kind).count(), h.count()) << to_string(kind);
+      EXPECT_DOUBLE_EQ(a->channel_latency(kind).sum(), h.sum())
+          << to_string(kind);
+    }
+  }
+}
+
 // --- parallel-vs-sequential byte identity under faults ----------------------
 
 TEST(ParallelFaultTest, PollAllByteIdenticalUnderFaults) {
@@ -748,8 +812,10 @@ TEST(ParallelFaultTest, PollAllByteIdenticalUnderFaults) {
   ThreadPool pool(4);
   for (int round = 0; round < 6; ++round) {
     SimTime now = SimTime::millis(round);
-    std::vector<QueryResponse> s = seq.poll_all(now);
-    std::vector<QueryResponse> p = par.poll_all(now, &pool);
+    std::vector<QueryResponse> s =
+        seq.query_batch(seq.element_ids(), now).responses;
+    std::vector<QueryResponse> p =
+        par.query_batch(par.element_ids(), now, &pool).responses;
     ASSERT_EQ(s.size(), p.size());
     for (size_t i = 0; i < s.size(); ++i) {
       EXPECT_EQ(to_text(s[i].record), to_text(p[i].record));
@@ -1042,8 +1108,10 @@ TEST(FaultMatrixTest, SweepInvariantsHoldAtAnyIntensity) {
   ThreadPool pool(4);
   for (int round = 0; round < 10; ++round) {
     SimTime now = SimTime::millis(round * 10);
-    std::vector<QueryResponse> ra = a.poll_all(now);
-    std::vector<QueryResponse> rb = b.poll_all(now, &pool);
+    std::vector<QueryResponse> ra =
+        a.query_batch(a.element_ids(), now).responses;
+    std::vector<QueryResponse> rb =
+        b.query_batch(b.element_ids(), now, &pool).responses;
     ASSERT_EQ(ra.size(), sources.size());
     ASSERT_EQ(rb.size(), ra.size());
     for (size_t i = 0; i < ra.size(); ++i) {
@@ -1233,7 +1301,8 @@ TEST(FaultChurnTest, ConcurrentPollsQueriesAndChurnUnderFaults) {
   });
   for (int round = 0; round < 200; ++round) {
     std::vector<QueryResponse> out =
-        agent.poll_all(SimTime::millis(round), &pool);
+        agent.query_batch(agent.element_ids(), SimTime::millis(round), &pool)
+            .responses;
     EXPECT_GE(out.size(), 12u);
     EXPECT_LE(out.size(), 16u);
   }

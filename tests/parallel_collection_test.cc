@@ -66,7 +66,7 @@ void register_all(Agent& agent,
 TEST(ParallelPollTest, PollAllParallelIsByteIdenticalToSequential) {
   auto sources = make_sources(12);
   // Same name + seed: both agents consume their RNG streams identically
-  // because poll_all draws jitter in element-id order before fanning out.
+  // because a batch draws jitter in element-id order before fanning out.
   Agent seq("a0", 7), par("a0", 7);
   register_all(seq, sources);
   register_all(par, sources);
@@ -74,8 +74,10 @@ TEST(ParallelPollTest, PollAllParallelIsByteIdenticalToSequential) {
   ThreadPool pool(4);
   for (int round = 0; round < 3; ++round) {
     SimTime now = SimTime::millis(round);
-    std::vector<QueryResponse> s = seq.poll_all(now);
-    std::vector<QueryResponse> p = par.poll_all(now, &pool);
+    std::vector<QueryResponse> s =
+        seq.query_batch(seq.element_ids(), now).responses;
+    std::vector<QueryResponse> p =
+        par.query_batch(par.element_ids(), now, &pool).responses;
     ASSERT_EQ(s.size(), p.size());
     for (size_t i = 0; i < s.size(); ++i) {
       EXPECT_EQ(s[i].record.element, p[i].record.element);
@@ -158,14 +160,13 @@ TEST(ParallelPollTest, QueryBatchCountsUnknownIds) {
   EXPECT_EQ(batch.unknown_ids, 2u);
 }
 
-// TSan target: a poll sweep racing element churn and cached queries must
-// not corrupt agent state.  (Removal only deregisters — sources outlive the
-// sweep by contract.)
+// TSan target: a poll sweep racing element churn must not corrupt agent
+// state.  (Removal only deregisters — sources outlive the sweep by
+// contract.)
 TEST(ParallelPollTest, ConcurrentPollAllAndRemoveElement) {
   auto sources = make_sources(16);
   Agent agent("a0");
   register_all(agent, sources);
-  ThreadPool pool(4);
 
   std::atomic<bool> stop{false};
   std::thread churn([&] {
@@ -177,23 +178,14 @@ TEST(ParallelPollTest, ConcurrentPollAllAndRemoveElement) {
       }
     }
   });
-  std::thread cached([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      (void)agent.query_cached(sources[8]->id(), SimTime::millis(1),
-                               Duration::millis(100));
-    }
-  });
   for (int round = 0; round < 200; ++round) {
-    std::vector<QueryResponse> out = agent.poll_all(SimTime::millis(round),
-                                                    &pool);
+    std::vector<QueryResponse> out = agent.poll_all(SimTime::millis(round));
     // Elements not mid-churn are always present.
     EXPECT_GE(out.size(), 12u);
     EXPECT_LE(out.size(), 16u);
   }
   stop.store(true);
   churn.join();
-  cached.join();
-  EXPECT_GE(agent.cache_hits(), 1u);
 }
 
 class ParallelRig {
@@ -297,38 +289,6 @@ TEST(ParallelMetricsTest, ParallelExposeIsByteIdenticalToSequential) {
   std::string b = par_reg.expose(SimTime::seconds(1));
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("perfsight_element_stat"), std::string::npos);
-}
-
-TEST(CacheHitTraceTest, CachedQueryEmitsZeroLatencyEvent) {
-  ScopedTraceRecorder scoped;
-  Agent agent("a0");
-  FakeSource s("e", ChannelKind::kNetDeviceFile);
-  s.attrs = {{attr::kRxPkts, 1}};
-  ASSERT_TRUE(agent.add_element(&s).is_ok());
-
-  ASSERT_TRUE(agent.query_cached(ElementId{"e"}, SimTime::millis(0),
-                                 Duration::millis(100))
-                  .ok());
-  ASSERT_TRUE(agent.query_cached(ElementId{"e"}, SimTime::millis(50),
-                                 Duration::millis(100))
-                  .ok());
-  ASSERT_EQ(agent.cache_hits(), 1u);
-
-  // The timeline shows the miss (issued+completed) AND the hit: cached
-  // diagnosis queries are no longer invisible to the flight recorder.
-  size_t hits = 0, completed = 0;
-  for (const TraceEvent& e :
-       scoped.recorder().events_for(ElementId{"e"})) {
-    if (e.kind == TraceEventKind::kAgentCacheHit) {
-      ++hits;
-      EXPECT_EQ(e.value, 0);  // zero channel latency
-      EXPECT_EQ(e.t, SimTime::millis(50));
-    }
-    if (e.kind == TraceEventKind::kAgentQueryCompleted) ++completed;
-  }
-  EXPECT_EQ(hits, 1u);
-  EXPECT_EQ(completed, 1u);
-  EXPECT_STREQ(to_string(TraceEventKind::kAgentCacheHit), "agent_cache_hit");
 }
 
 }  // namespace

@@ -1610,7 +1610,9 @@ TEST(TransportChurnTest, RemoteQueriesRaceServerSidePolls) {
   });
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      for (auto& a : rig.agents_) (void)a->poll_all(SimTime(), &pool);
+      for (auto& a : rig.agents_) {
+        (void)a->query_batch(a->element_ids(), SimTime(), &pool);
+      }
     }
   });
 
