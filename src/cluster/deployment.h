@@ -52,11 +52,6 @@ class Deployment {
   sim::Simulator* simulator() { return sim_; }
   Controller* controller() { return &controller_; }
 
-  // The deployment-wide collection pool (the controller's scatter-gather
-  // already runs over it; hand it to Agent batch calls that should fan
-  // out).
-  ThreadPool* pool() { return &pool_; }
-
   // Deployment-wide metrics registry.  expose() scrapes the element stats of
   // every in-process agent added below; a remote adapter contributes only
   // its perfsight_transport_* counters (its elements are not scraped).

@@ -157,14 +157,7 @@ Duration Agent::channel_delay_locked(ChannelKind kind) {
   return m.base + m.jitter * rng_.next_double();
 }
 
-void Agent::emit_pending(const std::vector<PendingTrace>& traces) {
-  for (const PendingTrace& p : traces) {
-    trace_event(p.id, p.t, p.kind, p.value, p.detail);
-  }
-}
-
-void Agent::absorb_crashes_locked(SimTime now,
-                                  std::vector<PendingTrace>* traces) {
+void Agent::absorb_crashes_locked(SimTime now) {
   if (plan_ == nullptr || now <= last_crash_check_) return;
   size_t n = plan_->crashes_between(name_, last_crash_check_, now);
   last_crash_check_ = now;
@@ -181,18 +174,16 @@ void Agent::absorb_crashes_locked(SimTime now,
     pending_reset_.insert(id);
   }
   for (CircuitBreaker<SimTime>& b : breakers_) b.reset();
-  if (trace_enabled() && traces != nullptr) {
-    traces->push_back(PendingTrace{ElementId{name_}, now,
-                                   TraceEventKind::kAgentCrashRestart,
-                                   static_cast<double>(n), "counters reset"});
+  if (trace_enabled()) {
+    trace_event(ElementId{name_}, now, TraceEventKind::kAgentCrashRestart,
+                static_cast<double>(n), "counters reset");
   }
 }
 
 void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
-                                Duration first_trip, bool agent_down,
-                                std::vector<PendingTrace>* traces) {
+                                Duration first_trip, bool agent_down) {
   CircuitBreaker<SimTime>& br = breakers_[static_cast<size_t>(q.kind)];
-  const bool tracing = trace_enabled() && traces != nullptr;
+  const bool tracing = trace_enabled();
   // Built only when a transition is traced: the per-element path pays no
   // string allocation for it.
   const auto breaker_id = [&] {
@@ -210,11 +201,10 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
       return;
     }
     if (tracing) {
-      traces->push_back(PendingTrace{breaker_id(), now,
-                                     TraceEventKind::kBreakerStateChange,
-                                     static_cast<double>(static_cast<int>(
-                                         BreakerState::kHalfOpen)),
-                                     "half_open"});
+      trace_event(
+          breaker_id(), now, TraceEventKind::kBreakerStateChange,
+          static_cast<double>(static_cast<int>(BreakerState::kHalfOpen)),
+          "half_open");
     }
   }
 
@@ -295,8 +285,8 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
       ++fstats_.exhausted;
       break;
     }
-    // Exponential backoff with deterministic jitter, drawn pre-fan-out from
-    // the same RNG stream as the channel jitter.
+    // Exponential backoff with deterministic jitter, drawn before any
+    // collect() from the same RNG stream as the channel jitter.
     Duration backoff = retry_.backoff(attempt);
     if (retry_.jitter_frac > 0) {
       backoff = backoff * (1.0 + retry_.jitter_frac * rng_.next_double());
@@ -310,10 +300,8 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
     elapsed += backoff;
     ++fstats_.retries;
     if (tracing) {
-      traces->push_back(PendingTrace{q.id, now + elapsed,
-                                     TraceEventKind::kAgentRetry,
-                                     static_cast<double>(attempt),
-                                     to_string(dec.kind)});
+      trace_event(q.id, now + elapsed, TraceEventKind::kAgentRetry,
+                  static_cast<double>(attempt), to_string(dec.kind));
     }
   }
   q.delay = elapsed;
@@ -324,26 +312,25 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
     if (br.record_success()) {
       ++fstats_.breaker_closed;
       if (tracing) {
-        traces->push_back(PendingTrace{
+        trace_event(
             breaker_id(), now, TraceEventKind::kBreakerStateChange,
             static_cast<double>(static_cast<int>(BreakerState::kClosed)),
-            "closed"});
+            "closed");
       }
     }
   } else if (br.record_failure(now, breaker_cfg_.failure_threshold)) {
     ++fstats_.breaker_opened;
     if (tracing) {
-      traces->push_back(PendingTrace{
-          breaker_id(), now, TraceEventKind::kBreakerStateChange,
-          static_cast<double>(static_cast<int>(BreakerState::kOpen)),
-          "open"});
+      trace_event(breaker_id(), now, TraceEventKind::kBreakerStateChange,
+                  static_cast<double>(static_cast<int>(BreakerState::kOpen)),
+                  "open");
     }
   }
 }
 
-void Agent::apply_fault_bookkeeping(const ElementId& id, StatsRecord& record,
-                                    bool track_last_good) {
-  std::lock_guard<std::mutex> lock(mu_);
+void Agent::apply_fault_bookkeeping_locked(const ElementId& id,
+                                           StatsRecord& record,
+                                           bool track_last_good) {
   if (pending_reset_.erase(id) > 0) {
     // First collect after a crash: capture the current monotone counter
     // values as offsets so the element appears to restart from zero.
@@ -368,97 +355,89 @@ void Agent::apply_fault_bookkeeping(const ElementId& id, StatsRecord& record,
 }
 
 BatchResponse Agent::query_batch(const std::vector<ElementId>& ids,
-                                 SimTime now, ThreadPool* pool) {
+                                 SimTime now, ThreadPool* /*pool*/) {
   BatchResponse batch;
   std::vector<PlannedQuery> plan;
   std::array<bool, kNumChannelKinds> kind_used = {};
   std::array<Duration, kNumChannelKinds> kind_delay = {};
-  bool down = false;
-  bool track_last_good = false, bookkeep = false;
-  std::vector<PendingTrace> pending;
-  {
-    // Every RNG draw, fault decision and retry chain happens here, under the
-    // lock and in element-id order, before the fan-out — which is what makes
-    // the output byte-identical at any pool size.
-    std::lock_guard<std::mutex> lock(mu_);
-    absorb_crashes_locked(now, &pending);
-    if (plan_ != nullptr) {
-      track_last_good = plan_->serves_stale();
-      bookkeep = track_last_good || !pending_reset_.empty() ||
-                 !reset_offset_.empty();
-      down = plan_->has_campaign() && plan_->agent_down(name_, now);
-    }
-    batch.unknown_ids = plan_request(ids, plan, [&](const ElementId& id) {
-      auto it = sources_.find(id);
-      if (it == sources_.end()) return false;
-      PlannedQuery& q = plan.emplace_back();
-      q.id = id;
-      q.source = it->second;
-      q.kind = it->second->channel_kind();
-      return true;
-    });
-    // One round trip per channel kind present, drawn in kind order so the
-    // RNG stream is independent of the requested id order.  A kind whose
-    // breaker is open (and still cooling down) gets no round trip at all;
-    // its elements fast-fail in planning below.
-    for (const PlannedQuery& q : plan) {
-      const size_t k = static_cast<size_t>(q.kind);
-      if (!breakers_[k].cooling(now, breaker_cfg_.cooldown)) {
-        kind_used[k] = true;
-      }
-    }
-    for (size_t k = 0; k < kNumChannelKinds; ++k) {
-      if (!kind_used[k]) continue;
-      kind_delay[k] = channel_delay_locked(static_cast<ChannelKind>(k));
-      batch.channel_time += kind_delay[k];
-    }
-    for (PlannedQuery& q : plan) {
-      const size_t k = static_cast<size_t>(q.kind);
-      // The first attempt rides the kind's round trip; only retries pay
-      // trips of their own, billed on top.
-      plan_outcome_locked(q, now, kind_delay[k], down, &pending);
-      if (q.delay > kind_delay[k]) {
-        batch.channel_time += q.delay - kind_delay[k];
-      }
+  // One lock for the whole batch: every RNG draw, fault decision and retry
+  // chain happens in element-id order, and every collect() runs before the
+  // lock is released, so a remove_element returns only once no read of the
+  // element is in flight.
+  std::lock_guard<std::mutex> lock(mu_);
+  absorb_crashes_locked(now);
+  bool down = false, track_last_good = false, bookkeep = false;
+  if (plan_ != nullptr) {
+    track_last_good = plan_->serves_stale();
+    bookkeep = track_last_good || !pending_reset_.empty() ||
+               !reset_offset_.empty();
+    down = plan_->has_campaign() && plan_->agent_down(name_, now);
+  }
+  batch.unknown_ids = plan_request(ids, plan, [&](const ElementId& id) {
+    auto it = sources_.find(id);
+    if (it == sources_.end()) return false;
+    PlannedQuery& q = plan.emplace_back();
+    q.id = id;
+    q.source = it->second;
+    q.kind = it->second->channel_kind();
+    return true;
+  });
+  // One round trip per channel kind present, drawn in kind order so the
+  // RNG stream is independent of the requested id order.  A kind whose
+  // breaker is open (and still cooling down) gets no round trip at all;
+  // its elements fast-fail in planning below.
+  for (const PlannedQuery& q : plan) {
+    const size_t k = static_cast<size_t>(q.kind);
+    if (!breakers_[k].cooling(now, breaker_cfg_.cooldown)) {
+      kind_used[k] = true;
     }
   }
-  emit_pending(pending);
+  for (size_t k = 0; k < kNumChannelKinds; ++k) {
+    if (!kind_used[k]) continue;
+    kind_delay[k] = channel_delay_locked(static_cast<ChannelKind>(k));
+    batch.channel_time += kind_delay[k];
+  }
+  // Every occurrence is planned before any is collected: a stale read
+  // serves the last-good record as it stood before this batch.
+  for (PlannedQuery& q : plan) {
+    const size_t k = static_cast<size_t>(q.kind);
+    // The first attempt rides the kind's round trip; only retries pay
+    // trips of their own, billed on top.
+    plan_outcome_locked(q, now, kind_delay[k], down);
+    if (q.delay > kind_delay[k]) {
+      batch.channel_time += q.delay - kind_delay[k];
+    }
+  }
 
   batch.responses.resize(plan.size());
-  std::vector<QueryResponse>& out = batch.responses;
-  parallel_for_or_inline(pool, plan.size(), [&](size_t i) {
+  for (size_t i = 0; i < plan.size(); ++i) {
     PlannedQuery& q = plan[i];
-    QueryResponse& r = out[i];
+    QueryResponse& r = batch.responses[i];
     if (q.failed) {
       r = blind_spot(q.id, now, q.fail_code, q.attempts);
-      r.response_time = q.delay;
-      return;
+    } else {
+      r.quality = q.quality;
+      r.attempts = q.attempts;
+      if (q.serve_stale) {
+        r.record = std::move(q.stale_record);  // true (old) timestamp kept
+      } else {
+        r.record = q.source->collect(now);
+        if (bookkeep) {
+          apply_fault_bookkeeping_locked(q.id, r.record, track_last_good);
+        }
+        if (q.quality == DataQuality::kTorn) {
+          r.record = apply_torn_read(r.record, q.torn_salt);
+        }
+      }
     }
     r.response_time = q.delay;
-    r.quality = q.quality;
-    r.attempts = q.attempts;
-    if (q.serve_stale) {
-      r.record = std::move(q.stale_record);  // true (old) timestamp kept
-      return;
-    }
-    r.record = q.source->collect(now);
-    if (bookkeep) apply_fault_bookkeeping(q.id, r.record, track_last_good);
-    if (q.quality == DataQuality::kTorn) {
-      r.record = apply_torn_read(r.record, q.torn_salt);
-    }
-  });
-  for (const QueryResponse& r : batch.responses) {
     if (r.quality != DataQuality::kFresh) ++batch.degraded;
   }
 
-  // Merge, sequential on the caller: self-profiling and tracing in a
-  // deterministic order — one histogram observe and one trace pair per
-  // kind's shared round trip actually paid.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t k = 0; k < kNumChannelKinds; ++k) {
-      if (kind_used[k]) channel_hist_[k].observe(kind_delay[k].sec());
-    }
+  // Self-profiling: one histogram observe and one trace pair per kind's
+  // shared round trip actually paid.
+  for (size_t k = 0; k < kNumChannelKinds; ++k) {
+    if (kind_used[k]) channel_hist_[k].observe(kind_delay[k].sec());
   }
   if (trace_enabled()) trace_batch(plan, kind_used, kind_delay, batch, now);
   return batch;

@@ -12,17 +12,20 @@
 //
 // Collection runtime (this layer's concurrency contract): the agent is
 // safe to use from multiple threads — registry/RNG/histogram state is
-// guarded by one internal mutex.  query_batch is the one collection core:
-// plan in element-id order under the lock (crash absorption, one shared
-// round trip per channel kind, fault decisions, retry chains billed on
-// top), fan the element collect() calls out over an optional ThreadPool,
-// then merge self-profiling and trace events sequentially, so its output is
-// byte-identical at any pool size.  Every other surface is batches of one:
-// query and query_attrs read one id, and the poll sweep reads each id in
-// turn, so each element still pays its own trip (Figs. 9 and 16).
-// Element objects are not owned: a remove_element racing an in-flight poll
-// only deregisters the element — the poll may still observe it once, and
-// the caller must keep the StatsSource alive until in-flight polls drain.
+// guarded by one internal mutex.  query_batch is the one collection core,
+// one pass under that mutex: plan in element-id order (crash absorption,
+// one shared round trip per channel kind, fault decisions, retry chains
+// billed on top), collect() every planned element, then observe the
+// channel histograms and record the trace events.  Concurrent batches on
+// one agent therefore run one after another; agents never share a lock.
+// Every other surface is batches of one: query and query_attrs read one
+// id, and the poll sweep reads each id in turn, so each element still pays
+// its own trip (Figs. 9 and 16).
+// Element objects are not owned.  remove_element takes the same mutex, so
+// it returns only once no collect() of the element is in flight: the
+// caller may destroy the StatsSource as soon as it returns.  Because
+// collect() runs under the agent lock, a StatsSource must not call back
+// into the agent that serves it.
 //
 // Fault tolerance: an optional FaultPlan (faults.h) makes channels fail —
 // transiently, by timing out, by serving stale or torn records, or by
@@ -31,9 +34,9 @@
 // jitter, a per-element deadline budget in simulated time) and a per-channel
 // circuit breaker that fast-fails queries to a kind that keeps failing until
 // a cooldown expires and a half-open probe succeeds.  Every fault decision,
-// retry, backoff draw and breaker transition happens in the sequential
-// planning phase — before any fan-out, in element-id order — so the
-// byte-identical parallel-vs-sequential contract holds under faults too.
+// retry, backoff draw and breaker transition happens in the planning phase,
+// before any collect() and in element-id order, so a batch's outcome
+// depends only on the agent's state and the requested ids.
 // With no plan installed the fault path is never entered and behaviour is
 // bit-for-bit the pre-fault agent.
 #pragma once
@@ -116,8 +119,8 @@ struct RetryPolicy {
   double backoff_multiplier = 2.0;
   Duration max_backoff = Duration::millis(50);
   // Backoff jitter fraction: each backoff is scaled by a uniform draw in
-  // [1, 1 + jitter_frac), taken from the agent RNG during the sequential
-  // planning phase (like channel jitter, pre-fan-out in element-id order).
+  // [1, 1 + jitter_frac), taken from the agent RNG during the planning
+  // phase (like channel jitter, in element-id order).
   double jitter_frac = 0.5;
   // Per-attempt deadline: a timed-out attempt costs at most this much
   // modelled time.  Zero = the fault plan's full timeout spike is paid.
@@ -270,8 +273,10 @@ class AgentClient {
   }
 
   // Batched fetch: one channel round trip per channel kind in the batch.
-  // `pool` is advisory (in-process agents fan collect() out; a remote agent
-  // has its own concurrency and may ignore it).
+  // `pool` is ignored by every implementation: the in-process agent reads
+  // its elements in one locked pass, a remote agent's connection is
+  // serialized and a cache agent reads memory.  Concurrency across agents
+  // comes from the controller's scatter.
   virtual BatchResponse query_batch(const std::vector<ElementId>& ids,
                                     SimTime now, ThreadPool* pool = nullptr) = 0;
 };
@@ -310,7 +315,8 @@ class Agent : public AgentClient {
 
   // Deregisters an element (VM teardown / element migration) and drops all
   // per-element state the agent kept for it.  Fails if the id is unknown;
-  // the Monitor simply stops producing points for it.
+  // the Monitor simply stops producing points for it.  Waits for an
+  // in-flight batch to finish, so the source may be destroyed on return.
   Status remove_element(const ElementId& id);
 
   bool has_element(const ElementId& id) const override {
@@ -328,8 +334,8 @@ class Agent : public AgentClient {
   // Batched fetch: one channel round trip amortized across every requested
   // element sharing a channel kind (a real agent reads one /proc file and
   // parses many counters out of it); retries pay their own trips on top.
-  // With a parallel `pool`, collect() calls fan out across workers; output
-  // is byte-identical to the pool-less call.
+  // Holds the agent lock across planning and every collect(); `pool` is
+  // ignored.
   BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
                             ThreadPool* pool = nullptr) override;
 
@@ -394,38 +400,27 @@ class Agent : public AgentClient {
     bool operator<(const PlannedQuery& o) const { return id < o.id; }
   };
 
-  // Trace events decided while holding mu_ are staged and emitted after
-  // unlock (the recorder has its own lock; keep the order fixed).
-  struct PendingTrace {
-    ElementId id;
-    SimTime t;
-    TraceEventKind kind = TraceEventKind::kAgentRetry;
-    double value = 0;
-    const char* detail = "";
-  };
-
   Duration channel_delay_locked(ChannelKind kind);
   // Consumes crashes the plan scheduled since the last query: last-good
   // records are lost, every element's counters restart from zero on its
   // next collect.
-  void absorb_crashes_locked(SimTime now, std::vector<PendingTrace>* traces);
+  void absorb_crashes_locked(SimTime now);
   // Models the full retry chain of one element query: fault decisions,
   // channel delays, backoff, budget clamp, breaker bookkeeping.  Must run
-  // with mu_ held, pre-fan-out, in element-id order.  The first attempt
-  // rides the batch's `first_trip` for the element's kind; retries draw
-  // their own delays.  When `agent_down` is set (a scheduled campaign
+  // with mu_ held, before any collect(), in element-id order.  The first
+  // attempt rides the batch's `first_trip` for the element's kind; retries
+  // draw their own delays.  When `agent_down` is set (a scheduled campaign
   // window covers `now`), every attempt fails unavailable without
   // consulting the Bernoulli draw — delays, backoff and breakers behave as
   // for real transient failures.
   void plan_outcome_locked(PlannedQuery& q, SimTime now, Duration first_trip,
-                           bool agent_down, std::vector<PendingTrace>* traces);
+                           bool agent_down);
   // Post-collect bookkeeping in fault mode: applies crash counter resets
   // and (when the plan can serve stale reads) refreshes the last-good
   // record.  Callers skip it entirely when neither applies, so an inert
-  // plan adds no per-element locking or copying.
-  void apply_fault_bookkeeping(const ElementId& id, StatsRecord& record,
-                               bool track_last_good);
-  void emit_pending(const std::vector<PendingTrace>& traces);
+  // plan adds no per-element copying.
+  void apply_fault_bookkeeping_locked(const ElementId& id, StatsRecord& record,
+                                      bool track_last_good);
   // A batch's flight-recorder events: one issued / completed pair (and,
   // under an active trace context, one channel-trip span) per kind paid,
   // plus the degraded-batch marker.

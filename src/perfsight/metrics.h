@@ -6,8 +6,9 @@
 // gauges, alongside *self-profiling* instruments that answer "what does
 // diagnosis itself cost":
 //
-//   * per-agent, per-channel-kind latency histograms (every Agent::query
-//     observes its modelled channel delay — the Fig. 9 distribution, live);
+//   * per-agent, per-channel-kind latency histograms (every agent batch
+//     observes each channel kind's shared trip once — the Fig. 9
+//     distribution, live);
 //   * end-to-end Algorithm 1/2 diagnosis-latency histograms (the detectors
 //     observe measurement window + channel time per run);
 //   * flight-recorder health (events recorded / overwritten).

@@ -251,10 +251,11 @@ class RemoteAgent : public AgentClient {
   std::vector<ElementId> element_ids() const override;
 
   // One wire round trip per call, or none when the adapter answers every
-  // id itself (departed, or too long for the wire).  `pool` is ignored —
-  // concurrency across remote agents comes from the controller's fan-out;
-  // the connection itself is serialized.  Never fails outright: transport
-  // loss degrades to kMissing responses (see header comment).
+  // id itself (departed, or too long for the wire).  `pool` is ignored, as
+  // by every AgentClient: the connection is serialized, and concurrency
+  // across remote agents comes from the controller's fan-out.  Never fails
+  // outright: transport loss degrades to kMissing responses (see header
+  // comment).
   BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
                             ThreadPool* pool = nullptr) override;
 

@@ -24,9 +24,8 @@ const char* to_string(StreamCache::Provenance p) {
 StreamPublisher::StreamPublisher(AgentClient* agent, const FaultPlan* plan)
     : agent_(agent), plan_(plan), ids_(agent->element_ids()) {}
 
-Result<StreamPublisher::Published> StreamPublisher::publish(SimTime at,
-                                                            ThreadPool* pool) {
-  BatchResponse batch = agent_->query_batch(ids_, at, pool);
+Result<StreamPublisher::Published> StreamPublisher::publish(SimTime at) {
+  BatchResponse batch = agent_->query_batch(ids_, at);
   wire::StreamDataMsg msg{agent_->name(), seq_ + 1, at, batch.channel_time,
                           std::move(batch.responses)};
 
@@ -296,15 +295,15 @@ void StreamPipeline::add_agent(AgentClient* agent) {
   entries_.push_back(Entry{agent, StreamPublisher(agent, plan_)});
 }
 
-Status StreamPipeline::pump(SimTime at, ThreadPool* pool) {
+Status StreamPipeline::pump(SimTime at) {
   for (Entry& e : entries_) {
-    Result<StreamPublisher::Published> pub = e.pub.publish(at, pool);
+    Result<StreamPublisher::Published> pub = e.pub.publish(at);
     if (!pub.ok()) return pub.status();
     if (pub.value().dropped) {
       // The watchdog path: this boundary produced no frame, so repair now —
       // a pull at the same instant — before the world moves on.  Purity of
       // the fault plan makes the pull reproduce the dropped capture.
-      BatchResponse b = e.agent->query_batch(e.pub.elements(), at, pool);
+      BatchResponse b = e.agent->query_batch(e.pub.elements(), at);
       cache_->repair(e.agent->name(), at, b);
       continue;
     }
@@ -317,7 +316,7 @@ Status StreamPipeline::pump(SimTime at, ThreadPool* pool) {
       // purity makes the re-capture bit-identical, and a fresh/regressed
       // stream accepts the bumped seq.
       e.pub.force_snapshot();
-      Result<StreamPublisher::Published> again = e.pub.publish(at, pool);
+      Result<StreamPublisher::Published> again = e.pub.publish(at);
       if (!again.ok()) return again.status();
       bytes_published_ += again.value().body.size();
       applied = cache_->apply(again.value().body);

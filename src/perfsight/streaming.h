@@ -80,7 +80,7 @@ class StreamPublisher {
   // Captures the window at `at` and encodes the next frame.  Sequence
   // numbers advance even for dropped frames — that is exactly what makes
   // the drop visible downstream as a gap.
-  Result<Published> publish(SimTime at, ThreadPool* pool = nullptr);
+  Result<Published> publish(SimTime at);
 
   // Forgets the delta base: the next publish() is a full snapshot.  This is
   // the resync handle for a receiver that answered needs_snapshot — its
@@ -244,7 +244,8 @@ class StreamCacheAgent : public AgentClient {
   std::vector<ElementId> element_ids() const override { return ids_; }
 
   // Served entirely from the cache: no channel time is paid at query time
-  // (it was paid once, at capture).  `pool` is ignored.
+  // (it was paid once, at capture).  `pool` is ignored, as by every
+  // AgentClient.
   BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
                             ThreadPool* pool = nullptr) override;
 
@@ -268,7 +269,7 @@ class StreamPipeline {
   void add_agent(AgentClient* agent);
 
   // One window boundary for every agent: publish, deliver or repair.
-  Status pump(SimTime at, ThreadPool* pool = nullptr);
+  Status pump(SimTime at);
 
   uint64_t frames_dropped() const;
   uint64_t bytes_published() const { return bytes_published_; }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "perfsight/controller.h"
 #include "perfsight/rulebook.h"
@@ -107,6 +110,57 @@ TEST(AgentTest, PollAllCoversEveryElement) {
   EXPECT_EQ(all.size(), 2u);
 }
 
+// An element whose collect() announces itself, then holds until released.
+class GateSource : public StatsSource {
+ public:
+  explicit GateSource(std::string id) : id_{std::move(id)} {}
+
+  ElementId id() const override { return id_; }
+  ChannelKind channel_kind() const override { return ChannelKind::kProcFs; }
+  StatsRecord collect(SimTime now) const override {
+    entered.store(true);
+    while (!release.load()) std::this_thread::yield();
+    done.store(true);
+    StatsRecord r;
+    r.timestamp = now;
+    r.element = id_;
+    return r;
+  }
+
+  mutable std::atomic<bool> entered{false}, release{false}, done{false};
+
+ private:
+  ElementId id_;
+};
+
+// remove_element returns only once no collect() of the element is in
+// flight, so a caller may free the source on return.  The remover gets
+// 200 ms to return early; the assertion holds whatever the wait.
+TEST(AgentDrainTest, RemoveElementWaitsForAnInFlightCollect) {
+  Agent agent("a0");
+  GateSource gate("m0/gate");
+  ASSERT_TRUE(agent.add_element(&gate).is_ok());
+
+  std::thread poller([&] { (void)agent.query_batch({gate.id()}, SimTime{}); });
+  while (!gate.entered.load()) std::this_thread::yield();
+  std::atomic<bool> removed{false};
+  bool done_at_return = false;
+  std::thread remover([&] {
+    EXPECT_TRUE(agent.remove_element(gate.id()).is_ok());
+    done_at_return = gate.done.load();
+    removed.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (!removed.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.release.store(true);
+  remover.join();
+  poller.join();
+  EXPECT_TRUE(done_at_return);
+  EXPECT_FALSE(agent.has_element(gate.id()));
+}
 
 // An agent's batch crosses the wire as one PSB2 stream and decodes back
 // record for record.

@@ -924,13 +924,13 @@ TEST(ChaosMatrixTest, CampaignSweepInvariantsHoldUnderAnyPlan) {
                                ChannelKind::kNetDeviceFile,
                                ChannelKind::kOvsChannel};
   std::vector<std::unique_ptr<FakeSource>> sources;
-  std::vector<std::unique_ptr<Agent>> seq, par;
+  std::vector<std::unique_ptr<Agent>> agents;
   RetryPolicy p;
   p.max_attempts = 2;
   p.element_budget = Duration::millis(8);
   for (size_t a = 0; a < kAgents; ++a) {
-    seq.push_back(std::make_unique<Agent>("host" + std::to_string(a), a + 1));
-    par.push_back(std::make_unique<Agent>("host" + std::to_string(a), a + 1));
+    agents.push_back(
+        std::make_unique<Agent>("host" + std::to_string(a), a + 1));
     for (size_t e = 0; e < kPerAgent; ++e) {
       const size_t i = a * kPerAgent + e;
       auto s = std::make_unique<FakeSource>(
@@ -938,37 +938,26 @@ TEST(ChaosMatrixTest, CampaignSweepInvariantsHoldUnderAnyPlan) {
           kinds[i % 4]);
       s->attrs = {{attr::kRxPkts, static_cast<double>(i + 1)},
                   {attr::kTxPkts, 1.0}};
-      ASSERT_TRUE(seq[a]->add_element(s.get()).is_ok());
-      ASSERT_TRUE(par[a]->add_element(s.get()).is_ok());
+      ASSERT_TRUE(agents[a]->add_element(s.get()).is_ok());
       sources.push_back(std::move(s));
     }
-    for (Agent* ag : {seq[a].get(), par[a].get()}) {
-      ag->set_fault_plan(&plan);
-      ag->set_retry_policy(p);
-    }
+    agents[a]->set_fault_plan(&plan);
+    agents[a]->set_retry_policy(p);
   }
 
-  ThreadPool pool(4);
   bool saw_outage = false;
   for (int round = 0; round < 30; ++round) {
     const SimTime now = SimTime::millis(round * 50);
     if (plan.campaign_active(now)) saw_outage = true;
     for (size_t a = 0; a < kAgents; ++a) {
       std::vector<QueryResponse> rs =
-          seq[a]->query_batch(seq[a]->element_ids(), now).responses;
-      std::vector<QueryResponse> rp =
-          par[a]->query_batch(par[a]->element_ids(), now, &pool).responses;
+          agents[a]->query_batch(agents[a]->element_ids(), now).responses;
       ASSERT_EQ(rs.size(), kPerAgent);
-      ASSERT_EQ(rp.size(), rs.size());
       const bool down =
-          plan.has_campaign() && plan.agent_down(seq[a]->name(), now);
+          plan.has_campaign() && plan.agent_down(agents[a]->name(), now);
       for (size_t i = 0; i < rs.size(); ++i) {
-        // Pooled equals sequential at any campaign intensity; budgets hold;
-        // a down agent reports every element missing.
-        EXPECT_EQ(to_text(rs[i].record), to_text(rp[i].record));
-        EXPECT_EQ(static_cast<int>(rs[i].quality),
-                  static_cast<int>(rp[i].quality));
-        EXPECT_EQ(rs[i].attempts, rp[i].attempts);
+        // At any campaign intensity budgets hold and a down agent reports
+        // every element missing.
         EXPECT_LE(rs[i].response_time.ns(), p.element_budget.ns());
         if (down) {
           EXPECT_EQ(rs[i].quality, DataQuality::kMissing);

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/threadpool.h"
 #include "perfsight/agent.h"
 #include "perfsight/controller.h"
 #include "perfsight/faults.h"
@@ -203,7 +202,6 @@ struct Fleet {
 std::string agent_transcript() {
   ScopedTraceRecorder scoped(1 << 14);
   Fleet f;
-  ThreadPool pool(3);
   std::string out;
   std::vector<ElementId> batch_ids = {f.id0(7), f.id0(1),  ElementId{"ghost"},
                                       f.id0(3), f.id0(10), f.id0(4),
@@ -222,13 +220,12 @@ std::string agent_transcript() {
                                 {attr::kDropPkts, "nope", attr::kRxPkts},
                                 now)) +
            "\n";
-    out += fmt(f.a0.query_batch(batch_ids, now, round % 2 ? &pool : nullptr));
+    out += fmt(f.a0.query_batch(batch_ids, now));
     out += "poll\n";
     for (const QueryResponse& r : f.a0.poll_all(now)) {
       out += "  " + fmt(r) + "\n";
     }
-    out += "sweep " + fmt(f.a0.query_batch(f.a0.element_ids(), now,
-                                           round % 3 ? &pool : nullptr));
+    out += "sweep " + fmt(f.a0.query_batch(f.a0.element_ids(), now));
     out += "query " + fmt(f.a1.query(f.id1(round % 4), now)) + "\n";
     out += fmt(f.a1.query_batch(all1, now));
     out += "poll1\n";

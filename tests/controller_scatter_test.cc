@@ -670,8 +670,8 @@ TEST(ScatterChurnTest, ConcurrentScatterPollAndAlertEvaluation) {
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       for (auto& a : agents) {
-        (void)a->query_batch(a->element_ids(), SimTime::nanos(clock_ns.load()),
-                             &pool);
+        (void)a->query_batch(a->element_ids(),
+                             SimTime::nanos(clock_ns.load()));
       }
     }
   });

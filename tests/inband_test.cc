@@ -623,7 +623,7 @@ TEST(IntChurnTest, HarvestRacesPollSweepsAndStreamPumps) {
   std::thread pump_thread([&] {
     ++go;
     for (int i = 0; i < 60; ++i) {
-      EXPECT_TRUE(pipe.pump(SimTime::millis(100 * (i + 1)), nullptr).is_ok());
+      EXPECT_TRUE(pipe.pump(SimTime::millis(100 * (i + 1))).is_ok());
     }
   });
   std::thread stamp_thread([&] {

@@ -1,6 +1,7 @@
-// The parallel collection runtime: batched/parallel agent polling must be
-// byte-identical to the sequential path, and the shared state it touches
-// must be thread-safe (these tests are the ThreadSanitizer targets in CI).
+// The collection runtime: batched agent polling bills one trip per channel
+// kind, controller fan-outs must be byte-identical to the sequential path,
+// and the shared state they touch must be thread-safe (these tests are the
+// ThreadSanitizer targets in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,18 +42,20 @@ class FakeSource : public StatsSource {
   ChannelKind kind_;
 };
 
-std::vector<std::unique_ptr<FakeSource>> make_sources(size_t n) {
-  std::vector<std::unique_ptr<FakeSource>> out;
+std::unique_ptr<FakeSource> make_source(size_t i) {
   const ChannelKind kinds[] = {ChannelKind::kProcFs, ChannelKind::kMbSocket,
                                ChannelKind::kNetDeviceFile,
                                ChannelKind::kOvsChannel};
-  for (size_t i = 0; i < n; ++i) {
-    auto s = std::make_unique<FakeSource>("m0/el" + std::to_string(i),
-                                          kinds[i % 4]);
-    s->attrs = {{attr::kRxPkts, static_cast<double>(100 * i)},
-                {attr::kTxPkts, static_cast<double>(90 * i)}};
-    out.push_back(std::move(s));
-  }
+  auto s =
+      std::make_unique<FakeSource>("m0/el" + std::to_string(i), kinds[i % 4]);
+  s->attrs = {{attr::kRxPkts, static_cast<double>(100 * i)},
+              {attr::kTxPkts, static_cast<double>(90 * i)}};
+  return s;
+}
+
+std::vector<std::unique_ptr<FakeSource>> make_sources(size_t n) {
+  std::vector<std::unique_ptr<FakeSource>> out;
+  for (size_t i = 0; i < n; ++i) out.push_back(make_source(i));
   return out;
 }
 
@@ -60,38 +63,6 @@ void register_all(Agent& agent,
                   const std::vector<std::unique_ptr<FakeSource>>& sources) {
   for (const auto& s : sources) {
     ASSERT_TRUE(agent.add_element(s.get()).is_ok());
-  }
-}
-
-TEST(ParallelPollTest, PollAllParallelIsByteIdenticalToSequential) {
-  auto sources = make_sources(12);
-  // Same name + seed: both agents consume their RNG streams identically
-  // because a batch draws jitter in element-id order before fanning out.
-  Agent seq("a0", 7), par("a0", 7);
-  register_all(seq, sources);
-  register_all(par, sources);
-
-  ThreadPool pool(4);
-  for (int round = 0; round < 3; ++round) {
-    SimTime now = SimTime::millis(round);
-    std::vector<QueryResponse> s =
-        seq.query_batch(seq.element_ids(), now).responses;
-    std::vector<QueryResponse> p =
-        par.query_batch(par.element_ids(), now, &pool).responses;
-    ASSERT_EQ(s.size(), p.size());
-    for (size_t i = 0; i < s.size(); ++i) {
-      EXPECT_EQ(s[i].record.element, p[i].record.element);
-      EXPECT_EQ(s[i].response_time.ns(), p[i].response_time.ns());
-      EXPECT_EQ(to_text(s[i].record), to_text(p[i].record));
-    }
-  }
-  // Self-profiling merged deterministically too.
-  for (size_t k = 0; k < kNumChannelKinds; ++k) {
-    ChannelKind kind = static_cast<ChannelKind>(k);
-    EXPECT_EQ(seq.channel_latency(kind).count(),
-              par.channel_latency(kind).count());
-    EXPECT_DOUBLE_EQ(seq.channel_latency(kind).sum(),
-                     par.channel_latency(kind).sum());
   }
 }
 
@@ -125,28 +96,6 @@ TEST(ParallelPollTest, QueryBatchAmortizesOneTripPerChannelKind) {
   // The histograms saw one observe per kind (the trips actually paid).
   EXPECT_EQ(agent.channel_latency(ChannelKind::kProcFs).count(), 1u);
   EXPECT_EQ(agent.channel_latency(ChannelKind::kMbSocket).count(), 1u);
-
-  // The parallel batch matches the sequential one on a twin agent.
-  Agent twin("a0");
-  twin.set_latency(ChannelKind::kProcFs,
-                   {Duration::micros(100), Duration::nanos(0)});
-  twin.set_latency(ChannelKind::kMbSocket,
-                   {Duration::micros(200), Duration::nanos(0)});
-  for (auto* s : {&p1, &p2, &p3, &m1, &m2}) {
-    ASSERT_TRUE(twin.add_element(s).is_ok());
-  }
-  ThreadPool pool(4);
-  BatchResponse par = twin.query_batch(
-      {ElementId{"p1"}, ElementId{"p2"}, ElementId{"p3"}, ElementId{"m1"},
-       ElementId{"m2"}},
-      SimTime::millis(1), &pool);
-  ASSERT_EQ(par.responses.size(), batch.responses.size());
-  for (size_t i = 0; i < par.responses.size(); ++i) {
-    EXPECT_EQ(to_text(par.responses[i].record),
-              to_text(batch.responses[i].record));
-    EXPECT_EQ(par.responses[i].response_time.ns(),
-              batch.responses[i].response_time.ns());
-  }
 }
 
 TEST(ParallelPollTest, QueryBatchCountsUnknownIds) {
@@ -160,9 +109,10 @@ TEST(ParallelPollTest, QueryBatchCountsUnknownIds) {
   EXPECT_EQ(batch.unknown_ids, 2u);
 }
 
-// TSan target: a poll sweep racing element churn must not corrupt agent
-// state.  (Removal only deregisters — sources outlive the sweep by
-// contract.)
+// TSan/ASan target: a poll sweep racing element churn must not corrupt
+// agent state.  remove_element drains an in-flight collect(), so the churn
+// thread destroys each removed source as soon as the call returns and
+// registers a fresh heap copy in its place.
 TEST(ParallelPollTest, ConcurrentPollAllAndRemoveElement) {
   auto sources = make_sources(16);
   Agent agent("a0");
@@ -170,11 +120,11 @@ TEST(ParallelPollTest, ConcurrentPollAllAndRemoveElement) {
 
   std::atomic<bool> stop{false};
   std::thread churn([&] {
-    // Repeatedly deregister and re-register the same elements.
     while (!stop.load(std::memory_order_relaxed)) {
       for (size_t i = 0; i < 4; ++i) {
-        (void)agent.remove_element(sources[i]->id());
-        (void)agent.add_element(sources[i].get());
+        EXPECT_TRUE(agent.remove_element(sources[i]->id()).is_ok());
+        sources[i] = make_source(i);  // frees the removed source
+        EXPECT_TRUE(agent.add_element(sources[i].get()).is_ok());
       }
     }
   });

@@ -223,9 +223,9 @@ class Rig {
 
   Controller& ctl() { return *ctl_; }
   void set_now(SimTime t) { now_ = t; }
-  void pump(SimTime at, ThreadPool* pool) {
+  void pump(SimTime at) {
     ASSERT_TRUE(streamed_);
-    Status st = pipe_->pump(at, pool);
+    Status st = pipe_->pump(at);
     EXPECT_TRUE(st.is_ok()) << st.message();
   }
   const StreamCache& cache() const { return cache_; }
@@ -245,7 +245,7 @@ class Rig {
 // streamed world pumps the window at kW first, then BOTH worlds replay
 // diagnosis for the window [(k-1)W, kW] — one window behind the stream, so
 // every sweep instant the detectors touch is already materialized.
-std::string run_script(Rig& rig, bool streamed, ThreadPool* pool) {
+std::string run_script(Rig& rig, bool streamed) {
   ContentionDetector det(&rig.ctl(), RuleBook::standard());
   det.set_loss_threshold(10);
   RootCauseAnalyzer rca(&rig.ctl());
@@ -281,14 +281,14 @@ std::string run_script(Rig& rig, bool streamed, ThreadPool* pool) {
   // reaches at most kW — exactly the boundary just pumped.  The replay lag
   // must cover the furthest instant the diagnosis chain itself can touch.
   if (streamed) {
-    rig.pump(SimTime{}, pool);
-    rig.pump(SimTime::millis(100), pool);
+    rig.pump(SimTime{});
+    rig.pump(SimTime::millis(100));
   }
   std::string out;
   for (int k = 2; k <= 11; ++k) {
     const SimTime tk = SimTime::millis(100 * k);
     const SimTime tlo = SimTime::millis(100 * (k - 2));
-    if (streamed) rig.pump(tk, pool);
+    if (streamed) rig.pump(tk);
     out += "== window " + std::to_string(k - 1) + " ==\n";
     rig.set_now(tlo);
     out += to_text(det.diagnose(kTenant, kWindow));
@@ -318,7 +318,7 @@ WorldRun run_world(const std::string& plan_spec, bool streamed,
   ThreadPool pool(pool_size);
   Rig rig(sources, plan ? &*plan : nullptr, streamed, &pool);
   WorldRun r;
-  r.transcript = run_script(rig, streamed, &pool);
+  r.transcript = run_script(rig, streamed);
   if (streamed) {
     r.stream_stats = rig.cache().stats();
     r.frames_dropped = rig.pipe()->frames_dropped();
@@ -596,19 +596,19 @@ TEST(StreamPipelineTest, CacheResetMidStreamResyncsViaSnapshot) {
   StreamCache cache;
   StreamPipeline pipe(&cache, nullptr);
   pipe.add_agent(&a0);
-  ASSERT_TRUE(pipe.pump(SimTime::millis(100), nullptr).is_ok());
-  ASSERT_TRUE(pipe.pump(SimTime::millis(200), nullptr).is_ok());
+  ASSERT_TRUE(pipe.pump(SimTime::millis(100)).is_ok());
+  ASSERT_TRUE(pipe.pump(SimTime::millis(200)).is_ok());
 
   // The cache loses its stream state mid-run (operator restart, failover to
   // a cold replica).  The next pump ships a delta the cache cannot decode;
   // the pipeline must resync via a snapshot republish, not error out.
   cache.reset_stream("a0");
-  Status st = pipe.pump(SimTime::millis(300), nullptr);
+  Status st = pipe.pump(SimTime::millis(300));
   EXPECT_TRUE(st.is_ok()) << st.message();
   EXPECT_EQ(cache.stats().snapshot_requests, 1u);
   EXPECT_TRUE(cache.window_present("a0", SimTime::millis(300)));
   // And the stream continues delta-coded afterwards.
-  ASSERT_TRUE(pipe.pump(SimTime::millis(400), nullptr).is_ok());
+  ASSERT_TRUE(pipe.pump(SimTime::millis(400)).is_ok());
   for (int ms : {300, 400}) {
     const BatchResponse direct = a0.query_batch(ids, SimTime::millis(ms));
     for (const QueryResponse& want : direct.responses) {

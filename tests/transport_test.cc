@@ -1611,7 +1611,7 @@ TEST(TransportChurnTest, RemoteQueriesRaceServerSidePolls) {
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       for (auto& a : rig.agents_) {
-        (void)a->query_batch(a->element_ids(), SimTime(), &pool);
+        (void)a->query_batch(a->element_ids(), SimTime());
       }
     }
   });
