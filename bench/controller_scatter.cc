@@ -13,7 +13,8 @@
 // byte-identical records between the sequential oracle (one get_attr_q per
 // element) and the pooled batch path, and a strictly smaller modelled
 // channel bill for the batch path (one round trip per channel kind per
-// agent instead of one per element).
+// agent instead of one per element).  BASELINE also pins the has_element
+// probes a sweep of registered stack elements costs the controller: 0.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -104,6 +105,74 @@ struct Fleet {
 const std::vector<std::string> kAttrs = {"rx_packets", "rx_bytes",
                                          "tx_packets", "drop"};
 
+// Forwards to an agent and counts the has_element probes it is asked.
+class ProbeCounter : public AgentClient {
+ public:
+  explicit ProbeCounter(AgentClient* inner) : inner_(inner) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  bool has_element(const ElementId& id) const override {
+    ++probes;
+    return inner_->has_element(id);
+  }
+  std::vector<ElementId> element_ids() const override {
+    return inner_->element_ids();
+  }
+  BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
+                            ThreadPool* pool) override {
+    return inner_->query_batch(ids, now, pool);
+  }
+
+  mutable size_t probes = 0;
+
+ private:
+  AgentClient* inner_;
+};
+
+// One sweep of Algorithm 1's scan set over kStackAgents agents, each with
+// kElementsPerAgent registered stack elements and one tenant element: how
+// many records it read and how many has_element probes the controller
+// asked to route them.  A registered element needs no probe.
+constexpr size_t kStackAgents = 4;
+struct StackSweep {
+  size_t records = 0;
+  size_t probes = 0;
+};
+StackSweep stack_sweep() {
+  Controller ctl([](Duration) { return SimTime(); }, [] { return SimTime(); });
+  std::vector<std::unique_ptr<Agent>> agents;
+  std::vector<std::unique_ptr<ProbeCounter>> clients;
+  std::vector<std::unique_ptr<ProcTextSource>> sources;
+  for (size_t a = 0; a < kStackAgents; ++a) {
+    const std::string host = "host" + std::to_string(a);
+    agents.push_back(std::make_unique<Agent>(host, a + 1));
+    clients.push_back(std::make_unique<ProbeCounter>(agents.back().get()));
+    ProbeCounter* client = clients.back().get();
+    ctl.register_agent(client);
+    for (size_t e = 0; e <= kElementsPerAgent; ++e) {
+      const bool tenant = e == kElementsPerAgent;
+      sources.push_back(std::make_unique<ProcTextSource>(
+          ElementId{host + (tenant ? "/vm0" : "/eth" + std::to_string(e))},
+          a * kElementsPerAgent + e));
+      const ElementId id = sources.back()->id();
+      PS_CHECK(agents.back()->add_element(sources.back().get()).is_ok());
+      if (tenant) {
+        PS_CHECK(ctl.register_element(kTenant, id, client).is_ok());
+      } else {
+        ctl.register_stack_element(client, id);
+      }
+    }
+  }
+  for (auto& c : clients) c->probes = 0;
+  const std::vector<ElementId> scan = ctl.stack_elements_for(kTenant);
+  for (const auto& r : ctl.get_attr_many(kTenant, scan, kAttrs)) {
+    PS_CHECK(r.ok());
+  }
+  StackSweep out{scan.size(), 0};
+  for (auto& c : clients) out.probes += c->probes;
+  return out;
+}
+
 // Wall time of kSweepsPerConfig 64-element queries, plus the concatenated
 // wire encoding of the last sweep's records (for the determinism check).
 // With `per_id` each sweep is the sequential oracle: one get_attr_q per
@@ -187,10 +256,20 @@ int main() {
   report.gate("wire_bytes", static_cast<double>(wire_seq.size()));
   report.info("speedup_at_4", speedup_at_4);
 
+  // Routing a registered stack element is a registry lookup, not a probe
+  // of every agent in turn.
+  const StackSweep sweep = stack_sweep();
+  note("registered-stack sweep: %zu records, %zu has_element probes",
+       sweep.records, sweep.probes);
+  report.gate("stack_sweep_has_element_calls",
+              static_cast<double>(sweep.probes));
+
   shape_check(speedup_at_4 >= 2.0,
               "64-element query >= 2x faster with 4 workers than 1");
   shape_check(!wire_seq.empty() && wire_seq == wire_par,
               "pooled batch records byte-identical to sequential oracle");
+  shape_check(sweep.records == kStackAgents * kElementsPerAgent,
+              "the registered-stack sweep reads every stack element");
   shape_check(batch_cost.queries == seq_cost.queries &&
                   batch_cost.channel_time.ns() < seq_cost.channel_time.ns(),
               "batching amortises the modelled channel time");

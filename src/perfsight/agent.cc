@@ -354,24 +354,49 @@ void Agent::apply_fault_bookkeeping_locked(const ElementId& id,
   if (track_last_good) last_good_[id] = record;
 }
 
+const Agent::PlanMemo& Agent::plan_memo_locked(SimTime now) {
+  if (memo_.plan != plan_ || memo_.generation != plan_->generation() ||
+      memo_.at != now) {
+    memo_.plan = plan_;
+    memo_.generation = plan_->generation();
+    memo_.at = now;
+    memo_.down = plan_->has_campaign() && plan_->agent_down(name_, now);
+    memo_.serves_stale = plan_->serves_stale();
+  }
+  return memo_;
+}
+
 BatchResponse Agent::query_batch(const std::vector<ElementId>& ids,
                                  SimTime now, ThreadPool* /*pool*/) {
   BatchResponse batch;
   std::vector<PlannedQuery> plan;
-  std::array<bool, kNumChannelKinds> kind_used = {};
-  std::array<Duration, kNumChannelKinds> kind_delay = {};
   // One lock for the whole batch: every RNG draw, fault decision and retry
   // chain happens in element-id order, and every collect() runs before the
   // lock is released, so a remove_element returns only once no read of the
   // element is in flight.
   std::lock_guard<std::mutex> lock(mu_);
+  run_batch_locked(ids, now, plan, batch);
+  return batch;
+}
+
+void Agent::run_batch_locked(std::span<const ElementId> ids, SimTime now,
+                             std::vector<PlannedQuery>& plan,
+                             BatchResponse& batch) {
+  plan.clear();
+  batch.responses.clear();
+  batch.channel_time = Duration();
+  batch.unknown_ids = 0;
+  batch.degraded = 0;
+  std::array<bool, kNumChannelKinds> kind_used = {};
+  std::array<Duration, kNumChannelKinds> kind_delay = {};
   absorb_crashes_locked(now);
   bool down = false, track_last_good = false, bookkeep = false;
   if (plan_ != nullptr) {
-    track_last_good = plan_->serves_stale();
+    const PlanMemo& memo = plan_memo_locked(now);
+    track_last_good = memo.serves_stale;
     bookkeep = track_last_good || !pending_reset_.empty() ||
                !reset_offset_.empty();
-    down = plan_->has_campaign() && plan_->agent_down(name_, now);
+    down = memo.down;
   }
   batch.unknown_ids = plan_request(ids, plan, [&](const ElementId& id) {
     auto it = sources_.find(id);
@@ -440,7 +465,6 @@ BatchResponse Agent::query_batch(const std::vector<ElementId>& ids,
     if (kind_used[k]) channel_hist_[k].observe(kind_delay[k].sec());
   }
   if (trace_enabled()) trace_batch(plan, kind_used, kind_delay, batch, now);
-  return batch;
 }
 
 void Agent::trace_batch(const std::vector<PlannedQuery>& plan,
@@ -488,11 +512,16 @@ void Agent::trace_batch(const std::vector<PlannedQuery>& plan,
 }
 
 std::vector<QueryResponse> Agent::poll_all(SimTime now) {
+  const std::vector<ElementId> ids = element_ids();
   std::vector<QueryResponse> out;
-  for (const ElementId& id : element_ids()) {
-    for (QueryResponse& r : query_batch({id}, now).responses) {
-      out.push_back(std::move(r));
-    }
+  out.reserve(ids.size());
+  // Batches of one that share their plan and response scratch.
+  std::vector<PlannedQuery> plan;
+  BatchResponse batch;
+  for (const ElementId& id : ids) {
+    std::lock_guard<std::mutex> lock(mu_);
+    run_batch_locked({&id, 1}, now, plan, batch);
+    for (QueryResponse& r : batch.responses) out.push_back(std::move(r));
   }
   return out;
 }

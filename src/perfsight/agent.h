@@ -45,6 +45,7 @@
 #include <array>
 #include <iterator>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -211,7 +212,9 @@ class CircuitBreaker {
 // the id to `plan` (an ElementId, or a struct whose operator< orders by
 // element id) and returns true, or returns false for an id the agent does
 // not serve.  The entries are then put in ascending element-id order, the
-// order every answer comes back in.  Returns the unknown count.
+// order every answer comes back in; a request already in that order (the
+// controller's scatter sends ascending ids) is not sorted again.  Returns
+// the unknown count.
 template <typename Ids, typename Entry, typename Admit>
 size_t plan_request(const Ids& ids, std::vector<Entry>& plan, Admit admit) {
   plan.reserve(plan.size() + std::size(ids));
@@ -219,7 +222,9 @@ size_t plan_request(const Ids& ids, std::vector<Entry>& plan, Admit admit) {
   for (const auto& id : ids) {
     if (!admit(id)) ++unknown;
   }
-  std::sort(plan.begin(), plan.end());
+  if (!std::is_sorted(plan.begin(), plan.end())) {
+    std::sort(plan.begin(), plan.end());
+  }
   return unknown;
 }
 
@@ -357,6 +362,7 @@ class Agent : public AgentClient {
   void set_fault_plan(const FaultPlan* plan) {
     std::lock_guard<std::mutex> lock(mu_);
     plan_ = plan;
+    memo_ = PlanMemo{};
   }
   void set_retry_policy(RetryPolicy p) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -400,6 +406,20 @@ class Agent : public AgentClient {
     bool operator<(const PlannedQuery& o) const { return id < o.id; }
   };
 
+  // The plan's answers for this agent at `now` (see memo_).
+  struct PlanMemo {
+    const FaultPlan* plan = nullptr;
+    uint64_t generation = 0;
+    SimTime at;
+    bool down = false;          // a campaign window covers `at`
+    bool serves_stale = false;  // last-good records must be kept
+  };
+  const PlanMemo& plan_memo_locked(SimTime now);
+  // The one collection core behind query_batch and poll_all: plans and
+  // answers `ids` into `batch`, reusing the capacity of `plan` and of
+  // batch.responses.  Must run with mu_ held.
+  void run_batch_locked(std::span<const ElementId> ids, SimTime now,
+                        std::vector<PlannedQuery>& plan, BatchResponse& batch);
   Duration channel_delay_locked(ChannelKind kind);
   // Consumes crashes the plan scheduled since the last query: last-good
   // records are lost, every element's counters restart from zero on its
@@ -446,6 +466,10 @@ class Agent : public AgentClient {
   std::unordered_set<ElementId> pending_reset_;
   std::unordered_map<ElementId, std::vector<Attr>> reset_offset_;
   SimTime last_crash_check_;
+  // Valid while plan_, its generation and the batch instant are unchanged:
+  // a poll sweep is one batch per element at one instant, so an installed
+  // campaign's window lookups run once per sweep, not once per element.
+  PlanMemo memo_;
   AgentFaultStats fstats_;
 };
 

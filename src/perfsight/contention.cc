@@ -49,6 +49,7 @@ ContentionReport ContentionDetector::diagnose(TenantId tenant, Duration window,
   // per element).
   const std::vector<Controller::WindowSample> samples =
       controller_->sample_window(tenant, elements, kSampleAttrs, window);
+  report.ranked.reserve(elements.size());
   for (size_t i = 0; i < elements.size(); ++i) {
     const Controller::WindowSample& w = samples[i];
     // A loss delta is only trustworthy when *both* endpoints were actually
@@ -69,11 +70,12 @@ ContentionReport ContentionDetector::diagnose(TenantId tenant, Duration window,
     entry.loss_pkts = std::max<int64_t>(0, pkt_loss(w));
     report.ranked.push_back(entry);
   }
-  std::sort(report.ranked.begin(), report.ranked.end(),
-            [](const ElementLossEntry& a, const ElementLossEntry& b) {
-              if (a.loss_pkts != b.loss_pkts) return a.loss_pkts > b.loss_pkts;
-              return a.id < b.id;
-            });
+  // Loss descending, ties by id: the scan set is ascending and unique, so a
+  // stable sort on the loss alone keeps equal losses in id order.
+  std::stable_sort(report.ranked.begin(), report.ranked.end(),
+                   [](const ElementLossEntry& a, const ElementLossEntry& b) {
+                     return a.loss_pkts > b.loss_pkts;
+                   });
 
   report.coverage = coverage(elements.size(), report.blind_spots.size());
   // Appended to every narrative when the sweep had blind spots: a verdict

@@ -59,10 +59,14 @@ class Controller {
                          AgentClient* agent);
 
   // Declares `id` part of the virtualization stack on `agent`'s machine
-  // (Algorithm 1 scans these).
-  void register_stack_element(AgentClient* agent, const ElementId& id) {
-    stack_elements_[agent].push_back(id);
-  }
+  // (Algorithm 1 scans these).  A stack element belongs to the agent it was
+  // first registered on, as a tenant element belongs to its register_element
+  // agent: reads of it route there and nowhere else, so an element that
+  // leaves its owner reads as a blind spot carrying the owner's Status, even
+  // if another agent happens to serve it.  Registering it on more agents (a
+  // replica's stack view) adds owners that count for stack_elements_for,
+  // not routes.
+  void register_stack_element(AgentClient* agent, const ElementId& id);
 
   // Declares `id` a middlebox of `tenant` and records chain edges.
   void register_middlebox(TenantId tenant, const ElementId& id) {
@@ -79,7 +83,9 @@ class Controller {
   const ChainTopology& chain(TenantId tenant) const;
   std::vector<ElementId> elements_of(TenantId tenant) const;
   // Every virtualization-stack element on every machine hosting a tenant
-  // element (the scan set of Algorithm 1).
+  // element (the scan set of Algorithm 1), ascending and unique: an element
+  // registered on two such machines is listed once.  Algorithm 1 relies on
+  // that order to rank equal losses by id.
   std::vector<ElementId> stack_elements_for(TenantId tenant) const;
   const std::vector<AgentClient*>& agents() const { return agents_; }
 
@@ -217,6 +223,8 @@ class Controller {
       std::vector<DataQuality>* quality = nullptr) const;
 
  private:
+  // The agent that answers for `id`: the tenant's registered agent, else
+  // the stack element's first owner, else the first agent serving it.
   AgentClient* locate(TenantId tenant, const ElementId& id) const;
   // The registered read replica, or null.
   AgentClient* mirror_of(TenantId tenant, const ElementId& id) const;
@@ -244,7 +252,13 @@ class Controller {
       vnet_;
   std::unordered_map<TenantId, std::unordered_map<ElementId, AgentClient*>>
       mirror_;
-  std::unordered_map<AgentClient*, std::vector<ElementId>> stack_elements_;
+  // One entry per register_stack_element call, ascending by id; an id's
+  // entries (its owners) keep registration order.
+  struct StackEntry {
+    ElementId id;
+    AgentClient* owner;
+  };
+  std::vector<StackEntry> stack_;
   std::unordered_map<TenantId, std::vector<ElementId>> tenant_mbs_;
   std::unordered_map<TenantId, ChainTopology> tenant_chain_;
 };

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -134,20 +135,26 @@ class FaultPlan {
   // Fault probabilities for every element reached over `kind`.
   void set_channel_faults(ChannelKind kind, ChannelFaultSpec spec) {
     channel_[static_cast<size_t>(kind)] = spec;
+    touch();
   }
   // Per-element override; wins over the channel-kind spec.
   void set_element_faults(const ElementId& id, ChannelFaultSpec spec) {
     element_[id] = spec;
+    touch();
   }
 
   // Modelled latency of a timed-out attempt (the spike, before any
   // per-attempt deadline clamps it).
-  void set_timeout_spike(Duration d) { timeout_spike_ = d; }
+  void set_timeout_spike(Duration d) {
+    timeout_spike_ = d;
+    touch();
+  }
   Duration timeout_spike() const { return timeout_spike_; }
 
   // Schedules a whole-agent crash/restart at simulated time `at`.
   void schedule_crash(const std::string& agent, SimTime at) {
     crashes_[agent].push_back(at);
+    touch();
   }
   // Crashes of `agent` scheduled in (since, until]; the agent consumes each
   // crash exactly once by advancing its own watermark.
@@ -160,11 +167,13 @@ class FaultPlan {
   // window fails like a transient error, retries and breakers included.
   void schedule_outage(const std::string& agent, SimTime start, SimTime end) {
     outages_[agent].push_back(OutageWindow{start, end});
+    touch();
   }
 
   // Tags `agent` as living on host `tag` so host-level windows reach it.
   void set_host(const std::string& agent, const std::string& tag) {
     host_of_[agent] = tag;
+    touch();
   }
   // The host tag of `agent`, or "" when untagged.
   const std::string& host_of(const std::string& agent) const;
@@ -174,6 +183,7 @@ class FaultPlan {
   void schedule_host_outage(const std::string& tag, SimTime start,
                             SimTime end) {
     host_outages_[tag].push_back(OutageWindow{start, end});
+    touch();
   }
 
   // Rolling upgrade: agents[i] is down for
@@ -217,6 +227,12 @@ class FaultPlan {
   // last-good records stale serving needs while this holds.
   bool serves_stale() const;
 
+  // Changes whenever the plan does: every mutator draws a fresh value from
+  // one process-wide counter, and a copy carries its source's, so two plans
+  // with the same generation hold the same schedule.  Agents memoize their
+  // per-instant answers (agent_down, serves_stale) against it.
+  uint64_t generation() const { return generation_; }
+
   // --- push-mode stream faults ----------------------------------------------
   // Probability that one published stream frame is lost in transit.  This is
   // a transport-layer fault consumed by the streaming pipeline (streaming.h),
@@ -224,7 +240,10 @@ class FaultPlan {
   // must detect and repair with a targeted pull, while the channel queries
   // behind the capture are untouched.  Deliberately NOT part of enabled():
   // agents never consult it.
-  void set_stream_drop(double p) { stream_drop_p_ = p; }
+  void set_stream_drop(double p) {
+    stream_drop_p_ = p;
+    touch();
+  }
 
   // The fate of stream frame `seq` published by `agent`.  Pure function of
   // (seed, agent, seq) — campaigns and channel decisions draw nothing from
@@ -270,7 +289,14 @@ class FaultPlan {
   std::string to_env_string() const;
 
  private:
+  static uint64_t next_generation() {
+    static std::atomic<uint64_t> counter{0};
+    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  void touch() { generation_ = next_generation(); }
+
   uint64_t seed_;
+  uint64_t generation_ = next_generation();
   double stream_drop_p_ = 0;
   Duration timeout_spike_ = Duration::millis(10);
   std::array<ChannelFaultSpec, kNumChannelKinds> channel_ = {};

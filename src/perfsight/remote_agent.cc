@@ -692,57 +692,63 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
                                        SimTime now, ThreadPool* /*pool*/) {
   std::lock_guard<std::mutex> lock(mu_);
 
-  // Planned against the hello cache: the ids it advertised are the ones a
-  // lost reply turns into blind spots, the rest count unknown.  A departed
-  // id is answered here as a blind spot: the reconnect hello already proved
-  // the far end dropped it.
-  std::vector<ElementId> known;
-  const size_t unknown = plan_request(ids, known, [&](const ElementId& id) {
-    const bool k = element_set_.count(id) > 0 || departed_.count(id) > 0;
-    if (k) known.push_back(id);
-    return k;
-  });
-  std::vector<QueryResponse> departures;
-  if (!departed_.empty()) {
-    std::erase_if(known, [&](const ElementId& id) {
-      if (departed_.count(id) == 0) return false;
-      departures.push_back(
-          blind_spot(id, now, StatusCode::kFailedPrecondition));
-      return true;
-    });
-  }
-  // The request carries every other id, for the server is the authority on
-  // what it serves, except those too long to encode: no agent can serve
-  // one (add_element refuses it), so it is counted unknown here.
+  // The request carries every id, for the server is the authority on what
+  // it serves, except two kinds answered here.  A departed id is a blind
+  // spot: the reconnect hello already proved the far end dropped it.  An id
+  // too long to encode is counted unknown: no agent can serve one
+  // (add_element refuses it).
   const TraceContext ctx = current_trace_context();
   wire::BatchRequestMsg req{now, {}, ctx.trace_id, ctx.span_id, name_};
   req.ids.reserve(ids.size());
   size_t unsendable = 0;
+  std::vector<QueryResponse> departures;
   for (const ElementId& id : ids) {
     if (id.name.size() > 0xffff) {
       ++unsendable;
-    } else if (departed_.empty() || departed_.count(id) == 0) {
+    } else if (!departed_.empty() && departed_.count(id) > 0) {
+      departures.push_back(
+          blind_spot(id, now, StatusCode::kFailedPrecondition));
+    } else {
       req.ids.push_back(id);
     }
   }
+  const auto by_element = [](const QueryResponse& a, const QueryResponse& b) {
+    return a.record.element < b.record.element;
+  };
+  std::sort(departures.begin(), departures.end(), by_element);
 
   // The answer: a whole reply passes through untouched (responses, channel
-  // time, unknown count and degraded tally all came off the wire); a
-  // damaged or lost one is reconciled against the plan, every known id it
-  // lacks a blind spot; departures merge in by element id.
+  // time, unknown count and degraded tally all came off the wire).  A
+  // damaged or lost one is reconciled against a plan of the hello cache:
+  // every advertised id the reply lacks becomes a blind spot, and ids
+  // neither advertised nor departed count unknown.  Only a damaged reply is
+  // planned, since a whole one carries its own unknown count.  Departures
+  // merge in by element id.
+  std::vector<ElementId> known;
   const auto answer = [&](BatchResponse got, bool whole) {
-    BatchResponse out = whole ? std::move(got)
-                              : wire::reconcile(known, got, now);
-    out.unknown_ids = whole ? out.unknown_ids + unsendable : unknown;
+    BatchResponse out;
+    if (whole) {
+      out = std::move(got);
+      out.unknown_ids += unsendable;
+    } else {
+      const size_t unknown =
+          plan_request(ids, known, [&](const ElementId& id) {
+            if (element_set_.count(id) > 0) {
+              known.push_back(id);
+              return true;
+            }
+            return departed_.count(id) > 0;  // answered above
+          });
+      out = wire::reconcile(known, got, now);
+      out.unknown_ids = unknown;
+    }
     if (!departures.empty()) {
       const size_t wired = out.responses.size();
       std::move(departures.begin(), departures.end(),
                 std::back_inserter(out.responses));
       std::inplace_merge(out.responses.begin(),
                          out.responses.begin() + wired, out.responses.end(),
-                         [](const QueryResponse& a, const QueryResponse& b) {
-                           return a.record.element < b.record.element;
-                         });
+                         by_element);
       out.degraded += departures.size();
     }
     return out;
@@ -796,11 +802,12 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
   ++stats_.damaged;
   if (m_damaged_ != nullptr) m_damaged_->increment();
   const size_t arrived = decoded.value().responses.size();
+  BatchResponse out = answer(std::move(decoded).take(), false);
   trace_event(transport_trace_id(), now, TraceEventKind::kTransportDamaged,
               static_cast<double>(known.size() - std::min(arrived,
                                                            known.size())),
               name_);
-  return answer(std::move(decoded).take(), false);
+  return out;
 }
 
 }  // namespace perfsight

@@ -1,5 +1,6 @@
 #include "perfsight/stats.h"
 
+#include <array>
 #include <cstdio>
 
 namespace perfsight {
@@ -36,12 +37,28 @@ std::string to_text(const StatsRecord& r) {
 }
 
 StatsRecord project(StatsRecord r, const std::vector<std::string>& names) {
-  std::vector<Attr> attrs;
-  attrs.reserve(names.size());
-  for (const std::string& n : names) {
-    if (auto v = r.get(n)) attrs.push_back(Attr{n, *v});
+  // Every value is looked up in the record as it arrived (a name's first
+  // occurrence, as get() finds it) before any is written: the answer then
+  // overwrites the front of the record's own attrs, and the rest is cut.
+  constexpr size_t kInline = 16;
+  std::array<std::optional<double>, kInline> inline_values;
+  std::vector<std::optional<double>> spill;
+  std::optional<double>* values = inline_values.data();
+  if (names.size() > kInline) {
+    spill.resize(names.size());
+    values = spill.data();
   }
-  return StatsRecord{r.timestamp, std::move(r.element), std::move(attrs)};
+  for (size_t k = 0; k < names.size(); ++k) values[k] = r.get(names[k]);
+  size_t kept = 0;
+  for (size_t k = 0; k < names.size(); ++k) {
+    if (!values[k]) continue;
+    if (kept == r.attrs.size()) r.attrs.emplace_back();
+    r.attrs[kept].name = names[k];
+    r.attrs[kept].value = *values[k];
+    ++kept;
+  }
+  r.attrs.resize(kept);
+  return r;
 }
 
 }  // namespace perfsight

@@ -81,8 +81,9 @@ struct StatsRecord {
 std::string to_text(const StatsRecord& r);
 
 // Projects `names` out of `r` in order; missing attributes are skipped
-// (the paper's GetAttr returns only attributes the element has).  Callers
-// done with `r` move it in, so its element id is not copied.
+// (the paper's GetAttr returns only attributes the element has), and a name
+// asked for twice is answered twice.  Works in place: callers done with `r`
+// move it in, and the answer reuses its id and its attrs vector.
 StatsRecord project(StatsRecord r, const std::vector<std::string>& names);
 
 }  // namespace perfsight

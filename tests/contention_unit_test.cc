@@ -100,6 +100,53 @@ TEST_F(ContentionUnit, RanksElementsByLoss) {
   EXPECT_EQ(r.ranked[2].id, c->id());
 }
 
+// The ranking is loss descending, equal losses by ascending id, whatever
+// order the stack elements were registered in and whichever agent owns
+// them: the scan set arrives ascending and unique, and the sort keeps it.
+TEST_F(ContentionUnit, RanksEqualLossesByIdAcrossAgents) {
+  Agent second("a1", 2);
+  controller_.register_agent(&second);
+  struct Spec {
+    const char* name;
+    Agent* agent;
+    ElementKind kind;
+    int vm;
+    double drop_rate;
+  };
+  const Spec specs[] = {
+      {"m1/vm2/tun", &second, ElementKind::kTun, 2, 300},
+      {"m0/vm3/tun", &agent_, ElementKind::kTun, 3, 300},
+      {"m1/vm0/tun", &second, ElementKind::kTun, 0, 300},
+      {"m0/pnic", &agent_, ElementKind::kPNic, -1, 700},
+      {"m0/vm1/tun", &agent_, ElementKind::kTun, 1, 300},
+      {"m1/pnic", &second, ElementKind::kPNic, -1, 0},
+      {"m0/vm0/tun", &agent_, ElementKind::kTun, 0, 0},
+  };
+  for (const Spec& s : specs) {
+    elems_.push_back(std::make_unique<ScriptedElement>(s.name, s.kind, s.vm));
+    ScriptedElement* e = elems_.back().get();
+    e->drop_rate = s.drop_rate;
+    PS_CHECK(s.agent->add_element(e).is_ok());
+    controller_.register_stack_element(s.agent, e->id());
+  }
+  PS_CHECK(controller_.register_element(kTenant, ElementId{"m0/vm0/tun"},
+                                        &agent_)
+               .is_ok());
+  PS_CHECK(controller_.register_element(kTenant, ElementId{"m1/pnic"},
+                                        &second)
+               .is_ok());
+
+  ContentionReport r = diagnose();
+  std::vector<std::string> ranked;
+  for (const ElementLossEntry& e : r.ranked) {
+    ranked.push_back(e.id.name + " " + std::to_string(e.loss_pkts));
+  }
+  EXPECT_EQ(ranked, (std::vector<std::string>{
+                        "m0/pnic 700", "m0/vm1/tun 300", "m0/vm3/tun 300",
+                        "m1/vm0/tun 300", "m1/vm2/tun 300", "m0/vm0/tun 0",
+                        "m1/pnic 0"}));
+}
+
 TEST_F(ContentionUnit, SingleVmTunLossIsBottleneck) {
   auto* a = element("m0/vm0/tun", ElementKind::kTun, 0);
   auto* b = element("m0/vm1/tun", ElementKind::kTun, 1);

@@ -82,6 +82,69 @@ TEST(ProjectTest, SelectsRequestedAttrsInOrder) {
   EXPECT_EQ(p.attrs[1].name, "a");
 }
 
+// project() works in place on the record it is given.  Its answer must be
+// the one a fresh vector built by name lookups gives (the reference below):
+// request order, missing names skipped, a name asked twice answered twice,
+// and each name's first occurrence when the record repeats one.
+StatsRecord project_by_lookup(const StatsRecord& r,
+                              const std::vector<std::string>& names) {
+  StatsRecord out{r.timestamp, r.element, {}};
+  for (const std::string& n : names) {
+    if (auto v = r.get(n)) out.attrs.push_back(Attr{n, *v});
+  }
+  return out;
+}
+
+TEST(ProjectTest, InPlaceMatchesLookupProjection) {
+  const StatsRecord r{
+      SimTime::millis(7),
+      ElementId{"m0/vm1/tun"},
+      {{attr::kType, 5},
+       {attr::kTxPkts, 90},
+       {attr::kVm, 1},
+       {attr::kRxBytes, 3},
+       {attr::kDropPkts, 4},
+       {attr::kRxPkts, 100},
+       {attr::kTxPkts, -1},  // a repeat: lookups see the first one
+       {attr::kQueuePkts, 6}}};
+  const StatsRecord small{SimTime::millis(8), ElementId{"m0/pnic"},
+                          {{attr::kRxPkts, 42}}};
+  // Longer than project()'s inline lookup buffer.
+  std::vector<std::string> long_request;
+  for (int i = 0; i < 20; ++i) {
+    long_request.push_back(i % 3 == 0 ? attr::kRxPkts : "absent");
+  }
+  const std::vector<std::pair<StatsRecord, std::vector<std::string>>> cases = {
+      {r,
+       {attr::kDropPkts, attr::kRxPkts, attr::kTxPkts, attr::kType,
+        attr::kVm}},                                      // reordered
+      {r, {attr::kRxPkts, "absent", attr::kVm, "gone"}},  // missing names
+      {r,
+       {attr::kVm, attr::kTxPkts, attr::kVm, attr::kTxPkts,
+        attr::kVm}},  // duplicate names
+      {r, {"absent"}},
+      {r, {}},
+      {r,
+       {attr::kQueuePkts, attr::kType, attr::kTxPkts, attr::kRxBytes,
+        attr::kDropPkts, attr::kVm, attr::kRxPkts}},  // every distinct attr
+      // More answers than the record has attrs.
+      {small, {attr::kRxPkts, "absent", attr::kRxPkts, attr::kRxPkts}},
+      {small, long_request},
+      {r, long_request},
+  };
+  for (const auto& [record, names] : cases) {
+    const StatsRecord want = project_by_lookup(record, names);
+    const StatsRecord got = project(record, names);
+    EXPECT_EQ(got.timestamp, want.timestamp);
+    EXPECT_EQ(got.element, want.element);
+    ASSERT_EQ(got.attrs.size(), want.attrs.size());
+    for (size_t i = 0; i < want.attrs.size(); ++i) {
+      EXPECT_EQ(got.attrs[i].name, want.attrs[i].name) << i;
+      EXPECT_EQ(got.attrs[i].value, want.attrs[i].value) << i;
+    }
+  }
+}
+
 TEST(ChainTopologyTest, SuccessorsTransitive) {
   ChainTopology t;
   ElementId a{"a"}, b{"b"}, c{"c"}, nfs{"nfs"};
