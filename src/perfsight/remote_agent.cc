@@ -149,28 +149,27 @@ void RemoteAgentServer::publish_tick(
     }
 
     // One capture and one seq per agent per boundary, shared by every
-    // subscriber — gap detection works across connections.
+    // subscriber — gap detection works across connections, and the one
+    // immutable frame is every subscriber's next delta base.
     const uint64_t seq = ++stream_seq_[agent->name()];
     BatchResponse b = agent->query_batch(agent->element_ids(), at);
-    const wire::StreamDataMsg msg{agent->name(), seq, at, b.channel_time,
-                                  std::move(b.responses)};
+    const auto msg = std::make_shared<const wire::StreamDataMsg>(
+        wire::StreamDataMsg{agent->name(), seq, at, b.channel_time,
+                            std::move(b.responses)});
 
     for (auto& c : conns) {
       if (c->dead || c->sub_agent != agent->name()) continue;
       // Delta against THIS connection's last frame; a fresh subscriber has
       // no base yet, so its first frame is automatically a snapshot.
       Result<std::string> body =
-          wire::encode_stream_data(msg, c->stream_prev.get());
+          wire::encode_stream_data(*msg, c->stream_prev.get());
       if (!body.ok()) {
         c->dead = true;
         continue;
       }
       c->wbuf += wire::encode_message(wire::MessageKind::kStreamData,
                                       body.value());
-      if (c->stream_prev == nullptr) {
-        c->stream_prev = std::make_unique<wire::StreamDataMsg>();
-      }
-      *c->stream_prev = msg;
+      c->stream_prev = msg;
       stream_frames_.fetch_add(1, std::memory_order_relaxed);
       if (!flush_writes(*c)) c->dead = true;
     }

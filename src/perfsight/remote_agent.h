@@ -160,9 +160,10 @@ class RemoteAgentServer {
     transport::Clock::time_point write_since{};
     // Push-mode subscription: non-empty = resolved agent name this
     // connection subscribed to.  `stream_prev` is the delta base — the last
-    // frame queued on THIS connection (null until the snapshot goes out).
+    // frame queued on THIS connection (null until the snapshot goes out),
+    // shared with every connection that got the same capture.
     std::string sub_agent;
-    std::unique_ptr<wire::StreamDataMsg> stream_prev;
+    std::shared_ptr<const wire::StreamDataMsg> stream_prev;
   };
 
   void serve();

@@ -1,10 +1,12 @@
-// Allocation gate for the simulator tick.
+// Allocation gates for the simulator tick and the stream cache's apply.
 //
 // A steady-state tick allocates nothing on the packet path: pools, max-min,
 // queues, the pCPU backlog, the pumps and the INT hooks all reuse storage
-// that grew on first use.  This binary replaces every form of operator new
-// with a per-thread counter (as perfbench's harness does), so it must stay
-// a test binary of its own.
+// that grew on first use.  An in-order stream frame costs the cache what
+// decoding it costs, plus the shared frame and its map node: the decoded
+// records are stored, not copied.  This binary replaces every form of
+// operator new with a per-thread counter (as perfbench's harness does), so
+// it must stay a test binary of its own.
 //
 // The rig is the perfbench dataplane_int machine: the Fig. 8 timeline in
 // 2 s phases with the INT attach set (pNIC, NAPI and every per-VM element,
@@ -16,10 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "cluster/scenarios.h"
 #include "perfsight/inband.h"
 #include "perfsight/streaming.h"
+#include "perfsight/wire.h"
 
 namespace {
 thread_local uint64_t t_allocs = 0;
@@ -181,6 +185,57 @@ TEST(SimAllocTest, StampingOnAllocatesOnlyInWindowCloses) {
     EXPECT_EQ(counted[p].ticks - counted[p].closes, 0u) << "phase " << p;
     EXPECT_LE(counted[p].ticks, kBeforeStampingOn / 10) << "phase " << p;
   }
+}
+
+// --- stream cache apply ------------------------------------------------------
+
+// One agent's 1,024-element capture at window `k`: twelve attrs per record,
+// counters advancing by small integers from window to window and the rest
+// sitting still — the steady state a delta frame encodes.
+wire::StreamDataMsg capture(uint64_t k) {
+  wire::StreamDataMsg m;
+  m.agent = "a0";
+  m.seq = k;
+  m.window_start = SimTime::millis(100 * static_cast<int64_t>(k));
+  m.responses.resize(1024);
+  for (size_t i = 0; i < m.responses.size(); ++i) {
+    char name[64];
+    std::snprintf(name, sizeof name, "m0/vm%02zu/element%04zu", i / 64, i);
+    QueryResponse& r = m.responses[i];
+    r.record.timestamp = m.window_start;
+    r.record.element = ElementId{name};
+    r.attempts = 1;
+    for (int a = 0; a < 12; ++a) {
+      const double v = a < 6 ? static_cast<double>((i + 1) * k * (a + 1)) : a;
+      r.record.attrs.push_back({"attr" + std::to_string(a), v});
+    }
+  }
+  return m;
+}
+
+TEST(StreamAllocTest, InOrderDeltaApplyStoresTheDecodedFrame) {
+  const wire::StreamDataMsg w1 = capture(1);
+  const wire::StreamDataMsg w2 = capture(2);
+  const std::string snapshot = wire::encode_stream_data(w1, nullptr).value();
+  const std::string delta = wire::encode_stream_data(w2, &w1).value();
+  StreamCache cache;
+  ASSERT_TRUE(cache.apply(snapshot).ok());
+
+  uint64_t a0 = t_allocs;
+  const bool decoded = wire::decode_stream_data(delta, &w1).ok();
+  const uint64_t decode = t_allocs - a0;
+  a0 = t_allocs;
+  Result<StreamCache::ApplyResult> applied = cache.apply(delta);
+  const uint64_t apply = t_allocs - a0;
+  std::printf("1,024-record delta frame: decode %llu allocations, apply %llu\n",
+              static_cast<unsigned long long>(decode),
+              static_cast<unsigned long long>(apply));
+  ASSERT_TRUE(decoded);
+  ASSERT_TRUE(applied.ok() && applied.value().applied);
+  // The shared frame and the window's map node; copying the records into
+  // the window and again into the delta base would double `decode`.
+  constexpr uint64_t kFrameAndNode = 2;
+  EXPECT_LE(apply, decode + kFrameAndNode);
 }
 
 }  // namespace
