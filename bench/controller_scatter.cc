@@ -1,7 +1,7 @@
 // Controller scatter-gather scaling over the Deployment pool.
 //
-// A multi-element controller query (get_attr_many and every interval
-// utility built on it) groups elements by owning agent, issues one
+// A multi-element controller query (get_attr_many and every measurement
+// window built on it) groups elements by owning agent, issues one
 // Agent::query_batch per agent, and fans the agents over the deployment's
 // collection pool.  The per-element cost that matters in a real dataplane
 // is channel latency (Fig. 9: ~2 ms net_device reads, hundreds of
@@ -10,11 +10,12 @@
 // until the largest per-agent batch dominates.
 //
 // Gates: >= 2x wall-clock speedup at 4 workers for a 64-element sweep,
-// byte-identical records between the sequential oracle (one get_attr_q per
-// element) and the pooled batch path, and a strictly smaller modelled
-// channel bill for the batch path (one round trip per channel kind per
-// agent instead of one per element).  BASELINE also pins the has_element
-// probes a sweep of registered stack elements costs the controller: 0.
+// byte-identical records between the sequential oracle (one get_attr_many
+// batch of one per element) and the pooled batch path, and a strictly
+// smaller modelled channel bill for the batch path (one round trip per
+// channel kind per agent instead of one per element).  BASELINE also pins
+// the has_element probes a sweep of registered stack elements costs the
+// controller: 0.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -175,8 +176,8 @@ StackSweep stack_sweep() {
 
 // Wall time of kSweepsPerConfig 64-element queries, plus the concatenated
 // wire encoding of the last sweep's records (for the determinism check).
-// With `per_id` each sweep is the sequential oracle: one get_attr_q per
-// element, in input order.
+// With `per_id` each sweep is the sequential oracle: one get_attr_many
+// batch of one per element, in input order.
 double sweep_seconds(Fleet& fleet, std::string* wire_out, bool per_id) {
   Controller* c = fleet.dep.controller();
   auto start = std::chrono::steady_clock::now();
@@ -184,7 +185,7 @@ double sweep_seconds(Fleet& fleet, std::string* wire_out, bool per_id) {
     std::vector<Result<Controller::QualifiedRecord>> got;
     if (per_id) {
       for (const ElementId& id : fleet.ids) {
-        got.push_back(c->get_attr_q(kTenant, id, kAttrs));
+        got.push_back(c->get_attr_many(kTenant, {id}, kAttrs).front());
       }
     } else {
       got = c->get_attr_many(kTenant, fleet.ids, kAttrs);
@@ -213,7 +214,7 @@ int main() {
   note("per-element cost: %lld us channel RTT + /proc text parse",
        static_cast<long long>(kChannelRtt.count()));
 
-  // Sequential oracle: the per-element get_attr_q loop.
+  // Sequential oracle: the per-element batch-of-one loop.
   std::string wire_seq;
   Controller::CostSnapshot seq_cost;
   {

@@ -58,24 +58,28 @@ int main() {
     std::printf("  %s\n", id.name.c_str());
   }
 
-  // Fig. 6 utility routines.  Each takes two samples one window apart;
-  // "sleeping" advances simulated time.
+  // Fig. 6 utility routines: each reduces one window of two samples taken
+  // one window apart; "sleeping" advances simulated time.
   const Duration window = Duration::seconds(1.0);
-  auto tput = controller->get_throughput(tenant, machine.tun(web_vm)->id(),
-                                         window);
-  auto loss = controller->get_pkt_loss(tenant, machine.tun(web_vm)->id(),
-                                       window);
-  auto size = controller->get_avg_pkt_size(tenant, machine.tun(db_vm)->id(),
-                                           window);
-  std::printf("\nweb TUN throughput: %s\n", to_string(tput.value()).c_str());
+  const ElementId web = machine.tun(web_vm)->id();
+  const ElementId db = machine.tun(db_vm)->id();
+  const auto tput =
+      controller->sample_window(tenant, {web}, kThroughputAttrs, window)[0];
+  const auto loss =
+      controller->sample_window(tenant, {web}, kLossAttrs, window)[0];
+  const auto size =
+      controller->sample_window(tenant, {db}, kAvgPktSizeAttrs, window)[0];
+  PS_CHECK(tput.ok() && loss.ok() && size.ok());
+  std::printf("\nweb TUN throughput: %s\n",
+              to_string(throughput(tput)).c_str());
   std::printf("web TUN packet loss over the window: %lld packets\n",
-              static_cast<long long>(loss.value()));
-  std::printf("db TUN average packet size: %.0f bytes\n", size.value());
+              static_cast<long long>(pkt_loss(loss)));
+  std::printf("db TUN average packet size: %.0f bytes\n", avg_pkt_size(size));
 
-  // Raw records in the paper's unified wire format.
-  auto rec = controller->get_attr(
-      tenant, machine.tun(web_vm)->id(),
-      {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts, attr::kQueuePkts});
-  std::printf("\nraw record: %s\n", to_text(rec.value()).c_str());
+  // Raw records in the paper's unified wire format (GETATTR).
+  auto rec = controller->get_attr_many(
+      tenant, {web},
+      {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts, attr::kQueuePkts})[0];
+  std::printf("\nraw record: %s\n", to_text(rec.value().record).c_str());
   return 0;
 }

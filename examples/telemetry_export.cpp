@@ -58,11 +58,14 @@ int main() {
   }
 
   // 2. Raw element records, both wire formats.
-  auto rec = dep.controller()->get_attr(
-      tenant, machine.tun(0)->id(),
-      {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts});
-  std::printf("paper record format:\n  %s\n", to_text(rec.value()).c_str());
-  std::printf("JSON:\n  %s\n\n", json::to_json(rec.value()).c_str());
+  const StatsRecord rec =
+      dep.controller()
+          ->get_attr_many(tenant, {machine.tun(0)->id()},
+                          {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts})[0]
+          .value()
+          .record;
+  std::printf("paper record format:\n  %s\n", to_text(rec).c_str());
+  std::printf("JSON:\n  %s\n\n", json::to_json(rec).c_str());
 
   // 3. Time series -> rates.
   Monitor::Series drops =

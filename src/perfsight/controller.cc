@@ -144,55 +144,6 @@ void Controller::set_metrics(MetricsRegistry* m) {
                     "Modelled channel time per scatter-gather fan-out");
 }
 
-Result<Controller::QualifiedRecord> Controller::get_attr_q(
-    TenantId tenant, const ElementId& id,
-    const std::vector<std::string>& attrs) const {
-  return std::move(get_attr_many(tenant, {id}, attrs).front());
-}
-
-Result<StatsRecord> Controller::get_attr(
-    TenantId tenant, const ElementId& id,
-    const std::vector<std::string>& attrs) const {
-  Result<QualifiedRecord> q = get_attr_q(tenant, id, attrs);
-  if (!q.ok()) return q.status();
-  return std::move(q).take().record;
-}
-
-namespace {
-// The single-element Fig. 6 utilities are batches of one: the element's
-// result, and its quality only when the result is a value (a failed
-// single-element call leaves `*quality` untouched).
-template <typename T>
-Result<T> only(std::vector<Result<T>> out, const std::vector<DataQuality>& q,
-               DataQuality* quality) {
-  if (quality != nullptr && out.front().ok()) *quality = q.front();
-  return std::move(out.front());
-}
-}  // namespace
-
-Result<DataRate> Controller::get_throughput(TenantId tenant,
-                                            const ElementId& id,
-                                            Duration window,
-                                            DataQuality* quality) const {
-  std::vector<DataQuality> q;
-  return only(get_throughput_many(tenant, {id}, window, &q), q, quality);
-}
-
-Result<int64_t> Controller::get_pkt_loss(TenantId tenant, const ElementId& id,
-                                         Duration window,
-                                         DataQuality* quality) const {
-  std::vector<DataQuality> q;
-  return only(get_pkt_loss_many(tenant, {id}, window, &q), q, quality);
-}
-
-Result<double> Controller::get_avg_pkt_size(TenantId tenant,
-                                            const ElementId& id,
-                                            Duration window,
-                                            DataQuality* quality) const {
-  std::vector<DataQuality> q;
-  return only(get_avg_pkt_size_many(tenant, {id}, window, &q), q, quality);
-}
-
 // --- scatter-gather ---------------------------------------------------------
 
 namespace {
@@ -403,7 +354,7 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::get_attr_many(
 
   {
     std::lock_guard<std::mutex> lock(cost_mu_);
-    queries_issued_ += ok_slots;
+    queries_ += ok_slots;
     channel_time_ns_ += total_channel.ns();
     if (m_queries_batch_ != nullptr) m_queries_batch_->add(ok_slots);
     if (m_scatters_ != nullptr) m_scatters_->increment();
@@ -472,54 +423,11 @@ std::vector<Controller::WindowSample> Controller::sample_window(
   return out;
 }
 
-namespace {
+// --- the Fig. 6 interval utilities ------------------------------------------
 
-// One Result per window entry — its Status, or `value(entry)` — and, when
-// `quality` is non-null, each entry's quality.
-template <typename T, typename Value>
-std::vector<Result<T>> per_element(
-    const std::vector<Controller::WindowSample>& window,
-    std::vector<DataQuality>* quality, Value value) {
-  if (quality != nullptr) quality->clear();
-  std::vector<Result<T>> out;
-  for (const Controller::WindowSample& w : window) {
-    if (quality != nullptr) quality->push_back(w.quality);
-    out.push_back(w.ok() ? Result<T>(value(w)) : Result<T>(w.status));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<Result<DataRate>> Controller::get_throughput_many(
-    TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-    std::vector<DataQuality>* quality) const {
-  return per_element<DataRate>(
-      sample_window(tenant, ids, {attr::kTxBytes}, window), quality,
-      [](const WindowSample& w) {
-        const double db = w.second(0).value_or(0) - w.first(0).value_or(0);
-        return rate_of(static_cast<uint64_t>(std::max(0.0, db)),
-                       w.t[1] - w.t[0]);
-      });
-}
-
-std::vector<Result<int64_t>> Controller::get_pkt_loss_many(
-    TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-    std::vector<DataQuality>* quality) const {
-  return per_element<int64_t>(sample_window(tenant, ids, kLossAttrs, window),
-                              quality, pkt_loss);
-}
-
-std::vector<Result<double>> Controller::get_avg_pkt_size_many(
-    TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-    std::vector<DataQuality>* quality) const {
-  return per_element<double>(
-      sample_window(tenant, ids, {attr::kTxBytes, attr::kTxPkts}, window),
-      quality, [](const WindowSample& w) {
-        const double db = w.second(0).value_or(0) - w.first(0).value_or(0);
-        const double dp = w.second(1).value_or(0) - w.first(1).value_or(0);
-        return dp <= 0 ? 0.0 : db / dp;
-      });
+DataRate throughput(const Controller::WindowSample& w) {
+  const double db = w.second(0).value_or(0) - w.first(0).value_or(0);
+  return rate_of(static_cast<uint64_t>(std::max(0.0, db)), w.t[1] - w.t[0]);
 }
 
 int64_t pkt_loss(const Controller::WindowSample& w) {
@@ -532,6 +440,12 @@ int64_t pkt_loss(const Controller::WindowSample& w) {
   return static_cast<int64_t>(d2 - d1);
 }
 
+double avg_pkt_size(const Controller::WindowSample& w) {
+  const double db = w.second(0).value_or(0) - w.first(0).value_or(0);
+  const double dp = w.second(1).value_or(0) - w.first(1).value_or(0);
+  return dp <= 0 ? 0.0 : db / dp;
+}
+
 DiagnosisFrame::DiagnosisFrame(const Controller* controller,
                                const ElementId& id, TenantId tenant,
                                const char* what, LatencyHistogram* cost)
@@ -539,14 +453,15 @@ DiagnosisFrame::DiagnosisFrame(const Controller* controller,
       id_(id),
       cost_(cost),
       t0_(controller->now()),
-      ch0_(controller->channel_time()) {
+      ch0_(controller->cost().channel_time) {
   trace_event(id_, t0_, TraceEventKind::kDiagnosisStarted,
               static_cast<double>(tenant.value()), what);
 }
 
 void DiagnosisFrame::finish(const char* verdict) const {
   const SimTime t1 = controller_->now();
-  const Duration cost = (t1 - t0_) + (controller_->channel_time() - ch0_);
+  const Duration cost =
+      (t1 - t0_) + (controller_->cost().channel_time - ch0_);
   if (cost_ != nullptr) cost_->observe(cost.sec());
   trace_event(id_, t1, TraceEventKind::kDiagnosisCompleted, cost.ms(),
               verdict);

@@ -2,9 +2,9 @@
 //
 // The controller sits between diagnostic applications and the per-server
 // agents: it resolves (tenant, element) to the owning agent, forwards
-// attribute queries, and implements the interval-based utilities
-// GetThroughput / GetPktLoss / GetAvgPktSize by taking two counter samples
-// separated by a measurement window.  "Sleeping" for the window means
+// attribute queries, and takes the two counter samples separated by a
+// measurement window that the interval-based utilities GetThroughput /
+// GetPktLoss / GetAvgPktSize reduce.  "Sleeping" for the window means
 // advancing simulated time, so the controller is handed an AdvanceFn by the
 // scenario (in a real deployment it would be wall-clock sleep).
 #pragma once
@@ -49,12 +49,12 @@ class Controller {
 
   // Declares `agent` a read replica for a tenant's element (quorum reads):
   // when the primary fails — retries exhausted, breaker open, transport
-  // lost, element departed — get_attr_q and the scatter-gather merge ask
-  // the replica before declaring a blind spot.  A replica answer is
-  // annotated DataQuality::kReplica so coverage reports distinguish it from
-  // a fresh primary read; a double failure keeps the PRIMARY's failure
-  // Status (byte-identical to the unmirrored run).  The replica must serve
-  // the element.
+  // lost, element departed — the scatter-gather merge asks the replica
+  // before declaring a blind spot.  A replica answer is annotated
+  // DataQuality::kReplica so coverage reports distinguish it from a fresh
+  // primary read; a double failure keeps the PRIMARY's failure Status
+  // (byte-identical to the unmirrored run).  The replica must serve the
+  // element.
   Status register_mirror(TenantId tenant, const ElementId& id,
                          AgentClient* agent);
 
@@ -122,18 +122,32 @@ class Controller {
   };
   CostSnapshot cost() const {
     std::lock_guard<std::mutex> lock(cost_mu_);
-    return CostSnapshot{queries_issued_, Duration::nanos(channel_time_ns_)};
+    return CostSnapshot{queries_, Duration::nanos(channel_time_ns_)};
   }
-  uint64_t queries_issued() const { return cost().queries; }
-  Duration channel_time() const { return cost().channel_time; }
 
   // --- Fig. 6 interfaces ----------------------------------------------------
+  // The controller has two reads: GETATTR (get_attr_many) and the
+  // measurement window (sample_window).  GETTHROUGHPUT, GETPKTLOSS and
+  // GETAVGPKTSIZE are reducers over a window (below the class), and one
+  // element is a batch of one.
+
   // A record plus the collection layer's judgement of how trustworthy it is
   // (fault-tolerant collection: stale and torn records still flow, annotated).
   struct QualifiedRecord {
     StatsRecord record;
     DataQuality quality = DataQuality::kFresh;
   };
+
+  // GETATTR(tenantID, elementIDs, attributes): groups the ids by owning
+  // agent, issues one AgentClient::query_batch per agent (amortising channel
+  // round trips per kind), fans the agents out over the pool, and merges the
+  // responses back into input order.  This is the controller's only read
+  // path: every size runs it, a batch of one included, and an empty `ids`
+  // returns at once.  Output is byte-identical to asking each id as a batch
+  // of one: same records, same qualities, same Status text for failures.
+  std::vector<Result<QualifiedRecord>> get_attr_many(
+      TenantId tenant, const std::vector<ElementId>& ids,
+      const std::vector<std::string>& attrs) const;
 
   // --- the measurement window ------------------------------------------------
   // One element's two samples around a window, reduced to the values of the
@@ -164,64 +178,6 @@ class Controller {
                                           const std::vector<std::string>& attrs,
                                           Duration window) const;
 
-  // Every single-element utility below is a batch of one over its `_many`
-  // counterpart, so the two can never disagree.
-
-  // GETATTR(tenantID, elementID, attributes)
-  Result<StatsRecord> get_attr(TenantId tenant, const ElementId& id,
-                               const std::vector<std::string>& attrs) const;
-  // As get_attr, but carries the per-record DataQuality so diagnosis layers
-  // can annotate their verdicts with coverage / blind spots.
-  Result<QualifiedRecord> get_attr_q(TenantId tenant, const ElementId& id,
-                                     const std::vector<std::string>& attrs)
-      const;
-
-  // The interval utilities read one sample_window; when `quality` is
-  // non-null it receives the window's quality (worst-case honesty: a rate
-  // computed from one stale endpoint is itself stale).  A failed call
-  // returns the failing sample's Status and leaves `quality` alone.
-
-  // GETTHROUGHPUT: output rate of the element over window T.
-  Result<DataRate> get_throughput(TenantId tenant, const ElementId& id,
-                                  Duration window,
-                                  DataQuality* quality = nullptr) const;
-
-  // GETPKTLOSS: pkt_loss (below) over window T.
-  Result<int64_t> get_pkt_loss(TenantId tenant, const ElementId& id,
-                               Duration window,
-                               DataQuality* quality = nullptr) const;
-
-  // GETAVGPKTSIZE: bytes per packet observed over window T.
-  Result<double> get_avg_pkt_size(TenantId tenant, const ElementId& id,
-                                  Duration window,
-                                  DataQuality* quality = nullptr) const;
-
-  // --- scatter-gather fan-ins ----------------------------------------------
-  // GETATTR over many elements at once: groups the ids by owning agent,
-  // issues one AgentClient::query_batch per agent (amortising channel round
-  // trips per kind), fans the agents out over the pool, and merges the
-  // responses back into input order.  This is the controller's only read
-  // path: every size runs it, a batch of one included, and an empty `ids`
-  // returns at once.  Output is byte-identical to asking each id as a batch
-  // of one: same records, same qualities, same Status text for failures.
-  std::vector<Result<QualifiedRecord>> get_attr_many(
-      TenantId tenant, const std::vector<ElementId>& ids,
-      const std::vector<std::string>& attrs) const;
-
-  // Interval utilities over many elements, one sample_window each.  A
-  // failed element carries the Status of its first failed sample.
-  // `quality`, when non-null, receives one entry per id (kMissing for
-  // failed elements).
-  std::vector<Result<DataRate>> get_throughput_many(
-      TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-      std::vector<DataQuality>* quality = nullptr) const;
-  std::vector<Result<int64_t>> get_pkt_loss_many(
-      TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-      std::vector<DataQuality>* quality = nullptr) const;
-  std::vector<Result<double>> get_avg_pkt_size_many(
-      TenantId tenant, const std::vector<ElementId>& ids, Duration window,
-      std::vector<DataQuality>* quality = nullptr) const;
-
  private:
   // The agent that answers for `id`: the tenant's registered agent, else
   // the stack element's first owner, else the first agent serving it.
@@ -231,11 +187,11 @@ class Controller {
 
   AdvanceFn advance_;
   NowFn now_;
-  // get_attr is logically const (a read); the cost bookkeeping is not state
-  // the read depends on.  One mutex guards both tallies and the metric
+  // get_attr_many is logically const (a read); the cost bookkeeping is not
+  // state the read depends on.  One mutex guards both tallies and the metric
   // bumps so snapshots are never torn (see cost()).
   mutable std::mutex cost_mu_;
-  mutable uint64_t queries_issued_ = 0;
+  mutable uint64_t queries_ = 0;
   mutable int64_t channel_time_ns_ = 0;
   ThreadPool* pool_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
@@ -263,16 +219,27 @@ class Controller {
   std::unordered_map<TenantId, ChainTopology> tenant_chain_;
 };
 
-// The counters pkt_loss reads.  A window that measures loss requests them
-// first, in this order.
+// The interval utilities of Fig. 6, one reducer each over a window that
+// sampled the utility's attrs first, in this order.  Only an ok() window is
+// reduced: a failed one carries its Status and reads kMissing.  A rate
+// computed from one stale endpoint is itself stale, so the reduced value
+// takes the window's quality.
+
+// GETTHROUGHPUT: the output rate over the window.
+inline const std::vector<std::string> kThroughputAttrs = {attr::kTxBytes};
+DataRate throughput(const Controller::WindowSample& w);
+
+// GETPKTLOSS: the drop-counter delta when both samples carry a drop counter
+// (more precise while queues drain or fill), else the growth of
+// (inPkts - outPkts), the paper's rule.
 inline const std::vector<std::string> kLossAttrs = {
     attr::kDropPkts, attr::kRxPkts, attr::kTxPkts};
-
-// The one loss rule (GETPKTLOSS): the drop-counter delta when both samples
-// carry a drop counter (more precise while queues drain or fill), else the
-// growth of (inPkts - outPkts), the paper's rule.  `w` must have sampled
-// kLossAttrs first.
 int64_t pkt_loss(const Controller::WindowSample& w);
+
+// GETAVGPKTSIZE: bytes per packet over the window (0 when none left).
+inline const std::vector<std::string> kAvgPktSizeAttrs = {attr::kTxBytes,
+                                                          attr::kTxPkts};
+double avg_pkt_size(const Controller::WindowSample& w);
 
 // The fraction of a scan set of `total` elements measured when `blind` of
 // them were not (1 for an empty set), and its "coverage N%" rendering.

@@ -232,20 +232,6 @@ size_t StreamCache::read(const std::string& agent,
   return hits;
 }
 
-std::optional<QueryResponse> StreamCache::find(const std::string& agent,
-                                               const ElementId& id,
-                                               SimTime window_start) const {
-  BatchResponse b;
-  const ElementId* one = &id;
-  if (read(agent, {&one, 1}, window_start, &b) == 0) return std::nullopt;
-  return std::move(b.responses.front());
-}
-
-bool StreamCache::window_present(const std::string& agent,
-                                 SimTime window_start) const {
-  return window_provenance(agent, window_start).has_value();
-}
-
 std::optional<StreamCache::Provenance> StreamCache::window_provenance(
     const std::string& agent, SimTime window_start) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -182,12 +182,8 @@ class StreamCache {
   // spots.  Returns how many ids the window held.
   size_t read(const std::string& agent, std::span<const ElementId* const> ids,
               SimTime window_start, BatchResponse* out) const;
-  // The cached response for (agent, element) at exactly `window_start`, or
-  // nullopt: a read() of one id.
-  std::optional<QueryResponse> find(const std::string& agent,
-                                    const ElementId& id,
-                                    SimTime window_start) const;
-  bool window_present(const std::string& agent, SimTime window_start) const;
+  // How `agent`'s window at exactly `window_start` arrived, or nullopt when
+  // the cache holds no such window.
   std::optional<Provenance> window_provenance(const std::string& agent,
                                               SimTime window_start) const;
   // The seq the stream expects next (1 for a fresh/reset stream).

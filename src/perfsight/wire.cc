@@ -822,6 +822,11 @@ Result<StreamDataMsg> decode_stream_data(std::string_view body,
     get_record_header(in, &r);
     const auto count_field = in.get<uint16_t>();
     if (!in.ok()) break;
+    // Frames ascend by element id; equal neighbours are a duplicated id.
+    if (!m.responses.empty() &&
+        r.record.element < m.responses.back().record.element) {
+      return refuse("wire stream data element ids descend");
+    }
     const bool same_schema = (count_field & kSchemaRef) != 0;
     const uint16_t n = count_field & kMaxAttrs;
     const QueryResponse* base = bases.find(r.record.element);

@@ -344,8 +344,10 @@ struct StreamDataMsg {
 Result<std::string> encode_stream_data(const StreamDataMsg& m,
                                        const StreamDataMsg* prev);
 // Both sides find an element's base record with an IdCursor (agent.h), so
-// a base out of ascending order or with a duplicated id resolves the same
-// way on each.  Decodes against the same `prev` the encoder used.  A
+// a base with a duplicated id resolves the same way on each.  Decodes
+// against the same `prev` the encoder used.  A frame whose element ids
+// descend anywhere is refused ("element ids descend"); equal neighbours
+// are legal, as IdCursor::ascends allows.  A
 // delta-mode attr with no base in `prev` is structural damage ("delta
 // without base"), never a silently wrong value.  `delta_without_base`
 // (optional) is set true when the failure is exactly that missing base —

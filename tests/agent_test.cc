@@ -219,26 +219,28 @@ class ControllerTest : public ::testing::Test {
 };
 
 TEST_F(ControllerTest, GetAttrResolvesTenantElement) {
-  auto r = controller_.get_attr(TenantId{1}, src_.id(), {attr::kRxPkts});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().get(attr::kRxPkts), 0.0);
+  auto r = controller_.get_attr_many(TenantId{1}, {src_.id()},
+                                     {attr::kRxPkts});
+  ASSERT_EQ(r.size(), 1u);
+  ASSERT_TRUE(r[0].ok());
+  EXPECT_EQ(r[0].value().record.get(attr::kRxPkts), 0.0);
 }
 
 TEST_F(ControllerTest, GetThroughputUsesTwoSamples) {
   // 125000 bytes over 10 ms -> 100 Mbps.
   on_advance_ = [this] { src_.attrs[2].value += 125000; };
-  auto r =
-      controller_.get_throughput(TenantId{1}, src_.id(), Duration::millis(10));
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.value().mbits_per_sec(), 100.0, 1e-6);
+  auto w = controller_.sample_window(TenantId{1}, {src_.id()},
+                                     kThroughputAttrs, Duration::millis(10));
+  ASSERT_TRUE(w[0].ok());
+  EXPECT_NEAR(throughput(w[0]).mbits_per_sec(), 100.0, 1e-6);
 }
 
 TEST_F(ControllerTest, GetPktLossPrefersDropCounter) {
   on_advance_ = [this] { src_.attrs[3].value += 42; };
-  auto r =
-      controller_.get_pkt_loss(TenantId{1}, src_.id(), Duration::millis(10));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), 42);
+  auto w = controller_.sample_window(TenantId{1}, {src_.id()}, kLossAttrs,
+                                     Duration::millis(10));
+  ASSERT_TRUE(w[0].ok());
+  EXPECT_EQ(pkt_loss(w[0]), 42);
 }
 
 TEST_F(ControllerTest, GetPktLossFallsBackToInMinusOut) {
@@ -247,10 +249,10 @@ TEST_F(ControllerTest, GetPktLossFallsBackToInMinusOut) {
     src_.attrs[0].value += 50;  // in grows 50
     src_.attrs[1].value += 30;  // out grows 30 -> loss 20
   };
-  auto r =
-      controller_.get_pkt_loss(TenantId{1}, src_.id(), Duration::millis(10));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), 20);
+  auto w = controller_.sample_window(TenantId{1}, {src_.id()}, kLossAttrs,
+                                     Duration::millis(10));
+  ASSERT_TRUE(w[0].ok());
+  EXPECT_EQ(pkt_loss(w[0]), 20);
 }
 
 TEST_F(ControllerTest, GetAvgPktSize) {
@@ -259,40 +261,32 @@ TEST_F(ControllerTest, GetAvgPktSize) {
     src_.attrs[0].value += 150000;
     src_.attrs[1].value += 100;
   };
-  auto r = controller_.get_avg_pkt_size(TenantId{1}, src_.id(),
-                                        Duration::millis(10));
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.value(), 1500.0, 1e-9);
+  auto w = controller_.sample_window(TenantId{1}, {src_.id()},
+                                     kAvgPktSizeAttrs, Duration::millis(10));
+  ASSERT_TRUE(w[0].ok());
+  EXPECT_NEAR(avg_pkt_size(w[0]), 1500.0, 1e-9);
 }
 
 TEST_F(ControllerTest, IntervalWaitsOutWindowOnlyWhenSomethingIsMeasurable) {
   const SimTime start = now_;
-  std::vector<DataQuality> q;
-  auto dark = controller_.get_pkt_loss_many(TenantId{1}, {ElementId{"ghost"}},
-                                            Duration::millis(10), &q);
+  auto dark = controller_.sample_window(TenantId{1}, {ElementId{"ghost"}},
+                                        kLossAttrs, Duration::millis(10));
   ASSERT_EQ(dark.size(), 1u);
   EXPECT_FALSE(dark[0].ok());
-  EXPECT_EQ(q[0], DataQuality::kMissing);
+  EXPECT_EQ(dark[0].quality, DataQuality::kMissing);
   EXPECT_EQ(now_, start);  // no first sample succeeded: no window, no sweep
-
-  // The single-element utility is the same batch of one.
-  DataQuality single_q = DataQuality::kStale;
-  EXPECT_FALSE(controller_
-                   .get_pkt_loss(TenantId{1}, ElementId{"ghost"},
-                                 Duration::millis(10), &single_q)
-                   .ok());
-  EXPECT_EQ(single_q, DataQuality::kStale);  // untouched on failure
-  EXPECT_EQ(now_, start);
 
   // One measurable element is enough to wait the window out.
   on_advance_ = [this] { src_.attrs[3].value += 5; };
-  auto mixed = controller_.get_pkt_loss_many(
-      TenantId{1}, {ElementId{"ghost"}, src_.id()}, Duration::millis(10), &q);
+  auto mixed = controller_.sample_window(TenantId{1},
+                                         {ElementId{"ghost"}, src_.id()},
+                                         kLossAttrs, Duration::millis(10));
   EXPECT_EQ(now_, start + Duration::millis(10));
   EXPECT_FALSE(mixed[0].ok());
+  EXPECT_EQ(mixed[0].quality, DataQuality::kMissing);
   ASSERT_TRUE(mixed[1].ok());
-  EXPECT_EQ(mixed[1].value(), 5);
-  EXPECT_EQ(q[1], DataQuality::kFresh);
+  EXPECT_EQ(pkt_loss(mixed[1]), 5);
+  EXPECT_EQ(mixed[1].quality, DataQuality::kFresh);
 }
 
 TEST_F(ControllerTest, ChainRegistrationAndLookup) {

@@ -459,14 +459,14 @@ TEST(QuorumTest, ReplicaServesWhenPrimaryFailsAndDoubleFailureKeepsStatus) {
 
   // Unmirrored golden: the primary's failure text.
   Result<Controller::QualifiedRecord> plain =
-      c.get_attr_q(tenant, s0.id(), {attr::kRxPkts});
+      c.get_attr_many(tenant, {s0.id()}, {attr::kRxPkts}).front();
   ASSERT_FALSE(plain.ok());
   const std::string golden = fmt(plain);
 
   // Mirrored: the replica answers, annotated kReplica.
   ASSERT_TRUE(c.register_mirror(tenant, s0.id(), &replica).is_ok());
   Result<Controller::QualifiedRecord> q =
-      c.get_attr_q(tenant, s0.id(), {attr::kRxPkts});
+      c.get_attr_many(tenant, {s0.id()}, {attr::kRxPkts}).front();
   ASSERT_TRUE(q.ok()) << q.status().message();
   EXPECT_EQ(q.value().quality, DataQuality::kReplica);
   EXPECT_EQ(q.value().record.get_or(attr::kRxPkts, -1), 42);
@@ -478,7 +478,7 @@ TEST(QuorumTest, ReplicaServesWhenPrimaryFailsAndDoubleFailureKeepsStatus) {
                                SimTime::millis(100));
   replica.set_fault_plan(&replica_down);
   Result<Controller::QualifiedRecord> dbl =
-      c.get_attr_q(tenant, s0.id(), {attr::kRxPkts});
+      c.get_attr_many(tenant, {s0.id()}, {attr::kRxPkts}).front();
   ASSERT_FALSE(dbl.ok());
   EXPECT_EQ(fmt(dbl), golden);
 
@@ -503,7 +503,8 @@ TEST(QuorumTest, MirrorIsNotConsultedWhenElementIsUnknown) {
       [&now] { return now; });
   c.register_agent(&a);
   Result<Controller::QualifiedRecord> r =
-      c.get_attr_q(TenantId{1}, ElementId{"m0/ghost"}, {attr::kRxPkts});
+      c.get_attr_many(TenantId{1}, {ElementId{"m0/ghost"}}, {attr::kRxPkts})
+          .front();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
@@ -550,7 +551,7 @@ TEST(QuorumTest, DoubleFailureReRaisesPrimaryStatusRegardlessOfOrder) {
     auto c = controller_for(primary, now);
     ASSERT_TRUE(c->register_element(tenant, s0.id(), &primary).is_ok());
     Result<Controller::QualifiedRecord> q =
-        c->get_attr_q(tenant, s0.id(), {attr::kRxPkts});
+        c->get_attr_many(tenant, {s0.id()}, {attr::kRxPkts}).front();
     ASSERT_FALSE(q.ok());
     golden = fmt(q);
   }
@@ -572,7 +573,7 @@ TEST(QuorumTest, DoubleFailureReRaisesPrimaryStatusRegardlessOfOrder) {
 
     // Single-failure phase: one side down, the element still answers.
     Result<Controller::QualifiedRecord> single =
-        c->get_attr_q(tenant, s0.id(), {attr::kRxPkts});
+        c->get_attr_many(tenant, {s0.id()}, {attr::kRxPkts}).front();
     EXPECT_TRUE(single.ok()) << single.status().message();
     if (single.ok()) {
       EXPECT_EQ(static_cast<int>(single.value().quality),
@@ -584,7 +585,7 @@ TEST(QuorumTest, DoubleFailureReRaisesPrimaryStatusRegardlessOfOrder) {
     // Both down: the re-raised error.
     now = SimTime::millis(450);
     Result<Controller::QualifiedRecord> dbl =
-        c->get_attr_q(tenant, s0.id(), {attr::kRxPkts});
+        c->get_attr_many(tenant, {s0.id()}, {attr::kRxPkts}).front();
     EXPECT_FALSE(dbl.ok());
     return fmt(dbl);
   };
@@ -893,7 +894,7 @@ TEST(ReconnectDiffTest, ControllerMergeCarriesDepartureStatusBothPaths) {
   }
   std::string sequential;
   for (const ElementId& id : {el0, el1}) {
-    sequential += fmt(c.get_attr_q(tenant, id, {attr::kRxPkts}));
+    sequential += fmt(c.get_attr_many(tenant, {id}, {attr::kRxPkts}).front());
   }
   EXPECT_EQ(batched, sequential);
   EXPECT_NE(batched.find("departed at reconnect"), std::string::npos)

@@ -1,7 +1,7 @@
 // Frozen transcripts of the collection paths.  Every agent query surface
-// (single query, projection, batch, poll sweep) and every
-// Fig. 6 controller utility, single-element and `_many`, is driven through a
-// seeded fault campaign with the flight recorder on.  The rendered transcript
+// (single query, projection, batch, poll sweep), GETATTR and every Fig. 6
+// interval utility over a window of one element and of many is driven
+// through a seeded fault campaign with the flight recorder on.  The rendered transcript
 // is compared byte for byte against a golden file checked in beside this
 // test, so any rewrite of the collection core must reproduce the same
 // records, modelled latencies, qualities, attempt counts, failure text, RNG
@@ -239,11 +239,37 @@ std::string agent_transcript() {
   return out;
 }
 
-std::string quality_of(const std::vector<DataQuality>& q) {
+// A window entry rendered through `reduce`, or its Status.
+template <typename F>
+std::string fmt(const Controller::WindowSample& w, F&& reduce) {
+  return w.ok() ? reduce(w) : "ERR " + w.status.to_string();
+}
+
+std::string quality_of(const std::vector<Controller::WindowSample>& window) {
   std::string s = " quality=";
-  for (DataQuality d : q) s += std::string(to_string(d)) + ",";
+  for (const auto& w : window) s += std::string(to_string(w.quality)) + ",";
   return s;
 }
+
+// The Fig. 6 interval utilities: a transcript label, the attrs the window
+// samples and the reducer's value rendered.
+struct Utility {
+  const char* name;
+  const std::vector<std::string>* attrs;
+  std::string (*render)(const Controller::WindowSample&);
+};
+const Utility kUtilities[] = {
+    {"tput", &kThroughputAttrs,
+     [](const Controller::WindowSample& w) {
+       return num(throughput(w).bits_per_sec());
+     }},
+    {"loss", &kLossAttrs,
+     [](const Controller::WindowSample& w) {
+       return std::to_string(pkt_loss(w));
+     }},
+    {"size", &kAvgPktSizeAttrs,
+     [](const Controller::WindowSample& w) { return num(avg_pkt_size(w)); }},
+};
 
 std::string controller_transcript() {
   ScopedTraceRecorder scoped(1 << 14);
@@ -292,63 +318,40 @@ std::string controller_transcript() {
     out += "round " + std::to_string(round) + " t=" +
            std::to_string(now.ns()) + "\n";
     out += "get_attr " +
-           fmt(c.get_attr(tenant, f.id0(round % 6), {attr::kRxPkts}),
-               [](const StatsRecord& r) { return fmt(r); }) +
+           fmt(c.get_attr_many(tenant, {f.id0(round % 6)}, {attr::kRxPkts})
+                   .front(),
+               [](const Controller::QualifiedRecord& q) {
+                 return fmt(q.record);
+               }) +
            "\n";
-    out += "get_attr_q " +
-           fmt(c.get_attr_q(tenant, f.id1(round % 4),
-                            {attr::kTxPkts, attr::kDropPkts}),
+    out += "qualified " +
+           fmt(c.get_attr_many(tenant, {f.id1(round % 4)},
+                               {attr::kTxPkts, attr::kDropPkts})
+                   .front(),
                rec) +
            "\n";
     for (const ElementId& id : {f.id0(round % 6), f.id0(3), f.id1(1)}) {
-      // Each result is taken before it is rendered: `q` is written by the
-      // call, and operand order inside one expression is unspecified.
-      DataQuality q = DataQuality::kFresh;
-      const Result<DataRate> tput =
-          c.get_throughput(tenant, id, Duration::millis(2), &q);
-      out += "tput " + id.name + " " +
-             fmt(tput, [](const DataRate& r) {
-               return num(r.bits_per_sec());
-             }) +
-             " q=" + to_string(q) + "\n";
-      q = DataQuality::kFresh;
-      const Result<int64_t> loss =
-          c.get_pkt_loss(tenant, id, Duration::millis(2), &q);
-      out += "loss " + id.name + " " +
-             fmt(loss, [](int64_t v) { return std::to_string(v); }) +
-             " q=" + to_string(q) + "\n";
-      q = DataQuality::kFresh;
-      const Result<double> size =
-          c.get_avg_pkt_size(tenant, id, Duration::millis(2), &q);
-      out += "size " + id.name + " " +
-             fmt(size, [](double v) { return num(v); }) + " q=" +
-             to_string(q) + "\n";
+      for (const Utility& u : kUtilities) {
+        const Controller::WindowSample w =
+            c.sample_window(tenant, {id}, *u.attrs, Duration::millis(2))[0];
+        out += std::string(u.name) + " " + id.name + " " + fmt(w, u.render) +
+               " q=" + to_string(w.quality) + "\n";
+      }
     }
     out += "many\n";
     for (const auto& r : c.get_attr_many(tenant, ids, {attr::kRxPkts})) {
       out += "  " + fmt(r, rec) + "\n";
     }
-    std::vector<DataQuality> q;
-    out += "tput_many";
-    for (const auto& r : c.get_throughput_many(tenant, ids,
-                                               Duration::millis(3), &q)) {
-      out += " " + fmt(r, [](const DataRate& v) {
-               return num(v.bits_per_sec());
-             });
-    }
-    out += quality_of(q) + "\nloss_many";
-    for (const auto& r :
-         c.get_pkt_loss_many(tenant, ids, Duration::millis(3), &q)) {
-      out += " " + fmt(r, [](int64_t v) { return std::to_string(v); });
-    }
-    out += quality_of(q) + "\nsize_many";
-    for (const auto& r :
-         c.get_avg_pkt_size_many(tenant, ids, Duration::millis(3), &q)) {
-      out += " " + fmt(r, [](double v) { return num(v); });
+    for (const Utility& u : kUtilities) {
+      const std::vector<Controller::WindowSample> window =
+          c.sample_window(tenant, ids, *u.attrs, Duration::millis(3));
+      out += std::string(u.name) + "_many";
+      for (const auto& w : window) out += " " + fmt(w, u.render);
+      out += quality_of(window) + "\n";
     }
     // Both controllers' tallies together: the cost of every round so far.
     const Controller::CostSnapshot d = direct.cost(), r = reference.cost();
-    out += quality_of(q) + "\ncost queries=" +
+    out += "cost queries=" +
            std::to_string(d.queries + r.queries) + " channel=" +
            std::to_string((d.channel_time + r.channel_time).ns()) + "\n";
     out += fmt_state(f.a0) + fmt_state(f.a1) + fmt_state(a2);

@@ -93,7 +93,9 @@ class RegistryRig : public ::testing::Test {
     controller_.register_stack_element(&client, ElementId{id});
   }
   Result<Controller::QualifiedRecord> read(const std::string& id) {
-    return controller_.get_attr_q(kTenant, ElementId{id}, {attr::kRxPkts});
+    return controller_
+        .get_attr_many(kTenant, {ElementId{id}}, {attr::kRxPkts})
+        .front();
   }
   size_t probes() const { return c0_.probes + c1_.probes; }
   void reset_probes() { c0_.probes = c1_.probes = 0; }

@@ -86,21 +86,18 @@ TEST(DeploymentTest, CrossAgentElementResolution) {
   PS_CHECK(dep.assign(TenantId{1}, m0.tun(0)->id(), a0).is_ok());
   PS_CHECK(dep.assign(TenantId{1}, m1.tun(0)->id(), a1).is_ok());
 
-  // get_attr resolves to the right agent for each machine's element.
-  auto r0 = dep.controller()->get_attr(TenantId{1}, m0.tun(0)->id(),
-                                       {attr::kRxPkts});
-  auto r1 = dep.controller()->get_attr(TenantId{1}, m1.tun(0)->id(),
-                                       {attr::kRxPkts});
-  EXPECT_TRUE(r0.ok());
-  EXPECT_TRUE(r1.ok());
-  // A shared stack element resolves even without tenant ownership.
-  auto rs = dep.controller()->get_attr(TenantId{1}, m1.pnic()->id(),
-                                       {attr::kCapacityMbps});
-  EXPECT_TRUE(rs.ok());
-  // Unknown elements fail cleanly.
-  EXPECT_FALSE(dep.controller()
-                   ->get_attr(TenantId{1}, ElementId{"m7/pnic"}, {"x"})
-                   .ok());
+  // Each machine's element resolves to its agent, a shared stack element
+  // resolves even without tenant ownership, and an unknown element fails
+  // cleanly.
+  auto got = dep.controller()->get_attr_many(
+      TenantId{1},
+      {m0.tun(0)->id(), m1.tun(0)->id(), m1.pnic()->id(), ElementId{"m7/pnic"}},
+      {attr::kRxPkts, attr::kCapacityMbps});
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_TRUE(got[0].ok());
+  EXPECT_TRUE(got[1].ok());
+  EXPECT_TRUE(got[2].ok());
+  EXPECT_FALSE(got[3].ok());
 }
 
 TEST(DeploymentTest, StreamChainRegistrationBuildsTopology) {
@@ -130,11 +127,11 @@ TEST(DeploymentTest, StreamChainRegistrationBuildsTopology) {
   EXPECT_TRUE(
       dep.controller()->chain(TenantId{1}).successors(src->id()).count(
           dst->id()));
-  // Middlebox registration implies element assignment (get_attr works).
-  auto r = dep.controller()->get_attr(TenantId{1}, dst->id(),
-                                      {attr::kCapacityMbps});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().get(attr::kCapacityMbps), 100.0);
+  // Middlebox registration implies element assignment (GETATTR works).
+  auto r = dep.controller()->get_attr_many(TenantId{1}, {dst->id()},
+                                           {attr::kCapacityMbps});
+  ASSERT_TRUE(r[0].ok());
+  EXPECT_EQ(r[0].value().record.get(attr::kCapacityMbps), 100.0);
 }
 
 TEST(DeploymentTest, DuplicateMiddleboxRegistrationFails) {

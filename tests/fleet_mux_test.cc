@@ -139,8 +139,12 @@ std::string run_fleet_script(const Fleet& fleet,
            tenant, ids, {attr::kRxPkts, attr::kDropPkts, attr::kVm})) {
     out += fmt(r);
   }
-  out += fmt(c.get_attr_q(tenant, fleet.all_ids.front(), {attr::kRxPkts}));
-  out += fmt(c.get_attr_q(tenant, fleet.all_ids.back(), {attr::kDropPkts}));
+  out += fmt(
+      c.get_attr_many(tenant, {fleet.all_ids.front()}, {attr::kRxPkts})
+          .front());
+  out += fmt(
+      c.get_attr_many(tenant, {fleet.all_ids.back()}, {attr::kDropPkts})
+          .front());
   return out;
 }
 
@@ -252,8 +256,9 @@ TEST(FleetMuxTest, TracedFleetBatchesStayByteIdenticalAndShipServeSpans) {
       if (e.kind == TraceEventKind::kSpanServerBatch) ++batch_spans;
     }
   }
-  // One per routed batch of the fan-in, one per get_attr_q of the script (a
-  // traced scatter of one), plus the traced query_attrs' batch of one.
+  // One per routed batch of the fan-in, one per single-element read of the
+  // script (a traced scatter of one), plus the traced query_attrs' batch of
+  // one.
   EXPECT_EQ(batch_spans, fleet.agents.size() + 2 + 1);
 }
 

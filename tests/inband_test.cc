@@ -29,6 +29,7 @@
 #include "perfsight/controller.h"
 #include "perfsight/streaming.h"
 #include "perfsight/wire.h"
+#include "per_id_reference.h"
 
 namespace perfsight {
 namespace {
@@ -380,7 +381,7 @@ TEST(IntHarvesterTest, WindowsLandInCacheAsInbandProvenance) {
   EXPECT_EQ(absorbed, 8u);
   EXPECT_GT(harvester.stats().report_bytes, 0u);
 
-  ASSERT_TRUE(cache.window_present("a0/int", w));
+  ASSERT_TRUE(cache.window_provenance("a0/int", w).has_value());
   EXPECT_EQ(cache.window_provenance("a0/int", w),
             StreamCache::Provenance::kInband);
 
@@ -488,7 +489,8 @@ TEST(IntHarvesterTest, SlotsSharingAnIdYieldOneRecord) {
     EXPECT_EQ(stamper.arrive(h, tag, 1), 0u);
   };
   auto dup_record = [&](SimTime w) {
-    std::optional<QueryResponse> r = cache.find("a0/int", ElementId{"m0/dup"}, w);
+    std::optional<QueryResponse> r =
+        read_one(cache, "a0/int", ElementId{"m0/dup"}, w);
     EXPECT_TRUE(r.has_value());
     return r ? r->record : StatsRecord{};
   };

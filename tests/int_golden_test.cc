@@ -28,6 +28,7 @@
 #include "perfsight/stats.h"
 #include "perfsight/streaming.h"
 #include "perfsight/wire.h"
+#include "per_id_reference.h"
 
 namespace perfsight {
 namespace {
@@ -87,7 +88,7 @@ std::string fig8_transcript() {
     std::string text;
     size_t records = 0;
     for (const ElementId& id : ids) {
-      const std::optional<QueryResponse> r = cache.find(kAgent, id, w);
+      const std::optional<QueryResponse> r = read_one(cache, kAgent, id, w);
       if (!r) continue;
       ++records;
       text += to_text(r->record) + "\n";

@@ -4,15 +4,18 @@
 // of an agent, it turns the controller's scatter-gather read into the
 // per-element loop — every id its own trip, its own jitter draw, its own
 // fault outcome — so a whole diagnosis pipeline can run against it and be
-// compared byte for byte with the batched run.  Header-only; tests only.
+// compared byte for byte with the batched run.  read_one is the same
+// reference for a StreamCache: one id's read.  Header-only; tests only.
 #pragma once
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "perfsight/agent.h"
+#include "perfsight/streaming.h"
 
 namespace perfsight {
 
@@ -50,5 +53,17 @@ class PerIdReference : public AgentClient {
  private:
   AgentClient* inner_;
 };
+
+// `agent`'s cached response for `id` at exactly `window_start`, or nullopt
+// when the window lacks it: a StreamCache::read of one id.
+inline std::optional<QueryResponse> read_one(const StreamCache& cache,
+                                             const std::string& agent,
+                                             const ElementId& id,
+                                             SimTime window_start) {
+  BatchResponse b;
+  const ElementId* one = &id;
+  if (cache.read(agent, {&one, 1}, window_start, &b) == 0) return std::nullopt;
+  return std::move(b.responses.front());
+}
 
 }  // namespace perfsight

@@ -52,6 +52,7 @@
 #include "perfsight/streaming.h"
 #include "perfsight/transport.h"
 #include "perfsight/wire.h"
+#include "per_id_reference.h"
 
 namespace perfsight {
 namespace {
@@ -416,7 +417,7 @@ TEST(StreamCacheTest, GapRepairedByPullsThenReapplied) {
   EXPECT_EQ(gap.value().expected, 3u);
   EXPECT_EQ(gap.value().missed, 2u);
   EXPECT_EQ(cache.stats().gaps, 1u);
-  EXPECT_FALSE(cache.window_present("a0", SimTime::millis(300)));
+  EXPECT_FALSE(cache.window_provenance("a0", SimTime::millis(300)).has_value());
 
   // Repair the missed windows with targeted pulls at the same boundaries,
   // then the held frame applies.
@@ -439,7 +440,7 @@ TEST(StreamCacheTest, GapRepairedByPullsThenReapplied) {
     ASSERT_EQ(direct.responses.size(), ids.size());
     for (const QueryResponse& want : direct.responses) {
       std::optional<QueryResponse> cached =
-          cache.find("a0", want.record.element, SimTime::millis(ms));
+          read_one(cache, "a0", want.record.element, SimTime::millis(ms));
       ASSERT_TRUE(cached.has_value()) << want.record.element.name << " @ " << ms;
       expect_attrs_eq(cached->record.attrs, want.record.attrs,
                       want.record.element.name + " @ " + std::to_string(ms));
@@ -480,8 +481,8 @@ TEST(StreamCacheTest, PublisherRestartRebasesViaSnapshot) {
   EXPECT_EQ(cache.stats().resets, 1u);
   EXPECT_EQ(cache.next_seq("a0"), 2u);
   // History survives the rebase.
-  EXPECT_TRUE(cache.window_present("a0", SimTime::millis(200)));
-  EXPECT_TRUE(cache.window_present("a0", SimTime::millis(400)));
+  EXPECT_TRUE(cache.window_provenance("a0", SimTime::millis(200)).has_value());
+  EXPECT_TRUE(cache.window_provenance("a0", SimTime::millis(400)).has_value());
 }
 
 TEST(StreamCacheTest, RepairBeyondRetentionHorizonIsClamped) {
@@ -510,7 +511,7 @@ TEST(StreamCacheTest, RepairBeyondRetentionHorizonIsClamped) {
   // dropped whole: no resurrected window, no extra prune, no cursor damage.
   cache.repair("a0", SimTime::millis(200),
                a0.query_batch(ids, SimTime::millis(200)));
-  EXPECT_FALSE(cache.window_present("a0", SimTime::millis(200)));
+  EXPECT_FALSE(cache.window_provenance("a0", SimTime::millis(200)).has_value());
   EXPECT_EQ(cache.stats().windows_pruned, pruned_before);
   EXPECT_EQ(cache.stats().repairs, 0u);
   EXPECT_EQ(cache.stats().repairs_clamped, 1u);
@@ -522,7 +523,7 @@ TEST(StreamCacheTest, RepairBeyondRetentionHorizonIsClamped) {
   Result<StreamCache::ApplyResult> r9 = cache.apply(p9.value().body);
   ASSERT_TRUE(r9.ok()) << r9.status().message();
   EXPECT_TRUE(r9.value().applied);
-  EXPECT_TRUE(cache.window_present("a0", SimTime::millis(900)));
+  EXPECT_TRUE(cache.window_provenance("a0", SimTime::millis(900)).has_value());
 }
 
 TEST(StreamCacheTest, RestartedPublisherDeltaFrameResyncsViaSnapshot) {
@@ -588,7 +589,7 @@ TEST(StreamCacheTest, RestartedPublisherDeltaFrameResyncsViaSnapshot) {
     ASSERT_EQ(direct.responses.size(), ids.size());
     for (const QueryResponse& want : direct.responses) {
       std::optional<QueryResponse> cached =
-          cache.find("a0", want.record.element, SimTime::millis(ms));
+          read_one(cache, "a0", want.record.element, SimTime::millis(ms));
       ASSERT_TRUE(cached.has_value())
           << want.record.element.name << " @ " << ms;
       expect_attrs_eq(cached->record.attrs, want.record.attrs,
@@ -619,14 +620,14 @@ TEST(StreamPipelineTest, CacheResetMidStreamResyncsViaSnapshot) {
   Status st = pipe.pump(SimTime::millis(300));
   EXPECT_TRUE(st.is_ok()) << st.message();
   EXPECT_EQ(cache.stats().snapshot_requests, 1u);
-  EXPECT_TRUE(cache.window_present("a0", SimTime::millis(300)));
+  EXPECT_TRUE(cache.window_provenance("a0", SimTime::millis(300)).has_value());
   // And the stream continues delta-coded afterwards.
   ASSERT_TRUE(pipe.pump(SimTime::millis(400)).is_ok());
   for (int ms : {300, 400}) {
     const BatchResponse direct = a0.query_batch(ids, SimTime::millis(ms));
     for (const QueryResponse& want : direct.responses) {
       std::optional<QueryResponse> cached =
-          cache.find("a0", want.record.element, SimTime::millis(ms));
+          read_one(cache, "a0", want.record.element, SimTime::millis(ms));
       ASSERT_TRUE(cached.has_value())
           << want.record.element.name << " @ " << ms;
       expect_attrs_eq(cached->record.attrs, want.record.attrs,
@@ -653,9 +654,9 @@ TEST(StreamCacheTest, RetentionPrunesOldestWindows) {
     ASSERT_TRUE(cache.apply(p.value().body).ok());
   }
   EXPECT_EQ(cache.stats().windows_pruned, 5u);
-  EXPECT_FALSE(cache.window_present("a0", SimTime::millis(500)));
-  EXPECT_TRUE(cache.window_present("a0", SimTime::millis(600)));
-  EXPECT_TRUE(cache.window_present("a0", SimTime::millis(800)));
+  EXPECT_FALSE(cache.window_provenance("a0", SimTime::millis(500)).has_value());
+  EXPECT_TRUE(cache.window_provenance("a0", SimTime::millis(600)).has_value());
+  EXPECT_TRUE(cache.window_provenance("a0", SimTime::millis(800)).has_value());
 }
 
 // A cache nobody configures is bounded all the same, and a retention of 0
@@ -679,9 +680,10 @@ TEST(StreamCacheTest, DefaultRetentionIsBoundedAndZeroIsRefused) {
     ASSERT_TRUE(cache.apply(p.value().body).ok());
   }
   EXPECT_EQ(cache.stats().windows_pruned, 2u);
-  EXPECT_FALSE(cache.window_present("a0", SimTime::millis(200)));
-  EXPECT_TRUE(cache.window_present("a0", SimTime::millis(300)));
-  EXPECT_TRUE(cache.window_present("a0", SimTime::millis(100 * windows)));
+  EXPECT_FALSE(cache.window_provenance("a0", SimTime::millis(200)).has_value());
+  EXPECT_TRUE(cache.window_provenance("a0", SimTime::millis(300)).has_value());
+  EXPECT_TRUE(cache.window_provenance("a0", SimTime::millis(100 * windows))
+                  .has_value());
 }
 
 // The size gauges follow every store and prune, over streamed, repaired and
@@ -725,11 +727,11 @@ TEST(StreamCacheTest, SizeGaugesTrackRetainedWindowsAndRecords) {
     size_t want_records = 0;
     for (int w = 1; w <= k; ++w) {
       const SimTime t = SimTime::millis(100 * w);
-      if (cache.window_present("a0", t)) {
+      if (cache.window_provenance("a0", t).has_value()) {
         ++want_windows;
         want_records += ids.size();
       }
-      if (cache.window_present("a0/int", t)) {
+      if (cache.window_provenance("a0/int", t).has_value()) {
         ++want_windows;
         want_records += 2;
       }
@@ -891,7 +893,8 @@ TEST(StreamingDifferentialTest, MissingWindowFailsAlikeBatchedAndSequential) {
   auto batched = ctl.get_attr_many(kTenant, c.ids, {attr::kRxPkts});
   ASSERT_EQ(batched.size(), c.ids.size());
   for (size_t i = 0; i < c.ids.size(); ++i) {
-    auto sequential = ctl.get_attr_q(kTenant, c.ids[i], {attr::kRxPkts});
+    auto sequential =
+        ctl.get_attr_many(kTenant, {c.ids[i]}, {attr::kRxPkts}).front();
     ASSERT_FALSE(batched[i].ok());
     ASSERT_FALSE(sequential.ok());
     EXPECT_EQ(sequential.status().code(), batched[i].status().code());
@@ -908,9 +911,10 @@ TEST(StreamingDifferentialTest, MissingWindowFailsAlikeBatchedAndSequential) {
 // by step, rendered with every window the cache serves after each step and
 // compared against tests/golden/stream_chain.txt.  The chain has elements
 // joining and leaving between windows, a duplicated id, a frame out of
-// ascending order that then serves as the next frame's delta base, a
-// schema change, a blind spot, a dropped frame repaired by a pull, a cache
-// reset answered with a snapshot, and a publisher restart.  A rewrite of
+// ascending order that the cache refuses and a pull repairs (the encoder's
+// copy of it then serves as the next frame's delta base), a schema change,
+// a blind spot, a dropped frame repaired by a pull, a cache reset answered
+// with a snapshot, and a publisher restart.  A rewrite of
 // the codec's base lookup or of the cache's storage and reads must leave it
 // untouched.  Regenerate only for an intended behaviour change:
 //   PERFSIGHT_UPDATE_GOLDEN=1 ./build/tests/streaming_test
@@ -978,7 +982,7 @@ std::vector<wire::StreamDataMsg> frozen_chain() {
       {"m0/a", "m0/b", "m0/d", "m0/e"},          // c leaves, e joins
       {"m0/a", "m0/a", "m0/b", "m0/e"},          // a twice, d leaves
       {"m0/a", "m0/b", "m0/c", "m0/e"},          // base has a twice
-      {"m0/e", "m0/a", "m0/f", "m0/b"},          // not ascending
+      {"m0/e", "m0/a", "m0/f", "m0/b"},          // not ascending: refused
       {"m0/a", "m0/b", "m0/c", "m0/e", "m0/f"},  // base not ascending
       {"m0/a", "m0/b", "m0/e", "m0/f"},          // dropped in transit
       {"m0/a", "m0/b", "m0/d", "m0/e", "m0/f"},
@@ -1057,7 +1061,7 @@ std::string chain_transcript() {
         out += "    " + render(r) + "\n";
       }
       for (const ElementId& id : served.element_ids()) {
-        const std::optional<QueryResponse> r = cache.find("a0", id, w);
+        const std::optional<QueryResponse> r = read_one(cache, "a0", id, w);
         out += "    find " + id.name + " " +
                (r.has_value() ? render(*r) : "none") + "\n";
       }
@@ -1080,20 +1084,34 @@ std::string chain_transcript() {
     serve();
   };
 
-  // Boundaries 1-6 arrive in order.
+  // A pull of boundary k (0-based), answered in ascending id order.
+  auto repair = [&](size_t k) {
+    BatchResponse pull;
+    pull.channel_time = frames[k].channel_time;
+    pull.responses = frames[k].responses;
+    std::stable_sort(pull.responses.begin(), pull.responses.end(),
+                     [](const QueryResponse& a, const QueryResponse& b) {
+                       return a.record.element < b.record.element;
+                     });
+    cache.repair("a0", frames[k].window_start, pull);
+    out += "repair k=" + std::to_string(k + 1) + "\n";
+    serve();
+  };
+
+  // Boundaries 1-6 arrive in order.  Frame 5 descends, so the cache
+  // refuses it and a pull repairs boundary 5; frame 6 then applies against
+  // the repaired base.
   apply(encode(0, 1, nullptr));
-  for (size_t k = 1; k < 6; ++k) apply(encode(k, k + 1, &frames[k - 1]));
+  for (size_t k = 1; k < 6; ++k) {
+    apply(encode(k, k + 1, &frames[k - 1]));
+    if (k == 4) repair(4);
+  }
   // Frame 7 is lost in transit; frame 8 betrays the gap, a pull repairs
   // boundary 7, and frame 8 applies.
   encode(6, 7, &frames[5]);
   const std::string body8 = encode(7, 8, &frames[6]);
   apply(body8);
-  BatchResponse pull;
-  pull.channel_time = frames[6].channel_time;
-  pull.responses = frames[6].responses;
-  cache.repair("a0", frames[6].window_start, pull);
-  out += "repair k=7\n";
-  serve();
+  repair(6);
   apply(body8);
   // The cache loses its stream state: the next delta frame asks for a
   // snapshot, which the publisher sends as its next seq.
@@ -1224,7 +1242,7 @@ TEST(RemoteStreamingTest, GapRepairRecoversByteEqualState) {
     ASSERT_EQ(direct.responses.size(), ids.size());
     for (const QueryResponse& want : direct.responses) {
       std::optional<QueryResponse> cached =
-          cache.find("ra", want.record.element, SimTime::millis(ms));
+          read_one(cache, "ra", want.record.element, SimTime::millis(ms));
       ASSERT_TRUE(cached.has_value()) << want.record.element.name << " @ " << ms;
       expect_attrs_eq(cached->record.attrs, want.record.attrs,
                       want.record.element.name + " @ " + std::to_string(ms));

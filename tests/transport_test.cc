@@ -399,19 +399,15 @@ std::string fmt(const Result<Controller::QualifiedRecord>& r) {
          to_string(r.value().quality) + "\n";
 }
 
-template <typename T>
-std::string fmt_val(const Result<T>& r, DataQuality q) {
-  if (!r.ok()) {
-    return "ERR(" + std::to_string(static_cast<int>(r.status().code())) +
-           ") " + r.status().message() + "\n";
+// One window reduced by `reduce`, or its failure.
+template <typename Reduce>
+std::string fmt_window(const Controller::WindowSample& w, Reduce reduce) {
+  if (!w.ok()) {
+    return "ERR(" + std::to_string(static_cast<int>(w.status.code())) +
+           ") " + w.status.message() + "\n";
   }
-  std::string v;
-  if constexpr (std::is_same_v<T, DataRate>) {
-    v = std::to_string(r.value().bits_per_sec());
-  } else {
-    v = std::to_string(r.value());
-  }
-  return "OK " + v + " q=" + to_string(q) + "\n";
+  return "OK " + std::to_string(reduce(w)) + " q=" + to_string(w.quality) +
+         "\n";
 }
 
 // The full diagnosis workload of controller_scatter_test, folded into one
@@ -432,20 +428,25 @@ std::string run_script(TransportRig& rig, ThreadPool* pool) {
     out += fmt(r);
   }
 
-  out += fmt(c.get_attr_q(rig.tenant_, rig.elements_.front(),
-                          {attr::kRxPkts, attr::kTxPkts}));
+  out += fmt(c.get_attr_many(rig.tenant_, {rig.elements_.front()},
+                             {attr::kRxPkts, attr::kTxPkts})
+                 .front());
 
   const std::vector<ElementId>& els = rig.elements_;
-  std::vector<DataQuality> q;
-  std::vector<Result<DataRate>> thr =
-      c.get_throughput_many(rig.tenant_, els, Duration::millis(100), &q);
-  for (size_t i = 0; i < thr.size(); ++i) out += fmt_val(thr[i], q[i]);
-  std::vector<Result<int64_t>> loss =
-      c.get_pkt_loss_many(rig.tenant_, els, Duration::millis(100), &q);
-  for (size_t i = 0; i < loss.size(); ++i) out += fmt_val(loss[i], q[i]);
-  std::vector<Result<double>> aps =
-      c.get_avg_pkt_size_many(rig.tenant_, els, Duration::millis(100), &q);
-  for (size_t i = 0; i < aps.size(); ++i) out += fmt_val(aps[i], q[i]);
+  const Duration window = Duration::millis(100);
+  for (const auto& w :
+       c.sample_window(rig.tenant_, els, kThroughputAttrs, window)) {
+    out += fmt_window(w, [](const Controller::WindowSample& x) {
+      return throughput(x).bits_per_sec();
+    });
+  }
+  for (const auto& w : c.sample_window(rig.tenant_, els, kLossAttrs, window)) {
+    out += fmt_window(w, pkt_loss);
+  }
+  for (const auto& w :
+       c.sample_window(rig.tenant_, els, kAvgPktSizeAttrs, window)) {
+    out += fmt_window(w, avg_pkt_size);
+  }
 
   ContentionDetector det(&c, RuleBook::standard());
   out += to_text(det.diagnose(rig.tenant_, Duration::millis(100)));
@@ -869,7 +870,9 @@ TEST(DeploymentRemoteTest, AddRemoteAgentWiresIntoTheControlPlane) {
   ASSERT_TRUE(dep.assign_remote(TenantId{1}, src.id(), r.value()).is_ok());
 
   auto got =
-      dep.controller()->get_attr_q(TenantId{1}, src.id(), {attr::kRxPkts});
+      dep.controller()
+          ->get_attr_many(TenantId{1}, {src.id()}, {attr::kRxPkts})
+          .front();
   ASSERT_TRUE(got.ok()) << got.status().message();
   ASSERT_EQ(got.value().record.attrs.size(), 1u);
   EXPECT_EQ(got.value().record.attrs[0].value, 1234.0);
@@ -1604,8 +1607,8 @@ TEST(TransportChurnTest, RemoteQueriesRaceServerSidePolls) {
   });
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)rig.controller_.get_attr_q(rig.tenant_, ids.back(),
-                                       {attr::kDropPkts});
+      (void)rig.controller_.get_attr_many(rig.tenant_, {ids.back()},
+                                          {attr::kDropPkts});
     }
   });
   threads.emplace_back([&] {

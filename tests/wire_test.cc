@@ -13,6 +13,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -865,6 +866,12 @@ wire::StreamDataMsg random_stream_frame(Pcg32& rng, uint64_t seq) {
   m.channel_time = Duration::nanos(rng.next_below(1u << 26));
   size_t n = rng.next_below(6);
   for (size_t i = 0; i < n; ++i) m.responses.push_back(random_response(rng));
+  // A stream frame ascends by element id (the decoder refuses one that
+  // descends).
+  std::stable_sort(m.responses.begin(), m.responses.end(),
+                   [](const QueryResponse& a, const QueryResponse& b) {
+                     return a.record.element < b.record.element;
+                   });
   return m;
 }
 
@@ -1037,6 +1044,46 @@ TEST(StreamCodecTest, DeltaWithoutBaseIsStructuralDamage) {
   EXPECT_NE(without_base.status().message().find("delta without base"),
             std::string::npos)
       << without_base.status().message();
+}
+
+TEST(StreamCodecTest, DescendingElementIdsAreRefused) {
+  wire::StreamDataMsg m;
+  m.agent = "a0";
+  m.seq = 1;
+  m.window_start = SimTime::millis(100);
+  for (const char* id : {"m0/a", "m0/b", "m0/b", "m0/c"}) {
+    QueryResponse r;
+    r.record.timestamp = m.window_start;
+    r.record.element = ElementId{id};
+    r.record.attrs = {{"rxPkts", 100.0}};
+    m.responses.push_back(r);
+  }
+  // Equal neighbours (a duplicated id) ascend.
+  Result<wire::StreamDataMsg> dup =
+      wire::decode_stream_data(wire::encode_stream_data(m, nullptr).value(),
+                               nullptr);
+  ASSERT_TRUE(dup.ok()) << dup.status().message();
+  EXPECT_EQ(canon_stream(dup.value()), canon_stream(m));
+
+  // One descent anywhere, first pair or last, snapshot or delta, is refused.
+  wire::StreamDataMsg next = m;
+  next.seq = 2;
+  next.window_start = SimTime::millis(200);
+  for (const auto& [i, j] : {std::pair<size_t, size_t>{0, 1}, {2, 3}}) {
+    wire::StreamDataMsg bad = next;
+    std::swap(bad.responses[i], bad.responses[j]);
+    const wire::StreamDataMsg* const bases[] = {nullptr, &m};
+    for (const wire::StreamDataMsg* base : bases) {
+      Result<std::string> body = wire::encode_stream_data(bad, base);
+      ASSERT_TRUE(body.ok()) << body.status().message();
+      bool no_base = true;
+      Result<wire::StreamDataMsg> got =
+          wire::decode_stream_data(body.value(), base, &no_base);
+      ASSERT_FALSE(got.ok()) << "swap " << i << "," << j;
+      EXPECT_EQ(got.status().message(), "wire stream data element ids descend");
+      EXPECT_FALSE(no_base);
+    }
+  }
 }
 
 // The base-lookup contract: an IdCursor answers exactly what
