@@ -233,50 +233,40 @@ inline const ElementId& element_of(const ElementId& id) { return id; }
 inline const ElementId& element_of(const QueryResponse& r) {
   return r.record.element;
 }
+// Orders ids or responses by element id.
+template <typename T>
+bool by_element(const T& a, const T& b) {
+  return element_of(a) < element_of(b);
+}
 
 // Lookup by element id in a vector of ids or responses: the stream codec's
 // delta-base lookup, the stream cache's window reads and its agent's id
-// admission.  find(id) returns exactly the entry std::lower_bound over the
-// whole vector names for `id` — the first of a duplicated id, null for an
-// id the vector lacks — for every vector and every order of lookups.  When
-// the vector ascends, a lookup starts at the slot after the previous hit
-// and gallops forward, so ascending lookups walk the vector once instead of
-// searching it per id; a vector that does not ascend gets the plain binary
-// search.
+// admission.  The vector must ascend by element id (duplicates allowed):
+// every stream frame, cached window and served id list does by
+// construction.  find(id) returns exactly the entry std::lower_bound over
+// the whole vector names for `id` — the first of a duplicated id, null for
+// an id the vector lacks — for every order of lookups.  A lookup starts at
+// the slot after the previous hit and gallops forward, so ascending lookups
+// walk the vector once instead of searching it per id.
 template <typename T>
 class IdCursor {
  public:
   // `v` (null: every lookup misses) is not owned and must outlive the
-  // cursor.  `ascending` must equal ascends(*v); the one-argument form
-  // checks it.
-  IdCursor(const std::vector<T>* v, bool ascending)
-      : v_(v), ascending_(ascending) {}
-  explicit IdCursor(const std::vector<T>* v)
-      : IdCursor(v, v != nullptr && ascends(*v)) {}
-
-  // True when `v` is in ascending element-id order (duplicates allowed).
-  static bool ascends(const std::vector<T>& v) {
-    return std::is_sorted(v.begin(), v.end(), [](const T& a, const T& b) {
-      return element_of(a) < element_of(b);
-    });
-  }
+  // cursor.
+  explicit IdCursor(const std::vector<T>* v) : v_(v) {}
 
   const T* find(const ElementId& id) {
     if (v_ == nullptr) return nullptr;
     const std::vector<T>& v = *v_;
     const auto below = [&](size_t i) { return element_of(v[i]) < id; };
     const size_t n = v.size();
-    size_t lo = 0;
-    size_t hi = n;
-    if (ascending_) {
-      // Every slot before the previous hit's successor is below `id` when
-      // the slot just before it is, so the search starts there.
-      if (next_ > 0 && below(next_ - 1)) lo = next_;
-      size_t step = 1;
-      for (hi = lo; hi < n && below(hi); step *= 2) {
-        lo = hi + 1;
-        hi = std::min(n, lo + step);
-      }
+    // Every slot before the previous hit's successor is below `id` when the
+    // slot just before it is, so the search starts there.
+    size_t lo = next_ > 0 && below(next_ - 1) ? next_ : 0;
+    size_t hi = lo;
+    for (size_t step = 1; hi < n && below(hi); step *= 2) {
+      lo = hi + 1;
+      hi = std::min(n, lo + step);
     }
     const auto it =
         std::lower_bound(v.begin() + lo, v.begin() + hi, id,
@@ -285,14 +275,13 @@ class IdCursor {
                          });
     const size_t at = static_cast<size_t>(it - v.begin());
     const bool hit = at < n && element_of(v[at]) == id;
-    if (ascending_) next_ = hit ? at + 1 : at;
+    next_ = hit ? at + 1 : at;
     return hit ? &v[at] : nullptr;
   }
 
  private:
   const std::vector<T>* v_;
-  bool ascending_;
-  size_t next_ = 0;  // the slot after the previous hit (ascending only)
+  size_t next_ = 0;  // the slot after the previous hit
 };
 
 // The single-element answer, derived from a batch of one for `id`: the

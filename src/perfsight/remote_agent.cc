@@ -8,6 +8,7 @@
 #include <chrono>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -58,6 +59,7 @@ RemoteAgentServer::RemoteAgentServer(std::vector<Agent*> agents,
     : agents_(std::move(agents)), ep_(std::move(ep)) {
   PS_CHECK(!agents_.empty());
   for (Agent* a : agents_) PS_CHECK(a != nullptr);
+  publishers_.resize(agents_.size());
   trace_recorder_.set_enabled(true);
 }
 
@@ -140,36 +142,44 @@ void RemoteAgentServer::wake_locked() {
 
 void RemoteAgentServer::publish_tick(
     SimTime at, std::vector<std::unique_ptr<Conn>>& conns) {
-  for (Agent* agent : agents_) {
-    // No subscribers: no capture, no seq advance, zero stream bytes.
-    if (std::none_of(conns.begin(), conns.end(), [&](const auto& c) {
-          return !c->dead && c->sub_agent == agent->name();
-        })) {
-      continue;
+  for (size_t i = 0; i < agents_.size(); ++i) {
+    const std::string& name = agents_[i]->name();
+    bool fresh = false;   // a subscriber waits for its snapshot
+    bool synced = false;  // a subscriber holds the last capture
+    for (const auto& c : conns) {
+      if (c->dead || c->sub_agent != name) continue;
+      (c->streamed ? synced : fresh) = true;
     }
+    // No subscribers: no capture, no seq advance, zero stream bytes.
+    if (!fresh && !synced) continue;
 
     // One capture and one seq per agent per boundary, shared by every
-    // subscriber — gap detection works across connections, and the one
-    // immutable frame is every subscriber's next delta base.
-    const uint64_t seq = ++stream_seq_[agent->name()];
-    BatchResponse b = agent->query_batch(agent->element_ids(), at);
-    const auto msg = std::make_shared<const wire::StreamDataMsg>(
-        wire::StreamDataMsg{agent->name(), seq, at, b.channel_time,
-                            std::move(b.responses)});
+    // subscriber, so gap detection works across connections.  Subscribers
+    // that hold the last capture take the published delta; new ones the
+    // same capture as a snapshot, which is the published body itself while
+    // no subscriber holds the last capture.
+    std::optional<StreamPublisher>& publisher = publishers_[i];
+    if (!publisher.has_value()) publisher.emplace(agents_[i]);
+    if (!synced) publisher->force_snapshot();
+    Result<StreamPublisher::Published> pub =
+        publisher->publish(at, agents_[i]->element_ids());
+    Result<std::string> body = pub.status();
+    if (pub.ok()) body = std::move(pub.value().body);
+    Result<std::string> snapshot = body.status();
+    if (synced && fresh && body.ok()) snapshot = publisher->snapshot();
 
     for (auto& c : conns) {
-      if (c->dead || c->sub_agent != agent->name()) continue;
-      // Delta against THIS connection's last frame; a fresh subscriber has
-      // no base yet, so its first frame is automatically a snapshot.
-      Result<std::string> body =
-          wire::encode_stream_data(*msg, c->stream_prev.get());
-      if (!body.ok()) {
+      if (c->dead || c->sub_agent != name) continue;
+      const Result<std::string>& frame =
+          c->streamed || !synced ? body : snapshot;
+      // A body that could not be encoded reaches none it was meant for.
+      if (!frame.ok()) {
         c->dead = true;
         continue;
       }
-      c->wbuf += wire::encode_message(wire::MessageKind::kStreamData,
-                                      body.value());
-      c->stream_prev = msg;
+      c->wbuf +=
+          wire::encode_message(wire::MessageKind::kStreamData, frame.value());
+      c->streamed = true;
       stream_frames_.fetch_add(1, std::memory_order_relaxed);
       if (!flush_writes(*c)) c->dead = true;
     }
@@ -415,7 +425,7 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
       Agent* agent = route(req.value().agent);
       if (agent == nullptr) return false;
       c.sub_agent = agent->name();
-      c.stream_prev.reset();  // first frame to this connection: snapshot
+      c.streamed = false;  // first frame to this connection: snapshot
       return true;
     }
     default:
@@ -711,10 +721,7 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
       req.ids.push_back(id);
     }
   }
-  const auto by_element = [](const QueryResponse& a, const QueryResponse& b) {
-    return a.record.element < b.record.element;
-  };
-  std::sort(departures.begin(), departures.end(), by_element);
+  std::sort(departures.begin(), departures.end(), by_element<QueryResponse>);
 
   // The answer: a whole reply passes through untouched (responses, channel
   // time, unknown count and degraded tally all came off the wire).  A
@@ -747,7 +754,7 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
                 std::back_inserter(out.responses));
       std::inplace_merge(out.responses.begin(),
                          out.responses.begin() + wired, out.responses.end(),
-                         by_element);
+                         by_element<QueryResponse>);
       out.degraded += departures.size();
     }
     return out;

@@ -58,10 +58,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -69,18 +69,11 @@
 #include "common/status.h"
 #include "perfsight/agent.h"
 #include "perfsight/metrics.h"
+#include "perfsight/streaming.h"
 #include "perfsight/trace.h"
 #include "perfsight/transport.h"
 
 namespace perfsight {
-
-namespace wire {
-// wire.h types this header only references (the stream delta base is held
-// by pointer).
-struct Message;
-struct BatchRequestMsg;
-struct StreamDataMsg;
-}
 
 // --- server stub -------------------------------------------------------------
 
@@ -135,10 +128,13 @@ class RemoteAgentServer {
   // buffers.  Callable from any thread: the serve loop (which owns the
   // connections), woken at once, performs the capture + enqueue.  With no
   // subscribers the request is free — nothing is captured and not one
-  // stream byte is queued, keeping unsubscribed deployments byte-identical.  Per-agent
-  // sequence numbers advance once per published window (shared by every
-  // subscriber of that agent), giving clients cross-connection gap
-  // detection; each connection's first frame is a full snapshot.
+  // stream byte is queued, keeping unsubscribed deployments byte-identical.
+  // Each agent publishes through its own StreamPublisher over its live
+  // element set: one seq per published window, shared by every subscriber
+  // (cross-connection gap detection).  A connection's first frame is a
+  // snapshot; each later one is the delta body every holder of the
+  // previous capture shares.  A capture that cannot be encoded advances no
+  // seq and closes each connection its body was meant for.
   void request_publish(SimTime at);
   // Stream frames enqueued to subscribers (all connections, all agents).
   uint64_t stream_frames_published() const {
@@ -159,18 +155,18 @@ class RemoteAgentServer {
     transport::Clock::time_point read_since{};
     transport::Clock::time_point write_since{};
     // Push-mode subscription: non-empty = resolved agent name this
-    // connection subscribed to.  `stream_prev` is the delta base — the last
-    // frame queued on THIS connection (null until the snapshot goes out),
-    // shared with every connection that got the same capture.
+    // connection subscribed to.  `streamed`: its snapshot went out, so it
+    // holds the agent's last capture and takes the delta bodies.
     std::string sub_agent;
-    std::shared_ptr<const wire::StreamDataMsg> stream_prev;
+    bool streamed = false;
   };
 
   void serve();
   // Makes the serve loop's poll() return now.  Caller holds publish_mu_.
   void wake_locked();
   // Drains request_publish() boundaries: one capture per subscribed agent
-  // per boundary, frames delta-coded per connection.  Serve thread only.
+  // per boundary, encoded at most twice (the delta and a snapshot for new
+  // subscribers).  Serve thread only.
   void publish_tick(SimTime at, std::vector<std::unique_ptr<Conn>>& conns);
   // Parses + dispatches every complete message in c.rbuf.  False when the
   // connection must close (protocol damage, dead peer).
@@ -210,10 +206,11 @@ class RemoteAgentServer {
   TraceRecorder trace_recorder_;
   std::atomic<int64_t> clock_skew_ns_{0};
 
-  // Push-mode state.  stream_seq_ is serve-thread-only; the pending queue
+  // Push-mode state.  The publishers (one per agent, in roster order, made
+  // at the agent's first capture) are serve-thread-only; the pending queue
   // is the one cross-thread handoff (request_publish may be called from
   // anywhere).
-  std::unordered_map<std::string, uint64_t> stream_seq_;
+  std::vector<std::optional<StreamPublisher>> publishers_;
   std::mutex publish_mu_;
   std::vector<SimTime> pending_publishes_;
   // Self-pipe in the serve loop's poll set: stop() and request_publish()

@@ -24,8 +24,9 @@ const char* to_string(StreamCache::Provenance p) {
 StreamPublisher::StreamPublisher(AgentClient* agent, const FaultPlan* plan)
     : agent_(agent), plan_(plan), ids_(agent->element_ids()) {}
 
-Result<StreamPublisher::Published> StreamPublisher::publish(SimTime at) {
-  BatchResponse batch = agent_->query_batch(ids_, at);
+Result<StreamPublisher::Published> StreamPublisher::publish(
+    SimTime at, const std::vector<ElementId>& ids) {
+  BatchResponse batch = agent_->query_batch(ids, at);
   wire::StreamDataMsg msg{agent_->name(), seq_ + 1, at, batch.channel_time,
                           std::move(batch.responses)};
 
@@ -52,7 +53,6 @@ void StreamCache::store_locked(Stream& s, Provenance provenance,
   Window& w = s.windows[frame->window_start.ns()];
   if (w.frame != nullptr) count_locked(w, -1);
   w.provenance = provenance;
-  w.ascending = IdCursor<QueryResponse>::ascends(frame->responses);
   w.frame = std::move(frame);
   count_locked(w, +1);
   while (s.windows.size() > retention_) {
@@ -66,15 +66,6 @@ void StreamCache::count_locked(const Window& w, int sign) {
   if (m_windows_ == nullptr) return;
   m_windows_->add(sign);
   m_records_->add(sign * static_cast<double>(w.frame->responses.size()));
-}
-
-bool StreamCache::beyond_horizon_locked(const Stream& s,
-                                        int64_t window_ns) const {
-  // A window older than everything retained would be inserted only to be
-  // pruned back out — or worse, evict a live window to make room.  Only a
-  // full cache has a horizon; a filling one accepts any boundary.
-  return s.windows.size() >= retention_ &&
-         window_ns < s.windows.begin()->first;
 }
 
 Result<StreamCache::ApplyResult> StreamCache::apply(std::string_view body) {
@@ -142,48 +133,50 @@ Result<StreamCache::ApplyResult> StreamCache::apply(std::string_view body) {
 
 void StreamCache::repair(const std::string& agent, SimTime window_start,
                          BatchResponse batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stream& s = streams_[agent];
-
-  if (beyond_horizon_locked(s, window_start.ns())) {
-    // Resurrecting a window past the retention horizon would transiently
-    // push windows.size() over retention_ and skew windows_pruned; worse,
-    // rebasing the delta cursor onto ancient data would corrupt every later
-    // in-order decode.  Drop the stale backfill whole.
-    ++stats_.repairs_clamped;
-    return;
-  }
-
-  // The repaired window becomes the delta base: the next in-order frame was
-  // encoded against the publisher's capture of this same boundary, and the
-  // fault plan's purity makes the pull's attr bits identical to it.
-  s.prev = std::make_shared<const wire::StreamDataMsg>(
-      wire::StreamDataMsg{agent, s.expected, window_start, batch.channel_time,
-                          std::move(batch.responses)});
-  store_locked(s, Provenance::kRepaired, s.prev);
-  ++s.expected;
-
-  ++stats_.repairs;
-  if (m_repairs_ != nullptr) m_repairs_->increment();
+  absorb(agent, window_start, Provenance::kRepaired, batch.channel_time,
+         std::move(batch.responses), /*rebase=*/true);
 }
 
 void StreamCache::ingest(const std::string& agent, SimTime window_start,
                          Provenance p, std::vector<QueryResponse> responses) {
-  std::sort(responses.begin(), responses.end(),
-            [](const QueryResponse& a, const QueryResponse& b) {
-              return a.record.element < b.record.element;
-            });
-  auto frame = std::make_shared<const wire::StreamDataMsg>(wire::StreamDataMsg{
-      agent, 0, window_start, Duration{}, std::move(responses)});
+  absorb(agent, window_start, p, Duration{}, std::move(responses),
+         /*rebase=*/false);
+}
+
+void StreamCache::absorb(const std::string& agent, SimTime window_start,
+                         Provenance p, Duration channel_time,
+                         std::vector<QueryResponse> responses, bool rebase) {
+  // Windows ascend by element id; a duplicated id keeps its order.
+  if (!std::is_sorted(responses.begin(), responses.end(),
+                      by_element<QueryResponse>)) {
+    std::stable_sort(responses.begin(), responses.end(),
+                     by_element<QueryResponse>);
+  }
   std::lock_guard<std::mutex> lock(mu_);
   Stream& s = streams_[agent];
-  if (beyond_horizon_locked(s, window_start.ns())) {
+  // A window older than everything retained (only a full cache has such a
+  // horizon) would be inserted only to be pruned back out, or evict a live
+  // window and skew windows_pruned; worse, rebasing the delta cursor onto
+  // ancient data would corrupt every later in-order decode.  Drop it whole.
+  if (s.windows.size() >= retention_ &&
+      window_start.ns() < s.windows.begin()->first) {
     ++stats_.repairs_clamped;
     return;
   }
+  auto frame = std::make_shared<const wire::StreamDataMsg>(
+      wire::StreamDataMsg{agent, rebase ? s.expected : 0, window_start,
+                          channel_time, std::move(responses)});
+  store_locked(s, p, frame);
   // Side-door windows (in-band telemetry) never touch the seq/delta cursor:
   // they live on their own agent key and carry no wire base to rebase onto.
-  store_locked(s, p, std::move(frame));
+  if (!rebase) return;
+  // The repaired window becomes the delta base: the next in-order frame was
+  // encoded against the publisher's capture of this same boundary, and the
+  // fault plan's purity makes the pull's attr bits identical to it.
+  s.prev = std::move(frame);
+  ++s.expected;
+  ++stats_.repairs;
+  if (m_repairs_ != nullptr) m_repairs_->increment();
 }
 
 void StreamCache::reset_stream(const std::string& agent) {
@@ -199,22 +192,18 @@ size_t StreamCache::read(const std::string& agent,
                          std::span<const ElementId* const> ids,
                          SimTime window_start, BatchResponse* out) const {
   Frame frame;
-  bool ascending = true;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto sit = streams_.find(agent);
     if (sit != streams_.end()) {
       auto wit = sit->second.windows.find(window_start.ns());
-      if (wit != sit->second.windows.end()) {
-        frame = wit->second.frame;
-        ascending = wit->second.ascending;
-      }
+      if (wit != sit->second.windows.end()) frame = wit->second.frame;
     }
   }
   // The walk runs on this reader's share of the immutable frame, so a
   // prune or an overwrite meanwhile drops only the cache's reference.
-  IdCursor<QueryResponse> cursor(
-      frame != nullptr ? &frame->responses : nullptr, ascending);
+  IdCursor<QueryResponse> cursor(frame != nullptr ? &frame->responses
+                                                  : nullptr);
   out->responses.reserve(out->responses.size() + ids.size());
   size_t hits = 0;
   for (const ElementId* id : ids) {
@@ -302,7 +291,7 @@ BatchResponse StreamCacheAgent::query_batch(const std::vector<ElementId>& ids,
   // The plan points into ids_, so pointer order is element-id order.
   std::vector<const ElementId*> plan;
   BatchResponse out;
-  IdCursor<ElementId> known(&ids_, /*ascending=*/true);
+  IdCursor<ElementId> known(&ids_);
   out.unknown_ids = plan_request(ids, plan, [&](const ElementId& id) {
     const ElementId* k = known.find(id);
     if (k == nullptr) return false;
@@ -316,19 +305,19 @@ BatchResponse StreamCacheAgent::query_batch(const std::vector<ElementId>& ids,
 // --- StreamPipeline ----------------------------------------------------------
 
 void StreamPipeline::add_agent(AgentClient* agent) {
-  entries_.push_back(Entry{agent, StreamPublisher(agent, plan_)});
+  pubs_.emplace_back(agent, plan_);
 }
 
 Status StreamPipeline::pump(SimTime at) {
-  for (Entry& e : entries_) {
-    Result<StreamPublisher::Published> pub = e.pub.publish(at);
+  for (StreamPublisher& p : pubs_) {
+    AgentClient* agent = p.agent();
+    Result<StreamPublisher::Published> pub = p.publish(at);
     if (!pub.ok()) return pub.status();
     if (pub.value().dropped) {
       // The watchdog path: this boundary produced no frame, so repair now —
       // a pull at the same instant — before the world moves on.  Purity of
       // the fault plan makes the pull reproduce the dropped capture.
-      cache_->repair(e.agent->name(), at,
-                     e.agent->query_batch(e.pub.elements(), at));
+      cache_->repair(agent->name(), at, agent->query_batch(p.elements(), at));
       continue;
     }
     bytes_published_ += pub.value().body.size();
@@ -339,8 +328,8 @@ Status StreamPipeline::pump(SimTime at) {
       // epoch): republish this boundary as a snapshot.  The fault plan's
       // purity makes the re-capture bit-identical, and a fresh/regressed
       // stream accepts the bumped seq.
-      e.pub.force_snapshot();
-      Result<StreamPublisher::Published> again = e.pub.publish(at);
+      p.force_snapshot();
+      Result<StreamPublisher::Published> again = p.publish(at);
       if (!again.ok()) return again.status();
       bytes_published_ += again.value().body.size();
       applied = cache_->apply(again.value().body);
@@ -348,7 +337,7 @@ Status StreamPipeline::pump(SimTime at) {
     }
     if (!applied.value().applied) {
       return Status::failed_precondition(
-          "stream pipeline: unexpected gap for agent " + e.agent->name());
+          "stream pipeline: unexpected gap for agent " + agent->name());
     }
   }
   return Status::ok();
@@ -356,7 +345,7 @@ Status StreamPipeline::pump(SimTime at) {
 
 uint64_t StreamPipeline::frames_dropped() const {
   uint64_t n = 0;
-  for (const Entry& e : entries_) n += e.pub.frames_dropped();
+  for (const StreamPublisher& p : pubs_) n += p.frames_dropped();
   return n;
 }
 

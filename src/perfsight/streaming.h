@@ -5,12 +5,13 @@
 // subsystem makes agents *publish* each window instead: a StreamPublisher
 // captures the agent's whole element set once per window boundary (one
 // query_batch — the same records a pull sweep at that boundary would get)
-// and ships it as a kStreamData frame; a StreamCache on the controller side
-// materializes the frames into last-known state keyed by (element, window);
-// a StreamCacheAgent serves that state through the AgentClient seam, so
-// Algorithm 1/2, the Monitor and the AlertWatcher run continuously off the
-// cache at per-window granularity — unchanged, and byte-identical to the
-// sweep path.
+// and ships it as a kStreamData frame (StreamPipeline in process, one
+// publisher per served agent in RemoteAgentServer); a StreamCache on the
+// controller side materializes the frames into last-known state keyed by
+// (element, window); a StreamCacheAgent serves that state through the
+// AgentClient seam, so Algorithm 1/2, the Monitor and the AlertWatcher run
+// continuously off the cache at per-window granularity — unchanged, and
+// byte-identical to the sweep path.
 //
 // Why byte-identical is achievable at all: FaultPlan::decide() is pure in
 // (seed, element, time, attempt), so a capture at window boundary t yields
@@ -41,7 +42,9 @@
 // wire::StreamDataMsg behind a shared_ptr.  The retained window and the
 // stream's delta base are that same object, and a reader holds it past the
 // cache lock, so apply never copies a record and a prune never frees what
-// a reader is walking.
+// a reader is walking.  Every window is in ascending element-id order
+// (apply refuses descending frames; repair and ingest sort), as IdCursor
+// (agent.h) needs.
 #pragma once
 
 #include <algorithm>
@@ -70,8 +73,8 @@ namespace perfsight {
 // --- agent side --------------------------------------------------------------
 
 // Captures one agent's full element set once per window and encodes the
-// capture as a kStreamData frame, delta-coded against the previous frame.
-// Frame 1 is always a full snapshot (no previous frame to delta against).
+// capture as a kStreamData frame, delta-coded against the previous capture.
+// Frame 1 is always a full snapshot (no previous capture to delta against).
 class StreamPublisher {
  public:
   // `agent` is not owned and must outlive the publisher; `plan` (optional,
@@ -85,10 +88,17 @@ class StreamPublisher {
     std::string body;      // encoded kStreamData body (PSM2 payload)
   };
 
-  // Captures the window at `at` and encodes the next frame.  Sequence
-  // numbers advance even for dropped frames — that is exactly what makes
-  // the drop visible downstream as a gap.
-  Result<Published> publish(SimTime at);
+  // The one capture: one query_batch at `at` of `ids` (of the element set
+  // read at construction, in the first form), one seq, one encode against
+  // the previous capture.  Sequence numbers advance even for dropped frames
+  // — that is exactly what makes the drop visible downstream as a gap.  A
+  // capture that cannot be encoded advances no seq.
+  Result<Published> publish(SimTime at) { return publish(at, ids_); }
+  Result<Published> publish(SimTime at, const std::vector<ElementId>& ids);
+  // The last capture all-absolute: a joining receiver's first frame.
+  Result<std::string> snapshot() const {
+    return wire::encode_stream_data(prev_, nullptr);
+  }
 
   // Forgets the delta base: the next publish() is a full snapshot.  This is
   // the resync handle for a receiver that answered needs_snapshot — its
@@ -107,8 +117,8 @@ class StreamPublisher {
   std::vector<ElementId> ids_;  // ascending
   uint64_t seq_ = 0;
   uint64_t dropped_ = 0;
-  wire::StreamDataMsg prev_;
-  bool has_prev_ = false;
+  wire::StreamDataMsg prev_;  // the last capture
+  bool has_prev_ = false;     // prev_ is the delta base
 };
 
 // --- controller side ---------------------------------------------------------
@@ -147,12 +157,14 @@ class StreamCache {
   // Backfills one window of `agent` from a targeted pull taken at the same
   // boundary, advancing the stream cursor by one and restoring the delta
   // base for the next in-order frame (the stored window and the base are
-  // one frame holding `batch`'s responses).  A stale backfill — a boundary
-  // older than the retention horizon (the oldest kept window, with the
-  // cache at capacity) — is clamped whole: storing it would resurrect a
-  // pruned window, and rebasing the live stream's delta cursor onto ancient
-  // data would corrupt every frame after it.  Clamps count in
-  // Stats::repairs_clamped and leave cache and cursor untouched.
+  // one frame holding `batch`'s responses, sorted by element id first when
+  // out of order, as in ingest: a RemoteAgent passes replies unchecked).  A
+  // stale backfill — a boundary older than the retention horizon (the
+  // oldest kept window, with the cache at capacity) — is clamped whole:
+  // storing it would resurrect a pruned window, and rebasing the live
+  // stream's delta cursor onto ancient data would corrupt every frame after
+  // it.  Clamps count in Stats::repairs_clamped and leave cache and cursor
+  // untouched.
   void repair(const std::string& agent, SimTime window_start,
               BatchResponse batch);
 
@@ -222,7 +234,6 @@ class StreamCache {
   struct Window {
     Provenance provenance = Provenance::kStreamed;
     Frame frame;
-    bool ascending = true;  // IdCursor::ascends(frame->responses)
   };
   struct Stream {
     uint64_t expected = 1;
@@ -235,10 +246,12 @@ class StreamCache {
   void store_locked(Stream& s, Provenance provenance, Frame frame);
   // Moves the size gauges by one window (sign +1 stored, -1 dropped).
   void count_locked(const Window& w, int sign);
-  // True when storing `window_ns` would resurrect a window beyond the
-  // retention horizon (cache at capacity and the boundary older than the
-  // oldest kept window).
-  bool beyond_horizon_locked(const Stream& s, int64_t window_ns) const;
+  // repair (`rebase`: the window becomes the delta base and the cursor
+  // advances) and ingest: stores `responses` in element-id order as
+  // `agent`'s window at `window_start`, unless past the retention horizon.
+  void absorb(const std::string& agent, SimTime window_start, Provenance p,
+              Duration channel_time, std::vector<QueryResponse> responses,
+              bool rebase);
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, Stream> streams_;
@@ -302,14 +315,9 @@ class StreamPipeline {
   uint64_t bytes_published() const { return bytes_published_; }
 
  private:
-  struct Entry {
-    AgentClient* agent;
-    StreamPublisher pub;
-  };
-
   StreamCache* cache_;
   const FaultPlan* plan_;
-  std::vector<Entry> entries_;
+  std::vector<StreamPublisher> pubs_;  // one per agent
   uint64_t bytes_published_ = 0;
 };
 

@@ -12,6 +12,9 @@ namespace {
 
 constexpr uint32_t kMessageMagic = 0x324d5350;  // "PSM2"
 
+// Either stream codec side's refusal of a frame whose element ids descend.
+constexpr const char* kDescend = "wire stream data element ids descend";
+
 // Every wire refusal, encode or decode side, is an invalid_argument.
 Status refuse(std::string text) {
   return Status::invalid_argument(std::move(text));
@@ -756,7 +759,12 @@ Result<std::string> encode_stream_data(const StreamDataMsg& m,
   w.count<uint32_t>(m.responses.size(),
                     [] { return "wire: stream record count exceeds u32"; });
   IdCursor<QueryResponse> bases(prev != nullptr ? &prev->responses : nullptr);
+  const ElementId* last = nullptr;
   for (const QueryResponse& r : m.responses) {
+    // Frames ascend by element id, as the decoder requires.
+    w.check(last == nullptr || !(r.record.element < *last),
+            [] { return kDescend; });
+    last = &r.record.element;
     put_record_header(w, r);
     const size_t n = r.record.attrs.size();
     w.check(n <= kMaxAttrs,
@@ -825,7 +833,7 @@ Result<StreamDataMsg> decode_stream_data(std::string_view body,
     // Frames ascend by element id; equal neighbours are a duplicated id.
     if (!m.responses.empty() &&
         r.record.element < m.responses.back().record.element) {
-      return refuse("wire stream data element ids descend");
+      return refuse(kDescend);
     }
     const bool same_schema = (count_field & kSchemaRef) != 0;
     const uint16_t n = count_field & kMaxAttrs;

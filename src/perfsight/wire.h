@@ -340,16 +340,16 @@ struct StreamDataMsg {
 
 // `prev` is the previous frame of the same stream (null: encode everything
 // absolute — the snapshot form a subscribe answer uses).  Fails, never
-// clamps, on unencodable input, like encode_frame.
+// clamps, on unencodable input, like encode_frame.  Both sides refuse a
+// frame whose element ids descend anywhere ("element ids descend"; equal
+// neighbours are a duplicated id), so every `prev` is in id order, and both
+// find an element's base record with an IdCursor (agent.h), so a base with
+// a duplicated id resolves the same way on each.
 Result<std::string> encode_stream_data(const StreamDataMsg& m,
                                        const StreamDataMsg* prev);
-// Both sides find an element's base record with an IdCursor (agent.h), so
-// a base with a duplicated id resolves the same way on each.  Decodes
-// against the same `prev` the encoder used.  A frame whose element ids
-// descend anywhere is refused ("element ids descend"); equal neighbours
-// are legal, as IdCursor::ascends allows.  A
-// delta-mode attr with no base in `prev` is structural damage ("delta
-// without base"), never a silently wrong value.  `delta_without_base`
+// Decodes against the same `prev` the encoder used.  A delta-mode attr
+// with no base in `prev` is structural damage ("delta without base"),
+// never a silently wrong value.  `delta_without_base`
 // (optional) is set true when the failure is exactly that missing base —
 // with `prev == nullptr` this means the frame is delta-coded and the
 // receiver needs a snapshot to resync (StreamCache turns it into

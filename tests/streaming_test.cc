@@ -14,7 +14,8 @@
 // publisher-restart rebase), its size gauges, a writer applying, repairing
 // and pruning windows against a concurrent batched reader, the remote
 // kSubscribe/kStreamData path end to end (snapshot-first, injected skip →
-// client-visible gap, reconnect), the zero-bytes-when-unsubscribed
+// client-visible gap, reconnect, a late subscriber sharing the delta
+// bodies, elements joining and leaving), the zero-bytes-when-unsubscribed
 // guarantee, a TSan churn variant racing
 // subscriber reconnects against publish ticks, and a frozen stream chain
 // (encoded bodies and the windows the cache serves from them) compared
@@ -526,6 +527,57 @@ TEST(StreamCacheTest, RepairBeyondRetentionHorizonIsClamped) {
   EXPECT_TRUE(cache.window_provenance("a0", SimTime::millis(900)).has_value());
 }
 
+// A repair takes a pull's answer as it comes, in any order: the cache puts
+// it in id order, so the window serves every record and is a sound delta
+// base for the next frame.
+TEST(StreamCacheTest, RepairOutOfOrderBatchServesEveryRecord) {
+  auto record = [](int i, SimTime t, double rx) {
+    QueryResponse r;
+    r.record.timestamp = t;
+    r.record.element = ElementId{"m0/e" + std::to_string(i)};
+    r.record.attrs = {{"rxPkts", rx}};
+    r.attempts = 1;
+    return r;
+  };
+  const SimTime t1 = SimTime::millis(100);
+  BatchResponse pull;
+  for (int i = 9; i >= 0; --i) pull.responses.push_back(record(i, t1, 10 * i));
+  StreamCache cache;
+  cache.repair("a0", t1, pull);
+
+  std::vector<ElementId> ids;
+  for (int i = 0; i < 10; ++i) ids.push_back(record(i, t1, 0).record.element);
+  std::vector<const ElementId*> plan;
+  for (const ElementId& id : ids) plan.push_back(&id);
+  BatchResponse got;
+  EXPECT_EQ(cache.read("a0", plan, t1, &got), 10u);
+  EXPECT_EQ(got.degraded, 0u);
+  ASSERT_EQ(got.responses.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(got.responses[i].record.element, ids[i]);
+    expect_attrs_eq(got.responses[i].record.attrs, {{"rxPkts", 10.0 * i}},
+                    ids[i].name);
+  }
+
+  // The next in-order frame delta-codes against the same ascending window.
+  const SimTime t2 = SimTime::millis(200);
+  wire::StreamDataMsg base{"a0", 1, t1, Duration{}, got.responses};
+  wire::StreamDataMsg next{"a0", 2, t2, Duration{}, {}};
+  for (int i = 0; i < 10; ++i) {
+    next.responses.push_back(record(i, t2, 10 * i + 7));
+  }
+  Result<std::string> body = wire::encode_stream_data(next, &base);
+  ASSERT_TRUE(body.ok()) << body.status().message();
+  Result<StreamCache::ApplyResult> applied = cache.apply(body.value());
+  ASSERT_TRUE(applied.ok()) << applied.status().message();
+  EXPECT_TRUE(applied.value().applied);
+  for (int i = 0; i < 10; ++i) {
+    std::optional<QueryResponse> r = read_one(cache, "a0", ids[i], t2);
+    ASSERT_TRUE(r.has_value()) << ids[i].name;
+    expect_attrs_eq(r->record.attrs, {{"rxPkts", 10.0 * i + 7}}, ids[i].name);
+  }
+}
+
 TEST(StreamCacheTest, RestartedPublisherDeltaFrameResyncsViaSnapshot) {
   auto sources = make_scenario();
   Agent a0("a0", 11);
@@ -911,11 +963,12 @@ TEST(StreamingDifferentialTest, MissingWindowFailsAlikeBatchedAndSequential) {
 // by step, rendered with every window the cache serves after each step and
 // compared against tests/golden/stream_chain.txt.  The chain has elements
 // joining and leaving between windows, a duplicated id, a frame out of
-// ascending order that the cache refuses and a pull repairs (the encoder's
-// copy of it then serves as the next frame's delta base), a schema change,
-// a blind spot, a dropped frame repaired by a pull, a cache reset answered
-// with a snapshot, and a publisher restart.  A rewrite of
-// the codec's base lookup or of the cache's storage and reads must leave it
+// ascending order that the encoder refuses and a pull handed over in frame
+// order repairs (the frame, put in id order, then serves as the next
+// frame's delta base, as the repaired window does in the cache), a schema
+// change, a blind spot, a dropped frame repaired by a pull, a cache reset
+// answered with a snapshot, and a publisher restart.  A rewrite of the
+// codec's base lookup or of the cache's storage and reads must leave it
 // untouched.  Regenerate only for an intended behaviour change:
 //   PERFSIGHT_UPDATE_GOLDEN=1 ./build/tests/streaming_test
 //   --gtest_filter='StreamGoldenTest.*'
@@ -983,7 +1036,7 @@ std::vector<wire::StreamDataMsg> frozen_chain() {
       {"m0/a", "m0/a", "m0/b", "m0/e"},          // a twice, d leaves
       {"m0/a", "m0/b", "m0/c", "m0/e"},          // base has a twice
       {"m0/e", "m0/a", "m0/f", "m0/b"},          // not ascending: refused
-      {"m0/a", "m0/b", "m0/c", "m0/e", "m0/f"},  // base not ascending
+      {"m0/a", "m0/b", "m0/c", "m0/e", "m0/f"},  // base repaired by a pull
       {"m0/a", "m0/b", "m0/e", "m0/f"},          // dropped in transit
       {"m0/a", "m0/b", "m0/d", "m0/e", "m0/f"},
       {"m0/a", "m0/b", "m0/d", "m0/e", "m0/f"},
@@ -1033,9 +1086,10 @@ std::string chain_transcript() {
   auto encode = [&](size_t k, uint64_t seq, const wire::StreamDataMsg* base) {
     frames[k].seq = seq;
     Result<std::string> body = wire::encode_stream_data(frames[k], base);
-    EXPECT_TRUE(body.ok()) << body.status().message();
     out += "body k=" + std::to_string(k + 1) + " seq=" + std::to_string(seq) +
-           " " + hex(body.ok() ? body.value() : "") + "\n";
+           " " +
+           (body.ok() ? hex(body.value()) : "err " + body.status().message()) +
+           "\n";
     return body.ok() ? body.value() : std::string();
   };
   auto serve = [&] {
@@ -1084,27 +1138,33 @@ std::string chain_transcript() {
     serve();
   };
 
-  // A pull of boundary k (0-based), answered in ascending id order.
+  // A pull of boundary k (0-based), handed over in frame order: the cache
+  // puts it in id order.
   auto repair = [&](size_t k) {
     BatchResponse pull;
     pull.channel_time = frames[k].channel_time;
     pull.responses = frames[k].responses;
-    std::stable_sort(pull.responses.begin(), pull.responses.end(),
-                     [](const QueryResponse& a, const QueryResponse& b) {
-                       return a.record.element < b.record.element;
-                     });
     cache.repair("a0", frames[k].window_start, pull);
     out += "repair k=" + std::to_string(k + 1) + "\n";
     serve();
   };
 
-  // Boundaries 1-6 arrive in order.  Frame 5 descends, so the cache
-  // refuses it and a pull repairs boundary 5; frame 6 then applies against
-  // the repaired base.
+  // Boundaries 1-6 arrive in order.  Frame 5 descends, so the encoder
+  // refuses it and a pull repairs boundary 5; frame 6 then encodes against
+  // the repaired window, in id order, and applies.
   apply(encode(0, 1, nullptr));
   for (size_t k = 1; k < 6; ++k) {
-    apply(encode(k, k + 1, &frames[k - 1]));
-    if (k == 4) repair(4);
+    const std::string body = encode(k, k + 1, &frames[k - 1]);
+    if (k != 4) {
+      apply(body);
+      continue;
+    }
+    serve();
+    repair(4);
+    std::stable_sort(frames[4].responses.begin(), frames[4].responses.end(),
+                     [](const QueryResponse& a, const QueryResponse& b) {
+                       return a.record.element < b.record.element;
+                     });
   }
   // Frame 7 is lost in transit; frame 8 betrays the gap, a pull repairs
   // boundary 7, and frame 8 applies.
@@ -1251,6 +1311,137 @@ TEST(RemoteStreamingTest, GapRepairRecoversByteEqualState) {
   EXPECT_EQ(cache.window_provenance("ra", SimTime::millis(300)),
             StreamCache::Provenance::kRepaired);
   EXPECT_GT(server.stream_frames_published(), 0u);
+  server.stop();
+}
+
+// A subscriber that joins a live stream gets the capture it joins at as a
+// snapshot under the shared seq; from then on every subscriber gets the
+// one delta body, and both caches hold what direct pulls return.
+TEST(RemoteStreamingTest, LateSubscriberSharesEveryDeltaBody) {
+  auto sources = make_scenario();
+  Agent agent("ra", 5);
+  std::vector<ElementId> ids;
+  for (const auto& s : sources) {
+    if (!starts_with(s->id().name, "m0/")) continue;
+    ASSERT_TRUE(agent.add_element(s.get()).is_ok());
+    ids.push_back(s->id());
+  }
+  RemoteAgentServer server(&agent, transport::Endpoint::tcp("127.0.0.1", 0));
+  ASSERT_TRUE(server.start().is_ok());
+  StreamSubscriber first(server.endpoint());
+  ASSERT_TRUE(first.connect(transport::WallDuration(2000)).is_ok());
+  auto next_body = [](StreamSubscriber& sub) {
+    Result<std::string> body = sub.next_body(transport::WallDuration(5000));
+    EXPECT_TRUE(body.ok()) << body.status().message();
+    return body.ok() ? body.value() : std::string{};
+  };
+  auto seq_of = [](const std::string& body) {
+    Result<wire::StreamFrameInfo> info = wire::peek_stream_data(body);
+    return info.ok() ? info.value().seq : 0;
+  };
+  auto apply = [](StreamCache& cache, const std::string& body) {
+    Result<StreamCache::ApplyResult> r = cache.apply(body);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    EXPECT_TRUE(r.value().applied);
+  };
+
+  StreamCache early;
+  StreamCache late;
+  for (int ms : {100, 200}) {
+    server.request_publish(SimTime::millis(ms));
+    apply(early, next_body(first));
+  }
+  StreamSubscriber second(server.endpoint());
+  ASSERT_TRUE(second.connect(transport::WallDuration(2000)).is_ok());
+  server.request_publish(SimTime::millis(300));
+  const std::string delta = next_body(first);
+  const std::string snapshot = next_body(second);
+  EXPECT_EQ(seq_of(delta), 3u);
+  EXPECT_EQ(seq_of(snapshot), 3u);
+  // The snapshot stands alone; the delta needs the previous capture.
+  EXPECT_TRUE(wire::decode_stream_data(snapshot, nullptr).ok());
+  EXPECT_FALSE(wire::decode_stream_data(delta, nullptr).ok());
+  apply(early, delta);
+  apply(late, snapshot);
+  for (int ms : {400, 500}) {
+    server.request_publish(SimTime::millis(ms));
+    const std::string a = next_body(first);
+    const std::string b = next_body(second);
+    EXPECT_EQ(a, b) << "@ " << ms;
+    EXPECT_EQ(seq_of(a), static_cast<uint64_t>(ms / 100));
+    apply(early, a);
+    apply(late, b);
+  }
+  EXPECT_EQ(server.stream_frames_published(), 8u);
+
+  for (int ms : {100, 200, 300, 400, 500}) {
+    const SimTime t = SimTime::millis(ms);
+    const BatchResponse direct = agent.query_batch(ids, t);
+    ASSERT_EQ(direct.responses.size(), ids.size());
+    for (const QueryResponse& want : direct.responses) {
+      const std::string ctx =
+          want.record.element.name + " @ " + std::to_string(ms);
+      std::optional<QueryResponse> got =
+          read_one(early, "ra", want.record.element, t);
+      ASSERT_TRUE(got.has_value()) << ctx;
+      expect_attrs_eq(got->record.attrs, want.record.attrs, ctx);
+      got = read_one(late, "ra", want.record.element, t);
+      ASSERT_EQ(got.has_value(), ms >= 300) << ctx;
+      if (got.has_value()) {
+        expect_attrs_eq(got->record.attrs, want.record.attrs, ctx);
+      }
+    }
+  }
+  server.stop();
+}
+
+// The server captures the agent's live element set at every boundary: an
+// element added after start() is in the next frame, a removed one leaves.
+TEST(RemoteStreamingTest, FramesFollowElementsAddedAndRemovedAfterStart) {
+  auto sources = make_scenario();
+  Agent agent("ra", 5);
+  std::vector<const FnSource*> m0;
+  for (const auto& s : sources) {
+    if (starts_with(s->id().name, "m0/")) m0.push_back(s.get());
+  }
+  ASSERT_GT(m0.size(), 2u);
+  const FnSource* late = m0.back();
+  m0.pop_back();
+  for (const FnSource* s : m0) ASSERT_TRUE(agent.add_element(s).is_ok());
+  RemoteAgentServer server(&agent, transport::Endpoint::tcp("127.0.0.1", 0));
+  ASSERT_TRUE(server.start().is_ok());
+  StreamSubscriber sub(server.endpoint());
+  ASSERT_TRUE(sub.connect(transport::WallDuration(2000)).is_ok());
+
+  StreamCache cache;
+  // Publishes boundary `ms` and returns how many records its frame holds.
+  auto pump = [&](int ms) -> size_t {
+    server.request_publish(SimTime::millis(ms));
+    Result<std::string> body = sub.next_body(transport::WallDuration(5000));
+    if (!body.ok()) {
+      ADD_FAILURE() << body.status().message();
+      return 0;
+    }
+    Result<StreamCache::ApplyResult> r = cache.apply(body.value());
+    EXPECT_TRUE(r.ok() && r.value().applied) << "@ " << ms;
+    return wire::peek_stream_data(body.value()).value().record_count;
+  };
+
+  EXPECT_EQ(pump(100), m0.size());
+  EXPECT_FALSE(read_one(cache, "ra", late->id(), SimTime::millis(100)));
+
+  ASSERT_TRUE(agent.add_element(late).is_ok());
+  EXPECT_EQ(pump(200), m0.size() + 1);
+  std::optional<QueryResponse> got =
+      read_one(cache, "ra", late->id(), SimTime::millis(200));
+  ASSERT_TRUE(got.has_value());
+  expect_attrs_eq(got->record.attrs,
+                  late->collect(SimTime::millis(200)).attrs, late->id().name);
+
+  ASSERT_TRUE(agent.remove_element(late->id()).is_ok());
+  EXPECT_EQ(pump(300), m0.size());
+  EXPECT_FALSE(read_one(cache, "ra", late->id(), SimTime::millis(300)));
+  EXPECT_TRUE(read_one(cache, "ra", m0.front()->id(), SimTime::millis(300)));
   server.stop();
 }
 
